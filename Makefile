@@ -83,7 +83,7 @@ workload:
 # acknowledged requests; see docs/CLUSTER.md "Replication & failover").
 failover:
 	PYTHONPATH=src python -m repro --seed 0 chaos --scenario cluster-kill-primary,cluster-partition-balancer --runs 0 --skip-golden --output failover-report.json
-	PYTHONPATH=src python -m repro --seed 0 explore --scenario cluster-failover --budget 50 --output failover-explore.json
+	PYTHONPATH=src python -m repro --seed 0 explore --scenario cluster-failover-train --budget 50 --output failover-explore.json
 
 quick:
 	python examples/quickstart.py

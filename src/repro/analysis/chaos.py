@@ -1,10 +1,10 @@
 """Chaos sweep: workloads under sampled fault plans, with invariants.
 
-``python -m repro chaos`` runs the Cedar/GVX worlds and a set of
-synchronisation micro-scenarios under seeded :class:`FaultPlan`s — stolen
-NOTIFYs, spurious wakeups, feigned FORK failures, thread kills, timer
-jitter — with the waits-for watchdog on, and asserts the robustness
-invariants the paper's systems earned the hard way:
+``python -m repro chaos`` runs entries of the scenario catalogue
+(:mod:`repro.analysis.scenarios`) under seeded :class:`FaultPlan`s —
+stolen NOTIFYs, spurious wakeups, feigned FORK failures, thread kills,
+timer jitter — with the waits-for watchdog on, and asserts the
+robustness invariants the paper's systems earned the hard way:
 
 * **No leaked monitor holds.**  Every monitor a live thread holds names
   that thread as owner, and vice versa — even after injected kills,
@@ -17,27 +17,24 @@ invariants the paper's systems earned the hard way:
   sharing no bookkeeping with the watchdog) finds the cycles; each must
   already be in the watchdog's reports.
 * **Directed deadlocks are found while the system lives.**  Two
-  scenarios wedge a thread pair on purpose — one via the §5.3
+  entries wedge a thread pair on purpose — one via the §5.3
   IF-instead-of-WHILE anti-pattern sprung by an injected spurious
   wakeup, one via a plain ABBA lock cycle — and the sweep asserts the
   watchdog reported exactly that cycle while an unrelated daemon kept
   running.
-* **A wedged shard is congestion, not deadlock.**  A directed cluster
-  scenario stalls every completion path of one shard; the balancer's
-  health probe must trip and re-route the queued work to the surviving
-  shard, and the watchdog must report nothing — threads burning CPU
-  behind a breaker are live, not wedged on each other.
-* **Single flight means single flight.**  A directed cache-stampede
-  scenario (hot key, short TTL, wildcard invalidations) asserts that
-  with the guard on the cache never has two fetches for one key in
-  flight, backend amplification is exactly one fetch per miss window,
-  and parked waiters read as congestion, not deadlock.
+* **Each clean entry's own check holds.**  The directed cluster and
+  cache entries assert what the generic invariants cannot see: a wedged
+  shard trips the breaker and is congestion, not deadlock; a killed
+  primary or balancer fails over losing nothing; single flight means
+  one fetch per key in flight.
 * **Faults off ≡ no faults.**  A plan with every rate at zero (plus the
   watchdog) must reproduce the pinned golden schedule hashes exactly,
   proving the injection seams are free when disarmed.
 
-The sweep is a pure function of its seed; the JSON report it writes is
-the CI artifact.
+Directed runs are the ``chaos``-tagged entries (or a ``--scenario``
+selection) under their own plan; sampled runs cycle through the
+``sweep``-tagged entries.  The sweep is a pure function of its seed; the
+JSON report it writes is the CI artifact.
 """
 
 from __future__ import annotations
@@ -47,29 +44,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.analysis.faults import FaultPlan
+from repro.analysis.scenarios import EXPECT_DEADLOCK, Scenario, resolve
 from repro.analysis.watchdog import waits_on
 from repro.kernel import Kernel, KernelConfig, msec, sec
-from repro.kernel import primitives as p
-from repro.kernel.primitives import Enter, Exit, Notify
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.thread import ThreadState
-from repro.sync.condition import (
-    ConditionVariable,
-    await_condition,
-    await_condition_if_broken,
-)
-from repro.cluster.replication import (
-    install_balancer_kill,
-    install_primary_kill,
-    lost_requests,
-)
-from repro.cluster.world import build_cluster_world
-from repro.server.model import TenantSpec
-from repro.server.world import build_server_world
-from repro.sync.monitor import Monitor
-from repro.workloads import build_cedar_world, build_gvx_world
-from repro.workloads.cedar import CEDAR_ACTIVITIES
-from repro.workloads.gvx import GVX_ACTIVITIES
 
 #: Simulated time per chaos run.
 CHAOS_RUN = sec(1)
@@ -79,13 +58,13 @@ CHAOS_RUN = sec(1)
 # Fault-plan sampling
 # ---------------------------------------------------------------------------
 
-def sample_plan(rng: DeterministicRng, *, kills: bool = True) -> FaultPlan:
+def sample_plan(rng: DeterministicRng) -> FaultPlan:
     """Draw one fault plan from the sweep's sampling distribution."""
     return FaultPlan(
         drop_notify_prob=rng.choice([0.0, 0.05, 0.2]),
         spurious_wakeup_prob=rng.choice([0.0, 0.05, 0.2]),
         fork_fail_prob=rng.choice([0.0, 0.1]),
-        kill_thread_prob=rng.choice([0.0, 0.005, 0.02]) if kills else 0.0,
+        kill_thread_prob=rng.choice([0.0, 0.005, 0.02]),
         timer_jitter_prob=rng.choice([0.0, 0.3]),
         timer_jitter_max=msec(20),
         kill_immune=("SystemDaemon",),
@@ -101,611 +80,6 @@ def plan_dict(plan: FaultPlan) -> dict:
         "timer_jitter_prob": plan.timer_jitter_prob,
         "timer_jitter_max": plan.timer_jitter_max,
     }
-
-
-# ---------------------------------------------------------------------------
-# Scenarios
-# ---------------------------------------------------------------------------
-# Each scenario builder takes a KernelConfig and returns
-# (kernel, shutdown_callable).  ``kill_safe`` marks workloads whose thread
-# bodies all release monitors through ``finally`` (so injected kills
-# unwind cleanly); kills are masked out of sampled plans elsewhere.
-
-def _world_scenario(builder, activities, activity):
-    def build(config: KernelConfig):
-        world, context = builder(config)
-        install = activities[activity]
-        if install is not None:
-            install(world, context)
-        return world.kernel, world.shutdown
-
-    return build
-
-
-def _producer_consumer(config: KernelConfig):
-    """The correct WAIT-in-a-loop idiom: survives every fault kind."""
-    kernel = Kernel(config)
-    lock = Monitor("chaos.pc")
-    nonempty = ConditionVariable(lock, "chaos.nonempty")
-    state = {"available": 0, "consumed": 0}
-
-    def consumer():
-        while state["consumed"] < 60:
-            yield Enter(lock)
-            try:
-                # The timeout bounds the damage of a stolen NOTIFY; the
-                # WHILE bounds the damage of a spurious wakeup.
-                yield from await_condition(
-                    nonempty, lambda: state["available"] > 0, timeout=msec(40)
-                )
-                if state["available"] > 0:
-                    state["available"] -= 1
-                    state["consumed"] += 1
-            finally:
-                yield Exit(lock)
-
-    def producer():
-        for _ in range(60):
-            yield Enter(lock)
-            try:
-                state["available"] += 1
-                yield Notify(nonempty)
-            finally:
-                yield Exit(lock)
-            yield p.Pause(msec(5))
-
-    kernel.fork_root(consumer, name="consumer", priority=5)
-    kernel.fork_root(producer, name="producer", priority=4)
-    return kernel, kernel.shutdown
-
-
-def _fork_churn(config: KernelConfig):
-    """Fork/join trees under feigned FORK failures and kills."""
-    kernel = Kernel(config)
-
-    def leaf(work):
-        yield p.Compute(work)
-
-    def spawner(depth):
-        children = []
-        for i in range(3):
-            child = yield p.Fork(leaf, args=(msec(1) * (i + 1),))
-            children.append(child)
-        if depth > 0:
-            sub = yield p.Fork(spawner, args=(depth - 1,))
-            children.append(sub)
-        for child in children:
-            try:
-                yield p.Join(child)
-            except Exception:
-                pass  # a killed child's death arrives at JOIN; survive it
-
-    def root():
-        for _ in range(6):
-            top = yield p.Fork(spawner, args=(1,))
-            try:
-                yield p.Join(top)
-            except Exception:
-                pass
-            yield p.Pause(msec(10))
-
-    kernel.fork_root(root, name="churn-root", priority=4)
-    return kernel, kernel.shutdown
-
-
-def _server_chaos(scenario):
-    """The RPC server world under faults.  Stolen NOTIFYs must degrade to
-    one-tick stalls (every pool get is timed), and injected kills must
-    not leak monitor holds or wedge the remaining workers."""
-
-    def build(config: KernelConfig):
-        world, _server = build_server_world(config, scenario=scenario)
-        return world.kernel, world.shutdown
-
-    return build
-
-
-def _cluster_chaos(scenario):
-    """The sharded cluster world under faults: two shards, the balancer
-    pipeline, WFQ admission.  Stolen NOTIFYs on the credit CV must
-    degrade to one-tick dispatch stalls (the wait is timed), and kills
-    anywhere in the pipeline must not leak monitors."""
-
-    def build(config: KernelConfig):
-        config.ncpus = 2
-        world, _balancer = build_cluster_world(config, scenario=scenario)
-        return world.kernel, world.shutdown
-
-    return build
-
-
-def _workload_chaos(scenario):
-    """A compiled workload scenario under faults: the cluster (and, for
-    cache scenarios, the cache tier) driven by aggregate million-client
-    arrival pumps.  The pumps are kernel events, not threads, so kills
-    land on the serving side only — the offered load never flinches,
-    which is exactly what makes open-loop overload dangerous."""
-
-    def build(config: KernelConfig):
-        from repro.workload.scenarios import workload_spec
-        from repro.workload.world import build_workload_world
-
-        spec = workload_spec(scenario)
-        config.ncpus = spec.shards + (1 if spec.cache else 0)
-        ww = build_workload_world(config, spec=spec)
-        return ww.world.kernel, ww.world.shutdown
-
-    return build
-
-
-def _make_cache_stampede():
-    """Directed: hot-key TTL expiry + wildcard invalidations with the
-    single-flight guard ON — the stampede scenario in its guarded
-    configuration.  The post-check asserts the guard's whole story: at
-    most one fetch per key in flight (``max_inflight_per_key == 1``),
-    backend amplification exactly one fetch per miss window, concurrent
-    misses actually coalesced, traffic completing, and the watchdog
-    quiet — parked waiters are congestion accounting, not deadlock.
-    (The *unguarded* contrast — amplification, p99 blowup, SLO loss —
-    is measured by ``benchmarks/bench_workload.py``.)
-    """
-    state: dict[str, Any] = {}
-
-    def build(config: KernelConfig):
-        from repro.workload.scenarios import workload_spec
-        from repro.workload.world import build_workload_world
-
-        spec = workload_spec("cache-stampede")
-        config.ncpus = spec.shards + 1
-        ww = build_workload_world(config, spec=spec, single_flight=True)
-        state["ww"] = ww
-        return ww.world.kernel, ww.world.shutdown
-
-    def post_check(kernel: Kernel) -> list[str]:
-        ww = state.get("ww")
-        if ww is None:
-            return ["stampede: world never built"]
-        cache = ww.cache
-        failures = []
-        if cache.max_inflight_per_key != 1:
-            failures.append(
-                "stampede: single-flight violated — "
-                f"max_inflight_per_key={cache.max_inflight_per_key}"
-            )
-        if cache.fetches != cache.fetch_windows:
-            failures.append(
-                "stampede: backend amplification with the guard on — "
-                f"{cache.fetches} fetches for {cache.fetch_windows} windows"
-            )
-        if cache.coalesced_waits == 0:
-            failures.append(
-                "stampede: no concurrent miss was ever coalesced"
-            )
-        if cache.fills == 0:
-            failures.append("stampede: no fill ever landed")
-        if cache.stats.total("completed") == 0:
-            failures.append("stampede: no cached request completed")
-        if kernel.watchdog is not None and kernel.watchdog.deadlocks:
-            failures.append(
-                "stampede: watchdog reported a deadlock for parked waiters"
-            )
-        return failures
-
-    return build, post_check
-
-
-_CACHE_STAMPEDE_BUILD, _CACHE_STAMPEDE_CHECK = _make_cache_stampede()
-
-
-def _make_cluster_wedge():
-    """Directed: wedge one shard, assert the breaker story end to end.
-
-    Poison requests with effectively-infinite compute occupy every
-    worker of shard 0 (plus its serializer), so its outcome counters
-    stop while its queues hold work.  The balancer's health sleeper must
-    trip the breaker, and — now that the shard is replicated — promote
-    the replica, replaying the acknowledged in-flight requests instead
-    of dropping them (``lost_inflight`` must stay zero; it counted 15+
-    per run before replication).  Traffic must keep completing on the
-    surviving shards, and the watchdog must stay quiet throughout — a
-    wedged shard is congestion, not deadlock.
-    """
-    state: dict[str, Any] = {}
-
-    def build(config: KernelConfig):
-        config.ncpus = 4
-        world, balancer = build_cluster_world(
-            config, scenario="steady", replicas=True, standby=False
-        )
-        state["balancer"] = balancer
-        shard0 = balancer.shards[0]
-        poison = TenantSpec(
-            name="poison",
-            mode="open",
-            cost=sec(30),
-            cost_jitter=0.0,
-            deadline=sec(10),
-            max_retries=0,
-        )
-        ordered_poison = TenantSpec(
-            name="ordered",
-            mode="open",
-            cost=sec(30),
-            cost_jitter=0.0,
-            deadline=sec(10),
-            max_retries=0,
-            ordered=True,
-        )
-
-        def inject(k):
-            # One per worker wedges the pool; one more wedges the
-            # ordered serializer, so no completion path stays open.
-            for _ in range(shard0.workers):
-                shard0.net.post(shard0.make_request(poison, k.now))
-            shard0.net.post(shard0.make_request(ordered_poison, k.now))
-
-        world.kernel.post_at(msec(5), inject)
-        return world.kernel, world.shutdown
-
-    def post_check(kernel: Kernel) -> list[str]:
-        balancer = state.get("balancer")
-        if balancer is None:
-            return ["wedge: balancer never built"]
-        failures = []
-        if balancer.trips < 1:
-            failures.append("wedge: health probe never tripped the breaker")
-        if balancer.promotions < 1:
-            failures.append("wedge: tripped shard was never promoted")
-        if balancer.replayed < 1:
-            failures.append(
-                "wedge: no in-flight request was replayed onto the replica"
-            )
-        lost = sum(balancer.lost_inflight)
-        if lost:
-            failures.append(
-                f"wedge: {lost} acknowledged in-flight requests dropped"
-            )
-        survivors = sum(
-            shard.stats.total("completed")
-            for sid, shard in enumerate(balancer.shards)
-            if sid != 0
-        )
-        if survivors == 0:
-            failures.append("wedge: no completions on the surviving shards")
-        if balancer.shards[0].stats.total("completed") == 0:
-            failures.append("wedge: promoted replica completed nothing")
-        if kernel.watchdog is not None and kernel.watchdog.deadlocks:
-            failures.append(
-                "wedge: watchdog reported a deadlock for a congested shard"
-            )
-        return failures
-
-    return build, post_check
-
-
-_CLUSTER_WEDGE_BUILD, _CLUSTER_WEDGE_CHECK = _make_cluster_wedge()
-
-
-def _track_minted(balancer) -> list:
-    """Wrap the balancer's request factory so every minted request is
-    recorded — the ground-truth population for the custody audit."""
-    minted: list = []
-    original = balancer.factory.make
-
-    def make(*args, **kwargs):
-        req = original(*args, **kwargs)
-        minted.append(req)
-        return req
-
-    balancer.factory.make = make
-    return minted
-
-
-def _settled_losses(kernel: Kernel, balancer, minted: list) -> list:
-    """Requests that vanished: still PENDING yet held by no component.
-
-    A request can be transiently unheld while a reroute/retry one-shot
-    is being forked, so a nonzero audit gets up to three short settle
-    windows before it counts as loss.
-    """
-    lost = lost_requests(balancer, minted)
-    for _ in range(3):
-        if not lost:
-            break
-        kernel.run_for(msec(40), raise_on_deadlock=False)
-        lost = lost_requests(balancer, minted)
-    return lost
-
-
-def _make_kill_primary():
-    """Directed: kill every thread of a primary shard mid-batch.
-
-    At ``msec(100)`` the failover mix has acknowledged work in every
-    stage of shard 0 — queued, executing, retry-parked — when a posted
-    event kills all of its threads at once.  The health probe must trip
-    on the stalled progress counters, promote the replica, and replay
-    the un-acked in-flight requests from the retransmit buffer against
-    the replica's applied op log.  The custody audit then proves the
-    tentpole claim: **zero acknowledged requests lost** — every minted
-    request is either terminal or held by some live component.
-    """
-    state: dict[str, Any] = {}
-
-    def build(config: KernelConfig):
-        config.ncpus = 4
-        world, balancer = build_cluster_world(
-            config, scenario="failover", replicas=True, standby=False
-        )
-        state["balancer"] = balancer
-        state["minted"] = _track_minted(balancer)
-        install_primary_kill(world, balancer, 0, msec(100))
-        return world.kernel, world.shutdown
-
-    def post_check(kernel: Kernel) -> list[str]:
-        balancer = state.get("balancer")
-        if balancer is None:
-            return ["kill-primary: balancer never built"]
-        failures = []
-        if balancer.promotions < 1:
-            failures.append("kill-primary: replica was never promoted")
-        if balancer.replayed < 1:
-            failures.append(
-                "kill-primary: no in-flight request was replayed"
-            )
-        if sum(balancer.lost_inflight):
-            failures.append(
-                "kill-primary: lost_inflight counted on a replicated shard"
-            )
-        if balancer.quarantined:
-            failures.append(
-                "kill-primary: requests quarantined despite a live replica"
-            )
-        if balancer.shards[0].stats.total("completed") == 0:
-            failures.append(
-                "kill-primary: promoted replica completed nothing"
-            )
-        lost = _settled_losses(kernel, balancer, state["minted"])
-        if lost:
-            rids = ", ".join(req.rid for req in lost[:5])
-            failures.append(
-                f"kill-primary: {len(lost)} acknowledged requests "
-                f"vanished ({rids})"
-            )
-        if kernel.watchdog is not None and kernel.watchdog.deadlocks:
-            failures.append(
-                "kill-primary: watchdog reported a deadlock during failover"
-            )
-        return failures
-
-    return build, post_check
-
-
-_KILL_PRIMARY_BUILD, _KILL_PRIMARY_CHECK = _make_kill_primary()
-
-
-def _make_partition_balancer():
-    """Directed: partition away the balancer; the standby must take over.
-
-    A posted event kills the primary balancer's whole thread population
-    at ``msec(150)``.  Its lease stops being renewed, so the standby's
-    watch sleeper must seize it, rebuild routing state from the shards'
-    own progress counters, re-inject anything the dead pipeline was
-    carrying between queues, and fork a replacement population.  The
-    cluster must demonstrably complete work *after* the takeover, and
-    the custody audit must find no vanished requests.
-    """
-    state: dict[str, Any] = {}
-
-    def build(config: KernelConfig):
-        config.ncpus = 4
-        world, balancer = build_cluster_world(
-            config, scenario="failover", replicas=True, standby=True
-        )
-        state["balancer"] = balancer
-        state["minted"] = _track_minted(balancer)
-        install_balancer_kill(world, balancer, msec(150))
-        return world.kernel, world.shutdown
-
-    def post_check(kernel: Kernel) -> list[str]:
-        balancer = state.get("balancer")
-        if balancer is None:
-            return ["partition: balancer never built"]
-        failures = []
-        lease = balancer.lease
-        standby = balancer.standby
-        if lease is None or lease.takeovers < 1:
-            failures.append("partition: standby never seized the lease")
-        if standby is None or not standby.active:
-            failures.append("partition: standby never activated")
-        else:
-            done = sum(
-                balancer.shard_done(sid)
-                for sid in range(len(balancer.shards))
-            )
-            if done <= standby.completed_at_takeover:
-                failures.append(
-                    "partition: no completions after the takeover"
-                )
-        lost = _settled_losses(kernel, balancer, state["minted"])
-        if lost:
-            rids = ", ".join(req.rid for req in lost[:5])
-            failures.append(
-                f"partition: {len(lost)} acknowledged requests "
-                f"vanished ({rids})"
-            )
-        if kernel.watchdog is not None and kernel.watchdog.deadlocks:
-            failures.append(
-                "partition: watchdog reported a deadlock during takeover"
-            )
-        return failures
-
-    return build, post_check
-
-
-_PARTITION_LB_BUILD, _PARTITION_LB_CHECK = _make_partition_balancer()
-
-
-def _wait_if_deadlock(config: KernelConfig):
-    """Directed: an injected spurious wakeup springs the §5.3 IF-not-WHILE
-    anti-pattern into an ABBA monitor cycle, while a daemon keeps running.
-
-    The victim WAITs (untimed, IF-guarded) for ``ready``; the spurious
-    wake makes it proceed on a broken invariant and reach for a second
-    monitor held by its partner, which is about to reach for the first.
-    """
-    kernel = Kernel(config)
-    m_outer = Monitor("chaos.outer")
-    m_inner = Monitor("chaos.inner")
-    ready_cv = ConditionVariable(m_inner, "chaos.ready")
-    state = {"ready": False}
-
-    def victim():
-        yield Enter(m_inner)
-        # Anti-pattern: checks once, waits once, believes the wake.
-        yield from await_condition_if_broken(ready_cv, lambda: state["ready"])
-        yield Enter(m_outer)  # holds inner, wants outer -> half the cycle
-        yield Exit(m_outer)
-        yield Exit(m_inner)
-
-    def partner():
-        yield Enter(m_outer)
-        yield p.Pause(msec(400))  # outlive the spurious wake
-        yield Enter(m_inner)  # holds outer, wants inner -> cycle closed
-        yield Exit(m_inner)
-        yield Exit(m_outer)
-
-    def daemon():
-        while True:
-            yield p.Pause(msec(20))
-            yield p.Compute(msec(1))
-
-    kernel.fork_root(victim, name="victim", priority=4)
-    kernel.fork_root(partner, name="partner", priority=4)
-    kernel.fork_root(daemon, name="bystander", priority=3)
-    return kernel, kernel.shutdown
-
-
-#: The plan that springs ``_wait_if_deadlock``: one fault kind, certain.
-WAIT_IF_PLAN = FaultPlan(spurious_wakeup_prob=1.0)
-
-
-def _abba_deadlock(config: KernelConfig):
-    """Directed: a plain ABBA cycle (no faults needed), daemon running."""
-    kernel = Kernel(config)
-    m_a = Monitor("chaos.a")
-    m_b = Monitor("chaos.b")
-
-    def first():
-        yield Enter(m_a)
-        yield p.Pause(msec(10))
-        yield Enter(m_b)
-        yield Exit(m_b)
-        yield Exit(m_a)
-
-    def second():
-        yield Enter(m_b)
-        yield p.Pause(msec(10))
-        yield Enter(m_a)
-        yield Exit(m_a)
-        yield Exit(m_b)
-
-    def daemon():
-        while True:
-            yield p.Pause(msec(20))
-            yield p.Compute(msec(1))
-
-    kernel.fork_root(first, name="first", priority=4)
-    kernel.fork_root(second, name="second", priority=4)
-    kernel.fork_root(daemon, name="bystander", priority=3)
-    return kernel, kernel.shutdown
-
-
-@dataclass(frozen=True)
-class ChaosScenario:
-    name: str
-    build: Callable[[KernelConfig], tuple]
-    #: All thread bodies release monitors via ``finally`` — injected
-    #: kills unwind cleanly, so the sweep may enable them.
-    kill_safe: bool = True
-    #: The scenario is engineered to wedge: the watchdog MUST report a
-    #: cycle, and a bystander thread must still be runnable.
-    expect_deadlock: bool = False
-    #: Fixed plan for directed scenarios (None -> sampled).
-    plan: FaultPlan | None = None
-    #: Scenario-specific invariants, run against the live kernel after
-    #: the generic checks (directed cluster scenarios assert breaker
-    #: state the generic invariants cannot see).
-    post_check: Callable[[Kernel], list] | None = None
-
-
-SWEEP_SCENARIOS: tuple[ChaosScenario, ...] = (
-    ChaosScenario(
-        "cedar-idle",
-        _world_scenario(build_cedar_world, CEDAR_ACTIVITIES, "idle"),
-    ),
-    ChaosScenario(
-        "cedar-keyboard",
-        _world_scenario(build_cedar_world, CEDAR_ACTIVITIES, "keyboard"),
-    ),
-    ChaosScenario(
-        "cedar-formatting",
-        _world_scenario(build_cedar_world, CEDAR_ACTIVITIES, "formatting"),
-    ),
-    ChaosScenario(
-        "gvx-idle", _world_scenario(build_gvx_world, GVX_ACTIVITIES, "idle")
-    ),
-    ChaosScenario(
-        "gvx-keyboard",
-        _world_scenario(build_gvx_world, GVX_ACTIVITIES, "keyboard"),
-    ),
-    ChaosScenario("producer-consumer", _producer_consumer),
-    ChaosScenario("fork-churn", _fork_churn),
-    ChaosScenario("server-steady", _server_chaos("steady")),
-    ChaosScenario("server-overload", _server_chaos("overload")),
-    ChaosScenario("cluster-steady", _cluster_chaos("steady")),
-    ChaosScenario("cluster-skewed", _cluster_chaos("skewed")),
-    ChaosScenario("workload-diurnal", _workload_chaos("diurnal")),
-    ChaosScenario("cache-steady", _workload_chaos("cache-steady")),
-)
-
-DIRECTED_SCENARIOS: tuple[ChaosScenario, ...] = (
-    ChaosScenario(
-        "wait-if-deadlock",
-        _wait_if_deadlock,
-        expect_deadlock=True,
-        plan=WAIT_IF_PLAN,
-    ),
-    ChaosScenario(
-        "abba-deadlock",
-        _abba_deadlock,
-        expect_deadlock=True,
-        plan=FaultPlan(),
-    ),
-    ChaosScenario(
-        "cluster-wedged-shard",
-        _CLUSTER_WEDGE_BUILD,
-        plan=FaultPlan(),
-        post_check=_CLUSTER_WEDGE_CHECK,
-    ),
-    ChaosScenario(
-        "cluster-kill-primary",
-        _KILL_PRIMARY_BUILD,
-        plan=FaultPlan(),
-        post_check=_KILL_PRIMARY_CHECK,
-    ),
-    ChaosScenario(
-        "cluster-partition-balancer",
-        _PARTITION_LB_BUILD,
-        plan=FaultPlan(),
-        post_check=_PARTITION_LB_CHECK,
-    ),
-    ChaosScenario(
-        "cache-stampede",
-        _CACHE_STAMPEDE_BUILD,
-        plan=FaultPlan(),
-        post_check=_CACHE_STAMPEDE_CHECK,
-    ),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -840,23 +214,28 @@ class RunRecord:
 
 
 def run_one(
-    scenario: ChaosScenario,
+    scenario: Scenario,
     plan: FaultPlan,
     seed: int,
     *,
     trace_dir: str | None = None,
+    controller: Any = None,
 ) -> RunRecord:
     """One chaos run: build, run, sweep, check, shut down.
 
     Every run records its schedule through a :class:`ScheduleController`
     (with default tails, so directed runs stay byte-identical — the
-    disarmed seams decide nothing).  When ``trace_dir`` is given and the
-    run fails an invariant, the recorded :class:`DecisionTrace` is saved
+    disarmed seams decide nothing); a replay passes its own forcing
+    ``controller`` instead.  When ``trace_dir`` is given and the run
+    fails an invariant, the recorded :class:`DecisionTrace` is saved
     there so ``repro explore --replay`` can reproduce the exact run.
+    The entry's ``check`` counts only for a clean entry (``expect`` is
+    None); a deadlock entry must instead show a reported partial
+    deadlock.
     """
-    from repro.explore.trace import TAIL_DEFAULT, ScheduleController
+    from repro.explore.trace import ScheduleController
 
-    recorder = ScheduleController(tail=TAIL_DEFAULT)
+    recorder = controller or ScheduleController()
     config = KernelConfig(
         seed=seed, fault_plan=plan, watchdog=True,
         schedule_controller=recorder,
@@ -875,11 +254,11 @@ def run_one(
         record.faults = dict(kernel.stats.fault_counts)
         record.deadlocks = len(kernel.watchdog.deadlocks)
         record.starvation = len(kernel.watchdog.starvation)
-        record.failures.extend(
-            check_invariants(kernel, expect_deadlock=scenario.expect_deadlock)
-        )
-        if scenario.post_check is not None:
-            record.failures.extend(scenario.post_check(kernel))
+        record.failures.extend(check_invariants(
+            kernel, expect_deadlock=scenario.expect == EXPECT_DEADLOCK
+        ))
+        if scenario.expect is None:
+            record.failures.extend(scenario.check(kernel))
     finally:
         shutdown()
     # 5. Post-shutdown: everything returned.
@@ -911,19 +290,19 @@ def run_one(
 def verify_golden(*, with_watchdog: bool = True) -> dict:
     """Faults-off chaos mode: a zero-rate plan (and the watchdog) must
     reproduce the pinned golden schedule hashes bit-for-bit."""
-    from repro.analysis.golden import SCENARIOS, load_golden
+    from repro.analysis.golden import golden_run, load_golden
 
     golden = load_golden()
     overrides: dict[str, Any] = {"fault_plan": FaultPlan()}
     if with_watchdog:
         overrides["watchdog"] = True
-    mismatches = []
-    for name, run in SCENARIOS.items():
-        actual = run(config_overrides=overrides)
-        if golden.get(name) != actual:
-            mismatches.append(name)
+    entries = resolve("golden")
+    mismatches = [
+        scenario.name for scenario in entries
+        if golden.get(scenario.name) != golden_run(scenario, overrides)
+    ]
     return {
-        "scenarios": len(SCENARIOS),
+        "scenarios": len(entries),
         "mismatches": mismatches,
         "ok": not mismatches,
     }
@@ -936,41 +315,35 @@ def run_sweep(
     check_golden: bool = True,
     progress: Callable[[str], None] | None = None,
     trace_dir: str | None = None,
-    scenarios: tuple[str, ...] | None = None,
+    scenarios: str | None = None,
 ) -> dict:
-    """The full sweep: directed scenarios, sampled plans, golden check.
+    """The full sweep: directed runs, sampled plans, golden check.
 
     Returns the JSON-serialisable report.  Deterministic in ``seed``.
-    ``scenarios`` restricts the directed set by name (the sampled runs
-    are controlled separately by ``runs``) — CI's failover smoke runs
-    just the two failover scenarios with ``runs=0``.
+    ``scenarios`` is a catalogue selector for the directed runs (default
+    the ``chaos`` tag); each runs under its entry's plan, or a zero-rate
+    one.  The sampled runs are controlled separately by ``runs`` — CI's
+    failover smoke runs just the two failover entries with ``runs=0``.
     """
-    directed = DIRECTED_SCENARIOS
-    if scenarios is not None:
-        known = {s.name for s in DIRECTED_SCENARIOS}
-        unknown = sorted(set(scenarios) - known)
-        if unknown:
-            raise ValueError(
-                f"unknown directed chaos scenario(s) {unknown}; "
-                f"available: {sorted(known)}"
-            )
-        directed = tuple(
-            s for s in DIRECTED_SCENARIOS if s.name in set(scenarios)
-        )
+    directed = resolve("chaos" if scenarios is None else scenarios)
+    sweep = resolve("sweep")
     rng = DeterministicRng(seed).fork("chaos")
     say = progress or (lambda line: None)
     records: list[RunRecord] = []
 
     for scenario in directed:
-        record = run_one(scenario, scenario.plan, seed, trace_dir=trace_dir)
+        record = run_one(
+            scenario, scenario.plan or FaultPlan(), seed, trace_dir=trace_dir
+        )
         say(f"{scenario.name}: deadlocks={record.deadlocks} "
             f"{'ok' if record.ok else 'FAIL'}")
         records.append(record)
 
     for index in range(runs):
-        scenario = SWEEP_SCENARIOS[index % len(SWEEP_SCENARIOS)]
-        plan = sample_plan(rng, kills=scenario.kill_safe)
-        record = run_one(scenario, plan, seed + index, trace_dir=trace_dir)
+        scenario = sweep[index % len(sweep)]
+        record = run_one(
+            scenario, sample_plan(rng), seed + index, trace_dir=trace_dir
+        )
         say(f"{scenario.name}[{index}]: faults={sum(record.faults.values())} "
             f"{'ok' if record.ok else 'FAIL'}")
         records.append(record)

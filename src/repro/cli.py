@@ -229,11 +229,6 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
     from repro.analysis.chaos import run_sweep, write_report
 
     runs = 4 if args.smoke else args.runs
-    scenarios = None
-    if args.scenario:
-        scenarios = tuple(
-            part.strip() for part in args.scenario.split(",") if part.strip()
-        )
     report = run_sweep(
         seed=args.seed,
         runs=runs,
@@ -243,7 +238,7 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
         # next to the report for ``repro explore --replay``.
         trace_dir=os.path.dirname(os.path.abspath(args.output))
         if args.output else None,
-        scenarios=scenarios,
+        scenarios=args.scenario,
     )
     summary = report["summary"]
     print(
@@ -263,44 +258,59 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
+def _replay(trace, seed: int) -> bool:
+    """Replay a saved decision trace through the scenario catalogue and
+    print it.  True when the replayed decisions match the saved ones and
+    the saved failure (if any) reproduces."""
+    from repro.analysis.chaos import run_one
+    from repro.analysis.faults import FaultPlan
+    from repro.analysis.scenarios import SCENARIOS
+    from repro.explore import ScheduleController, replay
+
+    meta = trace.meta
+    scenario = SCENARIOS.get(meta.get("scenario", ""))
+    if scenario is None:
+        print(f"trace names unknown scenario {meta.get('scenario')!r}",
+              file=sys.stderr)
+        raise SystemExit(1)
+    seed = int(meta.get("seed", seed))
+    if "failures" in meta:
+        # Saved by a failing chaos run: rerun it the way chaos ran it.
+        plan = FaultPlan(**meta["plan"],
+                         kill_immune=tuple(meta.get("kill_immune", ())))
+        controller = ScheduleController(force=trace.choices)
+        found = run_one(scenario, plan, seed, controller=controller).failures
+        replayed = controller.trace
+        reproduced = bool(set(found) & set(meta["failures"]))
+    else:
+        outcome = replay(scenario, trace.choices, seed=seed)
+        found = [outcome.violation] if outcome.violation else []
+        replayed = outcome.trace
+        reproduced = bool(found) or not meta.get("violation")
+    print(replayed.render())
+    for failure in found:
+        print(f"violation: {failure}")
+    divergence = trace.divergence(replayed)
+    if divergence is not None:
+        print(f"REPLAY DIVERGED: {divergence}")
+    if not reproduced:
+        print("REPLAY DID NOT REPRODUCE the recorded failure")
+    return divergence is None and reproduced
+
+
 def _cmd_explore(args: argparse.Namespace) -> None:
     """Systematic schedule exploration with counterexample minimization."""
     import json
     import os
 
-    from repro.explore import (
-        SCENARIOS,
-        DecisionTrace,
-        explore,
-        make_strategy,
-        replay,
-        resolve,
-    )
+    from repro.analysis.scenarios import resolve
+    from repro.explore import DecisionTrace, explore, make_strategy
 
     if args.replay:
         trace = DecisionTrace.load(args.replay)
-        name = trace.meta.get("scenario", "")
-        seed = int(trace.meta.get("seed", args.seed))
-        scenario = SCENARIOS.get(name) or _chaos_as_explore_scenario(
-            name, trace.meta
-        )
-        if scenario is None:
-            print(f"trace names unknown scenario {name!r}", file=sys.stderr)
+        if not _replay(trace, args.seed):
             raise SystemExit(1)
-        outcome = replay(scenario, trace.choices, seed=seed)
-        print(outcome.trace.render())
-        if outcome.violation is not None:
-            print(f"violation: {outcome.violation}")
-        expected = trace.meta.get("trace_hash")
-        actual = outcome.fingerprint.get("trace")
-        if expected and expected != actual:
-            print(f"REPLAY DIVERGED: trace hash {actual} != recorded "
-                  f"{expected}")
-            raise SystemExit(1)
-        if trace.meta.get("violation") and outcome.violation is None:
-            print("REPLAY DID NOT REPRODUCE the recorded violation")
-            raise SystemExit(1)
-        print("replay ok" + (" (trace hash verified)" if expected else ""))
+        print(f"replay ok ({len(trace)} decisions verified)")
         return
 
     results = []
@@ -319,7 +329,6 @@ def _cmd_explore(args: argparse.Namespace) -> None:
                 scenario=scenario.name,
                 seed=minimized.seed,
                 violation=minimized.violation,
-                trace_hash=minimized.replay_hash.get("trace"),
             )
             out_dir = os.path.dirname(os.path.abspath(args.output))
             path = os.path.join(
@@ -354,7 +363,6 @@ def _cmd_litmus(args: argparse.Namespace) -> None:
     import json
     import os
 
-    from repro.explore import replay
     from repro.memmodel.litmus import (
         LITMUS_TESTS,
         MODELS,
@@ -373,28 +381,18 @@ def _cmd_litmus(args: argparse.Namespace) -> None:
             print(f"trace names unknown litmus pair {test_name!r}/{model!r}",
                   file=sys.stderr)
             raise SystemExit(1)
-        scenario, state = litmus_scenario(test_name, model)
-        seed = int(trace.meta.get("seed", args.seed))
-        outcome = replay(scenario, trace.choices, seed=seed)
-        print(outcome.trace.render())
+        _scenario, state = litmus_scenario(test_name, model)
+        ok = _replay(trace, args.seed)
         registers = state.get("outcome")
         print(f"litmus {test_name}/{model} outcome: {registers}")
-        failed = False
-        expected_hash = trace.meta.get("trace_hash")
-        if expected_hash and expected_hash != outcome.fingerprint.get("trace"):
-            print(f"REPLAY DIVERGED: trace hash "
-                  f"{outcome.fingerprint.get('trace')} != recorded "
-                  f"{expected_hash}")
-            failed = True
         recorded = trace.meta.get("outcome")
         if recorded is not None and tuple(recorded) != registers:
             print(f"REPLAY DID NOT REPRODUCE the recorded outcome "
                   f"{tuple(recorded)}")
-            failed = True
-        if failed:
+            ok = False
+        if not ok:
             raise SystemExit(1)
-        print("replay ok"
-              + (" (trace hash verified)" if expected_hash else ""))
+        print(f"replay ok ({len(trace)} decisions verified)")
         return
 
     tests = (list(LITMUS_TESTS) if args.test == "all"
@@ -403,10 +401,11 @@ def _cmd_litmus(args: argparse.Namespace) -> None:
               else [part.strip() for part in args.model.split(",") if part.strip()])
     unknown = [t for t in tests if t not in LITMUS_TESTS]
     unknown += [m for m in models if m not in MODELS]
-    if unknown:
-        print(f"unknown test/model selector(s): {unknown}; tests: "
-              f"{sorted(LITMUS_TESTS)}, models: {list(MODELS)}",
-              file=sys.stderr)
+    if unknown or not tests or not models:
+        problem = (f"unknown test/model selector(s): {unknown}" if unknown
+                   else "empty test/model selection")
+        print(f"{problem}; tests: {sorted(LITMUS_TESTS)}, models: "
+              f"{list(MODELS)}", file=sys.stderr)
         raise SystemExit(1)
 
     pairs = []
@@ -453,7 +452,6 @@ def _cmd_litmus(args: argparse.Namespace) -> None:
                         model=model,
                         outcome=list(registers),
                         seed=witness.seed,
-                        trace_hash=witness.fingerprint.get("trace"),
                     )
                     tag = "".join(str(bit) for bit in registers)
                     path = os.path.join(
@@ -476,33 +474,6 @@ def _cmd_litmus(args: argparse.Namespace) -> None:
         print(f"wrote report to {args.output}")
     if not all_ok:
         raise SystemExit(1)
-
-
-def _chaos_as_explore_scenario(name: str, meta: dict):
-    """Wrap a chaos scenario so a saved chaos trace can be replayed."""
-    from repro.analysis.chaos import (
-        CHAOS_RUN,
-        DIRECTED_SCENARIOS,
-        SWEEP_SCENARIOS,
-    )
-    from repro.analysis.faults import FaultPlan
-    from repro.explore import ExploreScenario
-
-    for chaos_scenario in DIRECTED_SCENARIOS + SWEEP_SCENARIOS:
-        if chaos_scenario.name == name:
-            break
-    else:
-        return None
-    plan_kwargs = dict(meta.get("plan", {}))
-    plan_kwargs["kill_immune"] = tuple(meta.get("kill_immune", ()))
-    return ExploreScenario(
-        name=name,
-        build=chaos_scenario.build,
-        horizon=CHAOS_RUN,
-        plan=FaultPlan(**plan_kwargs),
-        expect_violation=False,
-        check=lambda kernel: None,
-    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
@@ -757,9 +728,10 @@ def main(argv: list[str] | None = None) -> int:
                              help="write the JSON report here")
         if name == "explore":
             sub.add_argument("--scenario", default="directed",
-                             help="scenario name, comma list, or a group: "
-                                  "'directed', 'clean', 'all' "
-                                  "(default directed)")
+                             help="comma list of catalogue names and tags "
+                                  "(directed, clean, all = both, chaos, "
+                                  "sweep, golden, litmus; default "
+                                  "directed)")
             sub.add_argument("--strategy", default="random",
                              choices=["random", "pct", "seeds", "exhaustive"],
                              help="schedule-generation strategy "
@@ -768,7 +740,8 @@ def main(argv: list[str] | None = None) -> int:
                              help="max schedules per scenario (default 200)")
             sub.add_argument("--replay", default=None, metavar="FILE",
                              help="replay a saved decision trace instead of "
-                                  "exploring; verifies the recorded hash")
+                                  "exploring; verifies the recorded "
+                                  "decisions and failure")
             sub.add_argument("--output", default=None,
                              help="write the JSON report here (minimal "
                                   "traces are saved alongside it)")
@@ -790,15 +763,16 @@ def main(argv: list[str] | None = None) -> int:
                                   "beyond-SC outcome reached")
             sub.add_argument("--replay", default=None, metavar="FILE",
                              help="replay a saved witness trace; verifies "
-                                  "the recorded hash and outcome")
+                                  "the recorded decisions and outcome")
             sub.add_argument("--output", default=None,
                              help="write the JSON report here")
         if name == "chaos":
             sub.add_argument("--runs", type=int, default=14,
                              help="sampled fault-plan runs (default 14)")
             sub.add_argument("--scenario", default=None,
-                             help="comma list restricting the directed "
-                                  "scenarios (default: all of them)")
+                             help="comma list of catalogue names and tags "
+                                  "to run as directed runs (default: the "
+                                  "chaos tag)")
             sub.add_argument("--smoke", action="store_true",
                              help="quick fixed-size sweep for CI")
             sub.add_argument("--skip-golden", action="store_true",

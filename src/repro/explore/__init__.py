@@ -13,12 +13,13 @@ Layers:
   :class:`ScheduleController` (the seam the kernel consults);
 * :mod:`repro.explore.strategies` — random walk, PCT, seed sweep,
   exhaustive bounded enumeration;
-* :mod:`repro.explore.scenarios` — what to explore and what counts as
-  a violation;
 * :mod:`repro.explore.driver` — the per-schedule invariant harness and
   the exploration loop;
 * :mod:`repro.explore.minimize` — prefix bisection + greedy
   sparsification down to a minimal forced schedule.
+
+What to explore, and what counts as a violation, comes from the
+scenario catalogue (:mod:`repro.analysis.scenarios`).
 
 Entry point: ``python -m repro explore`` (see ``docs/EXPLORATION.md``).
 """
@@ -31,7 +32,6 @@ from repro.explore.driver import (
     run_schedule,
 )
 from repro.explore.minimize import MinimizedCounterexample, minimize, replay
-from repro.explore.scenarios import CLEAN, DIRECTED, SCENARIOS, ExploreScenario, resolve
 from repro.explore.strategies import (
     STRATEGIES,
     ExhaustivePrefixStrategy,
@@ -51,18 +51,14 @@ from repro.explore.trace import (
 )
 
 __all__ = [
-    "CLEAN",
-    "DIRECTED",
     "Decision",
     "DecisionPoint",
     "DecisionTrace",
     "ExhaustivePrefixStrategy",
     "ExploreResult",
-    "ExploreScenario",
     "MinimizedCounterexample",
     "PctStrategy",
     "RandomWalkStrategy",
-    "SCENARIOS",
     "STRATEGIES",
     "ScheduleController",
     "ScheduleOutcome",
@@ -75,6 +71,5 @@ __all__ = [
     "make_strategy",
     "minimize",
     "replay",
-    "resolve",
     "run_schedule",
 ]

@@ -24,7 +24,7 @@ from typing import Callable
 
 from repro.analysis.chaos import check_invariants
 from repro.analysis.golden import fingerprint
-from repro.explore.scenarios import ExploreScenario
+from repro.analysis.scenarios import Scenario
 from repro.explore.strategies import Strategy
 from repro.explore.trace import DecisionTrace, ScheduleController
 from repro.kernel import Kernel, KernelConfig
@@ -71,7 +71,7 @@ class ScheduleOutcome:
     index: int
     seed: int
     trace: DecisionTrace
-    #: The scenario's expected failure, when its check tripped.
+    #: The scenario's check failures, joined, when its check tripped.
     violation: "str | None" = None
     #: Generic invariant-harness failures (never acceptable).
     harness_failures: list = field(default_factory=list)
@@ -86,7 +86,7 @@ class ScheduleOutcome:
 
 
 def run_schedule(
-    scenario: ExploreScenario,
+    scenario: Scenario,
     controller: ScheduleController,
     *,
     seed: int = 0,
@@ -119,7 +119,7 @@ def run_schedule(
         outcome.stopped_at = kernel.now
         if kernel.watchdog is not None:
             kernel.watchdog.check(kernel.now)  # final sweep before verdicts
-        outcome.violation = scenario.check(kernel)
+        outcome.violation = "; ".join(scenario.check(kernel)) or None
         outcome.harness_failures.extend(
             check_invariants(kernel, expect_deadlock=False)
         )
@@ -192,7 +192,7 @@ class ExploreResult:
 
 
 def explore(
-    scenario: ExploreScenario,
+    scenario: Scenario,
     strategy: Strategy,
     *,
     budget: int = 200,
@@ -233,7 +233,7 @@ def explore(
             result._ok = False
             return result
         if outcome.violation is not None:
-            if scenario.expect_violation:
+            if scenario.expect is not None:
                 say(f"{scenario.name}[{index}]: found: {outcome.violation}")
                 result.found = outcome
                 result.minimized = minimize(scenario, outcome, progress=say)
@@ -246,7 +246,7 @@ def explore(
             result.unexpected = outcome
             result._ok = False
             return result
-    if scenario.expect_violation:
+    if scenario.expect is not None:
         say(f"{scenario.name}: budget exhausted, violation NOT found")
         result._ok = False
     else:

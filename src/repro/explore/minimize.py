@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.explore.driver import ScheduleOutcome, run_schedule
-from repro.explore.scenarios import ExploreScenario
+from repro.analysis.scenarios import Scenario
 from repro.explore.trace import TAIL_BASELINE, ScheduleController
 
 
@@ -73,7 +73,7 @@ class MinimizedCounterexample:
 
 
 def replay(
-    scenario: ExploreScenario, choices, *, seed: int = 0
+    scenario: Scenario, choices, *, seed: int = 0
 ) -> ScheduleOutcome:
     """Run ``scenario`` forcing ``choices`` positionally, baseline tail."""
     controller = ScheduleController(force=list(choices), tail=TAIL_BASELINE)
@@ -81,7 +81,7 @@ def replay(
 
 
 def minimize(
-    scenario: ExploreScenario,
+    scenario: Scenario,
     failing: ScheduleOutcome,
     *,
     max_replays: int = 500,

@@ -140,6 +140,21 @@ class DecisionTrace:
         essence of a minimized counterexample."""
         return [d for d in self.decisions if d.choice != 0]
 
+    def divergence(self, replayed: "DecisionTrace") -> "str | None":
+        """Where ``replayed`` stops matching this trace — the first
+        decision whose site, alternative count or choice differs, or a
+        differing length — or None when the two agree."""
+        pairs = zip(self.decisions, replayed.decisions)
+        for index, (saved, again) in enumerate(pairs):
+            if (saved.site, saved.n, saved.choice) != (again.site, again.n, again.choice):
+                return (
+                    f"decision {index}: saved {saved.site} {saved.choice}/"
+                    f"{saved.n}, replayed {again.site} {again.choice}/{again.n}"
+                )
+        if len(self) != len(replayed):
+            return f"saved {len(self)} decisions, replayed {len(replayed)}"
+        return None
+
     def render(self, *, only_non_baseline: bool = False) -> str:
         """Human-readable interleaving, one line per decision."""
         shown = self.non_baseline() if only_non_baseline else self.decisions

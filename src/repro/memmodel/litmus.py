@@ -24,8 +24,9 @@ What the tables show (see ``docs/MEMORY.md`` for the derivations):
   every model here commits to a single shared memory, so it stays
   unreachable everywhere.
 
-Litmus scenarios register in :data:`repro.explore.scenarios.SCENARIOS`
-as ``litmus-<test>-<model>``, which is what makes a saved witness trace
+Each (test, model) pair is a ``litmus``-tagged entry of the scenario
+catalogue (:data:`repro.analysis.scenarios.SCENARIOS`) named
+``litmus-<test>-<model>``, which is what makes a saved witness trace
 replayable through ``python -m repro explore --replay`` (and ``python
 -m repro litmus --replay``).
 """
@@ -209,18 +210,18 @@ def _make_build(
 
 def _make_check(
     test: LitmusTest, model: str, state: dict
-) -> Callable[[Kernel], "str | None"]:
+) -> Callable[[Kernel], list[str]]:
     allowed = test.expected[model]
 
-    def check(kernel: Kernel) -> "str | None":
+    def check(kernel: Kernel) -> list[str]:
         outcome = tuple(state[register] for register in test.registers)
         state["outcome"] = outcome
         if outcome not in allowed:
-            return (
+            return [
                 f"litmus {test.name}: outcome {outcome} is outside the "
                 f"pinned {model} table — the model is unsound"
-            )
-        return None
+            ]
+        return []
 
     return check
 
@@ -229,40 +230,31 @@ _scenario_cache: dict[tuple[str, str], tuple[Any, dict]] = {}
 
 
 def litmus_scenario(test_name: str, model: str) -> tuple[Any, dict]:
-    """The ``ExploreScenario`` for one (test, model) pair plus the shared
-    register-state dict its builds write into.  Cached so the registry
-    entry and the enumerator share one state closure."""
+    """The catalogue ``Scenario`` for one (test, model) pair plus the
+    shared register-state dict its builds write into.  Cached so the
+    catalogue entry and the enumerator share one state closure."""
     key = (test_name, model)
     cached = _scenario_cache.get(key)
     if cached is not None:
         return cached
-    from repro.explore.scenarios import ExploreScenario
+    # Imported here: the catalogue imports this module to list the pairs.
+    from repro.analysis.scenarios import Scenario
 
     test = LITMUS_TESTS[test_name]
     if model not in test.expected:
         raise KeyError(f"no pinned table for model {model!r}")
     state: dict = {}
-    scenario = ExploreScenario(
+    scenario = Scenario(
         name=f"litmus-{test_name}-{model}",
         build=_make_build(test, model, state),
         horizon=_HORIZON,
-        plan=None,
-        expect_violation=False,
         check=_make_check(test, model, state),
+        tags=("litmus",),
         description=f"{test.title} under {model}: every outcome must stay "
                     "inside the pinned table",
     )
     _scenario_cache[key] = (scenario, state)
     return scenario, state
-
-
-def explore_scenarios() -> list:
-    """All litmus (test, model) scenarios, for the explore registry."""
-    return [
-        litmus_scenario(test_name, model)[0]
-        for test_name in LITMUS_TESTS
-        for model in MODELS
-    ]
 
 
 def default_plan(test_name: str, model: str) -> tuple[str, int]:

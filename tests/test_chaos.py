@@ -8,13 +8,11 @@ deterministic in its seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 from repro.analysis.chaos import (
-    DIRECTED_SCENARIOS,
-    SWEEP_SCENARIOS,
     FaultPlan,
-    check_invariants,
     plan_dict,
     run_one,
     run_sweep,
@@ -22,7 +20,11 @@ from repro.analysis.chaos import (
     verify_golden,
     write_report,
 )
+from repro.analysis.scenarios import EXPECT_DEADLOCK, resolve
 from repro.kernel.rng import DeterministicRng
+
+DIRECTED = resolve("chaos")
+SWEEP = resolve("sweep")
 
 
 def small_sweep(seed=0):
@@ -34,20 +36,20 @@ class TestDirectedScenarios:
         """Acceptance: each directed wedge passes its invariants, and
         the deadlock-injecting ones are caught by the watchdog while a
         bystander stays runnable.  (The cluster wedged-shard scenario is
-        directed congestion, not deadlock — its post_check asserts the
+        directed congestion, not deadlock — its check asserts the
         breaker/re-route story instead, and the watchdog must stay
         quiet.)"""
-        for scenario in DIRECTED_SCENARIOS:
-            record = run_one(scenario, scenario.plan, seed=0)
+        for scenario in DIRECTED:
+            record = run_one(scenario, scenario.plan or FaultPlan(), seed=0)
             assert record.failures == [], scenario.name
-            if scenario.expect_deadlock:
+            if scenario.expect == EXPECT_DEADLOCK:
                 assert record.deadlocks >= 1, scenario.name
             else:
                 assert record.deadlocks == 0, scenario.name
 
     def test_sweep_scenarios_survive_sampled_faults(self):
         rng = DeterministicRng(0).fork("chaos")
-        scenario = SWEEP_SCENARIOS[0]
+        scenario = SWEEP[0]
         record = run_one(scenario, sample_plan(rng), seed=0)
         assert record.failures == []
 
@@ -57,8 +59,8 @@ class TestSweep:
         report = small_sweep()
         assert report["ok"] is True
         assert report["summary"]["failed"] == 0
-        assert report["summary"]["total"] == len(DIRECTED_SCENARIOS) + 3
-        injected = sum(1 for s in DIRECTED_SCENARIOS if s.expect_deadlock)
+        assert report["summary"]["total"] == len(DIRECTED) + 3
+        injected = sum(1 for s in DIRECTED if s.expect == EXPECT_DEADLOCK)
         assert report["summary"]["deadlocks_detected"] >= injected
         assert report["summary"]["faults_injected"] > 0
 
@@ -89,11 +91,6 @@ class TestPlanSampling:
         for plan in plans_a:
             plan.validate()
 
-    def test_kills_can_be_disabled_for_unsafe_workloads(self):
-        rng = DeterministicRng(2).fork("chaos")
-        for _ in range(10):
-            assert sample_plan(rng, kills=False).kill_thread_prob == 0.0
-
     def test_plan_dict_round_trips_the_fields(self):
         plan = FaultPlan(drop_notify_prob=0.25, timer_jitter_prob=0.5,
                          timer_jitter_max=100)
@@ -106,22 +103,16 @@ class TestInvariantChecker:
     def test_flags_a_missing_deadlock_report(self):
         """check_invariants is itself checked: an expected deadlock that
         the watchdog missed must surface as a failure."""
-        scenario = SWEEP_SCENARIOS[0]
-        config_scenario = scenario
         record = run_one(
-            type(scenario)(
-                name=config_scenario.name,
-                build=config_scenario.build,
-                kill_safe=config_scenario.kill_safe,
-                expect_deadlock=True,  # a world never deadlocks
-            ),
+            # A world never deadlocks.
+            dataclasses.replace(SWEEP[0], expect=EXPECT_DEADLOCK),
             FaultPlan(),
             seed=0,
         )
         assert any("deadlock" in failure for failure in record.failures)
 
     def test_clean_kernel_passes(self):
-        scenario = SWEEP_SCENARIOS[0]
+        scenario = SWEEP[0]
         record = run_one(scenario, FaultPlan(), seed=0)
         assert record.failures == []
         assert record.faults == {}

@@ -250,7 +250,7 @@ class TestExploreCli:
         out = capsys.readouterr().out
         assert "fault.drop_notify" in out
         assert "violation: lost wakeup" in out
-        assert "replay ok (trace hash verified)" in out
+        assert "replay ok (" in out and "decisions verified)" in out
 
     def test_explore_replay_of_a_diverged_trace_exits_nonzero(
         self, capsys, tmp_path
@@ -266,7 +266,7 @@ class TestExploreCli:
         capsys.readouterr()
         trace_path = tmp_path / "explore-stolen-notify.trace.json"
         data = json.loads(trace_path.read_text())
-        data["meta"]["trace_hash"] = "0" * 64  # corrupt the recorded hash
+        data["decisions"][0]["site"] = "sched.pick"  # not what replays
         trace_path.write_text(json.dumps(data))
         with pytest.raises(SystemExit) as excinfo:
             main(["explore", "--replay", str(trace_path)])
@@ -284,6 +284,66 @@ class TestExploreCli:
     def test_explore_rejects_an_unknown_scenario(self):
         with pytest.raises(KeyError):
             main(["explore", "--scenario", "no-such-scenario"])
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--scenario", ","],
+        ["chaos", "--runs", "0", "--skip-golden", "--scenario", ","],
+        ["litmus", "--test", ","],
+    ])
+    def test_empty_selection_is_rejected(self, capsys, argv):
+        """A selector naming nothing is an error that lists the known
+        names, never a vacuous success or a silent default."""
+        with pytest.raises((KeyError, SystemExit)) as excinfo:
+            main(argv)
+        if isinstance(excinfo.value, SystemExit):
+            assert excinfo.value.code != 0
+        message = str(excinfo.value) + capsys.readouterr().err
+        assert "empty" in message
+        assert ("stolen-notify" in message) or ("'sb'" in message)
+
+    def test_edited_clean_trace_fails_replay(self, capsys, tmp_path):
+        """Replay compares decision lists: a saved clean-run trace with
+        one choice edited no longer matches what the scenario does."""
+        import json
+
+        assert main(["--seed", "0", "litmus", "--test", "sb", "--model",
+                     "tso", "--trace-dir", str(tmp_path)]) == 0
+        witness = tmp_path / "litmus-sb-tso-00.trace.json"
+        assert main(["explore", "--replay", str(witness)]) == 0
+        assert "replay ok" in capsys.readouterr().out
+        data = json.loads(witness.read_text())
+        # Commit the first store the witness kept buffered.
+        drain = next(d for d in data["decisions"] if d["site"] == "mem.drain")
+        assert drain["choice"] == 0
+        drain["choice"] = 1
+        witness.write_text(json.dumps(data))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--replay", str(witness)])
+        assert excinfo.value.code == 1
+        out = capsys.readouterr().out
+        assert "REPLAY DIVERGED" in out
+        assert "replay ok" not in out
+
+    def test_every_catalogue_name_resolves_for_every_tool(self):
+        """One catalogue: explore's and chaos's selectors (both
+        ``resolve``) reach every name, including the two worlds below
+        that used to belong to one tool each."""
+        from repro.analysis.scenarios import SCENARIOS, resolve
+
+        for name, scenario in SCENARIOS.items():
+            assert resolve(name) == [scenario]
+
+    def test_explore_reaches_the_cache_stampede(self, capsys):
+        assert main(["explore", "--scenario", "cache-stampede",
+                     "--budget", "1"]) == 0
+        assert "1 schedules clean" in capsys.readouterr().out
+
+    def test_chaos_reaches_the_failover_train(self, capsys):
+        assert main(["chaos", "--runs", "0", "--skip-golden",
+                     "--scenario", "cluster-failover-train"]) == 0
+        assert "cluster-failover-train: deadlocks=0 ok" in (
+            capsys.readouterr().out
+        )
 
     def test_chaos_exits_nonzero_on_invariant_violations(
         self, capsys, monkeypatch
@@ -311,24 +371,21 @@ class TestExploreCli:
     ):
         import json
 
-        import repro.analysis.chaos as chaos
+        import dataclasses
 
-        # Sabotage one directed scenario so its run fails and must save
-        # its decision trace next to the report.
-        wedge = chaos.DIRECTED_SCENARIOS[0]
-        monkeypatch.setattr(
-            chaos, "DIRECTED_SCENARIOS",
-            (chaos.ChaosScenario(
-                wedge.name, wedge.build, expect_deadlock=wedge.expect_deadlock,
-                plan=wedge.plan,
-                post_check=lambda kernel: ["forced failure for the test"],
-            ),),
-        )
-        monkeypatch.setattr(chaos, "SWEEP_SCENARIOS", ())
+        from repro.analysis.scenarios import SCENARIOS
+
+        # Sabotage one directed entry so its run fails and must save its
+        # decision trace next to the report.
+        wedge = SCENARIOS["wait-if-deadlock"]
+        monkeypatch.setitem(SCENARIOS, wedge.name, dataclasses.replace(
+            wedge, expect=None,
+            check=lambda kernel: ["forced failure for the test"],
+        ))
         output = tmp_path / "chaos.json"
         with pytest.raises(SystemExit):
             main(["chaos", "--runs", "0", "--skip-golden",
-                  "--output", str(output)])
+                  "--scenario", wedge.name, "--output", str(output)])
         report = json.loads(output.read_text())
         (failing,) = [r for r in report["runs"] if r["failures"]]
         assert failing["trace_path"]
@@ -336,3 +393,17 @@ class TestExploreCli:
 
         trace = DecisionTrace.load(failing["trace_path"])
         assert trace.meta["failures"] == ["forced failure for the test"]
+        capsys.readouterr()
+
+        # The trace replays through the catalogue, reproducing the
+        # failure decision for decision ...
+        assert main(["explore", "--replay", failing["trace_path"]]) == 0
+        out = capsys.readouterr().out
+        assert "violation: forced failure for the test" in out
+        assert "replay ok" in out
+        # ... and, with the sabotage gone, the failure does not reproduce.
+        monkeypatch.undo()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["explore", "--replay", failing["trace_path"]])
+        assert excinfo.value.code == 1
+        assert "REPLAY DID NOT REPRODUCE" in capsys.readouterr().out

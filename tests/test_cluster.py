@@ -313,11 +313,11 @@ class TestClusterWorld:
         shard0 worker (and its serializer) trips the health probe,
         queued work is evacuated and re-dispatched, the watchdog stays
         quiet, and the survivors keep completing requests."""
-        from repro.analysis.chaos import DIRECTED_SCENARIOS, run_one
+        from repro.analysis.chaos import run_one
         from repro.analysis.faults import FaultPlan
+        from repro.analysis.scenarios import SCENARIOS
 
-        scenario = next(s for s in DIRECTED_SCENARIOS
-                        if s.name == "cluster-wedged-shard")
+        scenario = SCENARIOS["cluster-wedged-shard"]
         record = run_one(scenario, FaultPlan(), seed=0)
         assert record.ok, record.failures
         assert record.deadlocks == 0

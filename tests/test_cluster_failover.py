@@ -260,10 +260,10 @@ class TestDirectedFailover:
         """The tentpole scenario: kill a primary mid-batch; promotion
         replays the acknowledged in-flight work and the custody audit
         finds nothing lost."""
-        from repro.analysis.chaos import DIRECTED_SCENARIOS, run_one
+        from repro.analysis.chaos import run_one
+        from repro.analysis.scenarios import SCENARIOS
 
-        scenario = next(s for s in DIRECTED_SCENARIOS
-                        if s.name == "cluster-kill-primary")
+        scenario = SCENARIOS["cluster-kill-primary"]
         record = run_one(scenario, FaultPlan(), seed=0)
         assert record.ok, record.failures
         assert record.deadlocks == 0
@@ -271,10 +271,10 @@ class TestDirectedFailover:
     def test_partition_balancer_standby_takes_over(self):
         """Kill the balancer: the lease lapses, the standby seizes it,
         rebuilds routing state, and the cluster keeps completing."""
-        from repro.analysis.chaos import DIRECTED_SCENARIOS, run_one
+        from repro.analysis.chaos import run_one
+        from repro.analysis.scenarios import SCENARIOS
 
-        scenario = next(s for s in DIRECTED_SCENARIOS
-                        if s.name == "cluster-partition-balancer")
+        scenario = SCENARIOS["cluster-partition-balancer"]
         record = run_one(scenario, FaultPlan(), seed=0)
         assert record.ok, record.failures
         assert record.deadlocks == 0

@@ -12,10 +12,12 @@ The two load-bearing properties:
   two independent replays).
 """
 
+import dataclasses
+
 import pytest
 
+from repro.analysis.scenarios import SCENARIOS, resolve
 from repro.explore import (
-    SCENARIOS,
     DecisionTrace,
     ExhaustivePrefixStrategy,
     ScheduleController,
@@ -26,7 +28,6 @@ from repro.explore import (
     make_strategy,
     minimize,
     replay,
-    resolve,
     run_schedule,
 )
 from repro.explore.trace import Decision
@@ -108,23 +109,20 @@ class TestGoldenRecordReplay:
     scenario — and recording itself does not disturb the pinned hashes."""
 
     def test_every_golden_scenario_records_and_replays_identically(self):
-        from repro.analysis.golden import SCENARIOS as GOLDEN, load_golden
+        from repro.analysis.golden import golden_run, load_golden
 
         golden = load_golden()
-        for name, run in GOLDEN.items():
+        for scenario in resolve("golden"):
+            name = scenario.name
             recorder = ScheduleController(tail=TAIL_DEFAULT)
-            recorded = run(
-                config_overrides={"schedule_controller": recorder}
-            )
+            recorded = golden_run(scenario, {"schedule_controller": recorder})
             assert recorded == golden[name], (
                 f"{name}: recording controller changed the schedule"
             )
             replayer = ScheduleController(
                 force=recorder.trace.choices, tail=TAIL_DEFAULT
             )
-            replayed = run(
-                config_overrides={"schedule_controller": replayer}
-            )
+            replayed = golden_run(scenario, {"schedule_controller": replayer})
             assert replayed == recorded, f"{name}: replay diverged"
             assert replayer.divergences == 0, f"{name}: clamped choices"
 
@@ -384,14 +382,13 @@ class TestEarlyTermination:
 
     def test_untimed_cv_wait_is_live_while_spurious_wakes_are_possible(self):
         from repro.analysis.faults import FaultPlan
-        from repro.explore.scenarios import _STOLEN_NOTIFY_BUILD
         from repro.kernel import KernelConfig, msec
 
         config = KernelConfig(
             seed=0, fault_plan=FaultPlan(spurious_wakeup_prob=0.0001),
             watchdog=True,
         )
-        kernel, shutdown = _STOLEN_NOTIFY_BUILD(config)
+        kernel, shutdown = SCENARIOS["stolen-notify"].build(config)
         kernel.run_until(msec(100), raise_on_deadlock=False)
         waiting = [
             t for t in kernel.threads.values()
@@ -422,12 +419,12 @@ class TestMinimization:
 
 class TestChaosIntegration:
     def test_failing_chaos_run_saves_a_replayable_trace(self, tmp_path):
-        from repro.analysis.chaos import ChaosScenario, _abba_deadlock, run_one
+        from repro.analysis.chaos import run_one
         from repro.analysis.faults import FaultPlan
 
-        scenario = ChaosScenario(
-            "abba-directed", _abba_deadlock, expect_deadlock=True,
-            post_check=lambda kernel: ["synthetic invariant failure"],
+        scenario = dataclasses.replace(
+            SCENARIOS["abba"], name="abba-directed", expect=None,
+            check=lambda kernel: ["synthetic invariant failure"],
         )
         record = run_one(
             scenario, FaultPlan(), 0, trace_dir=str(tmp_path)
@@ -439,12 +436,10 @@ class TestChaosIntegration:
         assert "synthetic invariant failure" in trace.meta["failures"]
 
     def test_passing_chaos_run_saves_nothing(self, tmp_path):
-        from repro.analysis.chaos import SWEEP_SCENARIOS, run_one
+        from repro.analysis.chaos import run_one
         from repro.analysis.faults import FaultPlan
 
-        scenario = next(
-            s for s in SWEEP_SCENARIOS if s.name == "producer-consumer"
-        )
+        scenario = SCENARIOS["producer-consumer"]
         record = run_one(scenario, FaultPlan(), 0, trace_dir=str(tmp_path))
         assert record.ok
         assert record.trace_path is None
@@ -457,21 +452,21 @@ class TestScenarioRegistry:
             "wait-if", "abba", "stolen-notify"
         ]
         assert [s.name for s in resolve("clean")] == [
-            "producer-consumer", "cedar-idle"
+            "cedar-idle", "producer-consumer"
         ]
-        # "all" is directed + clean; heavyweight scenarios (the
-        # replicated cluster) and the litmus battery are select-by-name.
+        # "all" is directed + clean; heavyweight entries (the replicated
+        # cluster) and the litmus battery are select-by-name or by tag.
         all_names = {s.name for s in resolve("all")}
         assert all_names == {
             "wait-if", "abba", "stolen-notify",
             "producer-consumer", "cedar-idle",
         }
-        assert "cluster-failover" not in all_names
-        assert [s.name for s in resolve("cluster-failover")] == [
-            "cluster-failover"
+        assert "cluster-failover-train" not in all_names
+        assert [s.name for s in resolve("cluster-failover-train")] == [
+            "cluster-failover-train"
         ]
-        # Every litmus (test, model) pair registers for --replay.
-        assert "litmus-sb-tso" in SCENARIOS
+        # Every litmus (test, model) pair is a catalogue entry, for --replay.
+        assert len(resolve("litmus")) == 12
         assert "litmus-iriw-pso" in SCENARIOS
         assert [s.name for s in resolve("litmus-mp-pso")] == ["litmus-mp-pso"]
         assert [s.name for s in resolve("abba,wait-if")] == [

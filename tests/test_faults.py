@@ -12,7 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.faults import FaultInjector, FaultPlan
-from repro.analysis.golden import SCENARIOS, load_golden
+from repro.analysis.golden import golden_run, load_golden
+from repro.analysis.scenarios import SCENARIOS
 from repro.kernel import (
     ForkFailed,
     Kernel,
@@ -65,9 +66,7 @@ class TestDeterminism:
         nothing: the pinned golden fingerprint must match exactly."""
         golden = load_golden()
         for name in ("timed-waits", "fork-churn"):
-            actual = SCENARIOS[name](
-                config_overrides={"fault_plan": FaultPlan()}
-            )
+            actual = golden_run(SCENARIOS[name], {"fault_plan": FaultPlan()})
             assert actual == golden[name], name
 
     def test_faults_on_runs_are_deterministic(self):
@@ -77,8 +76,8 @@ class TestDeterminism:
             timer_jitter_prob=0.5,
             timer_jitter_max=msec(10),
         )
-        first = SCENARIOS["timed-waits"](config_overrides={"fault_plan": plan})
-        second = SCENARIOS["timed-waits"](config_overrides={"fault_plan": plan})
+        first = golden_run(SCENARIOS["timed-waits"], {"fault_plan": plan})
+        second = golden_run(SCENARIOS["timed-waits"], {"fault_plan": plan})
         assert first == second
 
     def test_per_kind_streams_are_independent(self):

@@ -11,9 +11,11 @@ values in ``tests/golden/schedule_hashes.json``.
 If a change perturbs one dispatch, one preemption, one timeout, or one
 counter in any scenario, the digest changes and the test fails loudly.
 
-The scenario bodies and the fingerprint function live in
-:mod:`repro.analysis.golden` so the watchdog false-positive tests and the
-chaos runner can re-run the same scenarios under varied configuration.
+The scenarios are the ``golden``-tagged entries of the scenario
+catalogue (:mod:`repro.analysis.scenarios`); the fingerprint function and
+``golden_run`` live in :mod:`repro.analysis.golden` so the watchdog
+false-positive tests and the chaos runner can re-run the same scenarios
+under varied configuration.
 
 Pinned hashes are only ever regenerated for *intentional* behaviour
 changes (a bugfix that corrects scheduling or accounting):
@@ -36,19 +38,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.golden import (  # noqa: F401 - re-exported for scripts
-    SCENARIOS,
-    fingerprint,
-    load_golden,
-    regenerate_golden,
-)
+from repro.analysis.golden import golden_run, load_golden, regenerate_golden
+from repro.analysis.scenarios import resolve
+
+GOLDEN = {scenario.name: scenario for scenario in resolve("golden")}
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "schedule_hashes.json"
 
 _UPDATE = os.environ.get("GOLDEN_UPDATE") == "1"
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_schedule(name):
     if _UPDATE:
         pytest.skip("regenerating golden hashes (GOLDEN_UPDATE=1)")
@@ -57,7 +57,7 @@ def test_golden_schedule(name):
         f"no pinned hashes for scenario {name!r}; regenerate with "
         "GOLDEN_UPDATE=1 (see module docstring) and commit the result"
     )
-    actual = SCENARIOS[name]()
+    actual = golden_run(GOLDEN[name])
     expected = golden[name]
     assert actual == expected, (
         f"scenario {name!r} diverged from the pinned golden schedule.\n"
@@ -76,4 +76,4 @@ def test_golden_update_mode():
     if not _UPDATE:
         pytest.skip("pin-check mode")
     golden = regenerate_golden(GOLDEN_PATH)
-    assert set(golden) == set(SCENARIOS)
+    assert set(golden) == set(GOLDEN)

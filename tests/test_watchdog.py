@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.golden import SCENARIOS, load_golden
+from repro.analysis.golden import golden_run, load_golden
+from repro.analysis.scenarios import SCENARIOS, resolve
 from repro.analysis.watchdog import (
     ROW_HEADER,
     deadlock_rows,
@@ -184,9 +185,9 @@ class TestNoFalsePositives:
         assert wakes == [False]  # timed out, as designed
         assert kernel.watchdog.deadlocks == []
 
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    @pytest.mark.parametrize("name", sorted(s.name for s in resolve("golden")))
     def test_golden_scenarios_watchdog_on(self, name):
-        """Acceptance: zero reports across all 13 pinned scenarios, and
+        """Acceptance: zero reports across every pinned scenario, and
         the watchdog's passivity keeps the fingerprints byte-identical."""
         golden = load_golden()
         seen = {}
@@ -195,9 +196,7 @@ class TestNoFalsePositives:
             seen["deadlocks"] = list(kernel.watchdog.deadlocks)
             seen["starvation"] = list(kernel.watchdog.starvation)
 
-        actual = SCENARIOS[name](
-            config_overrides={"watchdog": True}, probe=probe
-        )
+        actual = golden_run(SCENARIOS[name], {"watchdog": True}, probe=probe)
         assert seen["deadlocks"] == []
         assert seen["starvation"] == []
         assert actual == golden[name]
