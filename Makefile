@@ -39,13 +39,13 @@ golden:
 	PYTHONPATH=src python -m pytest tests/test_golden_schedule.py -q
 
 tables:
-	python -m repro tables
+	PYTHONPATH=src python -m repro tables
 
 census:
-	python -m repro census
+	PYTHONPATH=src python -m repro census
 
 races:
-	python -m repro races
+	PYTHONPATH=src python -m repro races
 
 # Seeded fault-injection sweep with the waits-for watchdog and invariant
 # checks; writes the JSON report (see docs/ROBUSTNESS.md).
@@ -86,6 +86,6 @@ failover:
 	PYTHONPATH=src python -m repro --seed 0 explore --scenario cluster-failover-train --budget 50 --output failover-explore.json
 
 quick:
-	python examples/quickstart.py
+	PYTHONPATH=src python examples/quickstart.py
 
 all: test bench

@@ -2,8 +2,9 @@
 
 "Under weak ordering, readers of the global variable can follow a
 pointer to a record that has not yet had its fields filled in" — and
-Birrell's init-once hint breaks the same way.  Monitors (whose
-implementation fences) and explicit barriers both restore safety.
+Birrell's init-once hint breaks the same way.  Both hazards occur on
+``pso`` store buffers; monitors (whose implementation fences) and
+explicit barriers both restore safety.
 """
 
 from repro.analysis.report import format_table
@@ -11,57 +12,57 @@ from repro.casestudies.weakmem import run_init_once, run_publication
 
 
 def test_pointer_publication_hazard(benchmark):
-    weak = benchmark.pedantic(
-        lambda: run_publication(memory_order="weak"), rounds=1, iterations=1
+    pso = benchmark.pedantic(
+        lambda: run_publication(model="pso"), rounds=1, iterations=1
     )
-    strong = run_publication(memory_order="strong")
-    monitored = run_publication(memory_order="weak", monitored=True)
+    sc = run_publication(model="sc")
+    monitored = run_publication(model="pso", monitored=True)
     print()
     print(
         format_table(
             "C7: time-date record publication (50 rounds, 2 CPUs)",
             ["configuration", "reads", "torn reads"],
             [
-                ["strong ordering", strong.reads, strong.torn_reads],
-                ["weak ordering", weak.reads, weak.torn_reads],
-                ["weak + monitor", monitored.reads, monitored.torn_reads],
+                ["sc", sc.reads, sc.torn_reads],
+                ["pso", pso.reads, pso.torn_reads],
+                ["pso + monitor", monitored.reads, monitored.torn_reads],
             ],
         )
     )
-    assert strong.torn_reads == 0
+    assert sc.torn_reads == 0
     # The §5.5 hazard is real and frequent under weak ordering.
-    assert weak.torn_reads >= 5
+    assert pso.torn_reads >= 5
     # "The monitor implementation for weak ordering can use memory
     # barrier instructions" — monitored access is safe again.
     assert monitored.torn_reads == 0
 
 
 def test_init_once_hazard(benchmark):
-    def run_seeds(order, fenced):
+    def run_seeds(model, fenced):
         return sum(
-            run_init_once(memory_order=order, fenced=fenced, seed=s).saw_uninitialised
+            run_init_once(model=model, fenced=fenced, seed=s).saw_uninitialised
             for s in range(20)
         )
 
-    weak_hits = benchmark.pedantic(
-        lambda: run_seeds("weak", False), rounds=1, iterations=1
+    pso_hits = benchmark.pedantic(
+        lambda: run_seeds("pso", False), rounds=1, iterations=1
     )
-    strong_hits = run_seeds("strong", False)
-    fenced_hits = run_seeds("weak", True)
+    sc_hits = run_seeds("sc", False)
+    fenced_hits = run_seeds("pso", True)
     print()
     print(
         format_table(
             "C7b: Birrell's init-once hint across 20 seeds",
             ["configuration", "runs seeing uninitialised data"],
             [
-                ["strong ordering", strong_hits],
-                ["weak ordering", weak_hits],
-                ["weak + explicit fence", fenced_hits],
+                ["sc", sc_hits],
+                ["pso", pso_hits],
+                ["pso + explicit fence", fenced_hits],
             ],
         )
     )
-    assert strong_hits == 0
+    assert sc_hits == 0
     # "a thread can both believe that the initializer has already been
     # called and not yet be able to see the initialized data."
-    assert weak_hits >= 3
+    assert pso_hits >= 3
     assert fenced_hits == 0

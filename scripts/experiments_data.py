@@ -88,11 +88,11 @@ out["missing_notify"] = dict(ok=round(mn_ok.completion_time/1000, 1),
 
 from repro.casestudies.weakmem import run_publication, run_init_once
 out["weakmem"] = dict(
-    pub_weak=run_publication(memory_order="weak").torn_reads,
-    pub_strong=run_publication(memory_order="strong").torn_reads,
-    pub_monitored=run_publication(memory_order="weak", monitored=True).torn_reads,
-    init_weak=sum(run_init_once(memory_order="weak", seed=s).saw_uninitialised for s in range(20)),
-    init_fenced=sum(run_init_once(memory_order="weak", fenced=True, seed=s).saw_uninitialised for s in range(20)),
+    pub_pso=run_publication(model="pso").torn_reads,
+    pub_sc=run_publication(model="sc").torn_reads,
+    pub_monitored=run_publication(model="pso", monitored=True).torn_reads,
+    init_pso=sum(run_init_once(model="pso", seed=s).saw_uninitialised for s in range(20)),
+    init_fenced=sum(run_init_once(model="pso", fenced=True, seed=s).saw_uninitialised for s in range(20)),
 )
 
 from repro.casestudies.fork_failure import run_comparison as ff_cmp

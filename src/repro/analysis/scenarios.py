@@ -39,7 +39,7 @@ from repro.cluster.replication import (
 from repro.cluster.world import build_cluster_world
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
-from repro.kernel.config import MODEL_WEAK
+from repro.kernel.config import MODEL_PSO
 from repro.kernel.primitives import Enter, Exit, Notify, Wait
 from repro.memmodel.litmus import LITMUS_TESTS, MODELS, litmus_scenario
 from repro.server.model import TenantSpec
@@ -416,11 +416,11 @@ def _fair_share(config: KernelConfig):
 
 
 def _weak_memory(config: KernelConfig):
-    """Weak ordering with fences and monitor-implied barriers (§5.5)."""
+    """PSO store buffers with fences and monitor-implied barriers (§5.5)."""
     from repro.kernel.memory import SimVar
 
     config.ncpus = 2
-    config.memory_model = MODEL_WEAK
+    config.memory_model = MODEL_PSO
     kernel = Kernel(config)
     flag = SimVar("flag", 0)
     data = SimVar("data", 0)

@@ -12,18 +12,16 @@ initialization routine exactly once.  Under weak ordering, a thread can
 both believe that the initializer has already been called and not yet be
 able to see the initialized data."
 
-Each experiment runs on a 2-CPU kernel under strong ordering, weak
-ordering, and weak ordering with monitor protection (whose implicit
-fences restore safety — "The monitor implementation for weak ordering can
-use memory barrier instructions").
-
-Both experiments also accept ``model=`` to run on any model behind the
-``KernelConfig(memory_model=...)`` seam (see :mod:`repro.memmodel`).
-The per-model outcome is itself a finding worth pinning: under ``pso``
-(per-variable-FIFO buffers, the §5.5 machine) both hazards occur, while
-under ``tso`` *neither* can — x86-TSO's whole-buffer FIFO commits the
-record's fields before the pointer and ``data`` before ``done``, so the
-paper's two examples are exactly the idioms TSO was designed to rescue.
+Each experiment runs on a 2-CPU kernel under the ``model=`` it is given
+(see :mod:`repro.memmodel`), optionally with the repair — monitor
+protection, whose implicit fences restore safety ("The monitor
+implementation for weak ordering can use memory barrier instructions"),
+or an explicit fence.  The per-model outcome is itself a finding worth
+pinning: under ``pso`` (per-variable-FIFO buffers, the §5.5 machine)
+both hazards occur, while under ``tso`` *neither* can — x86-TSO's
+whole-buffer FIFO commits the record's fields before the pointer and
+``data`` before ``done``, so the paper's two examples are exactly the
+idioms TSO was designed to rescue.
 """
 
 from __future__ import annotations
@@ -43,33 +41,12 @@ from repro.kernel.simtime import msec, sec, usec
 from repro.sync.monitor import Monitor
 
 
-def _make_config(
-    memory_order: "str | None",
-    model: "str | None",
-    *,
-    seed: int,
-    race_detection: bool,
-) -> KernelConfig:
-    """Build the 2-CPU experiment config from either selector.
-
-    ``memory_order`` is the historical strong/weak switch (kept so the
-    original experiments stay byte-identical); ``model`` selects any
-    model on the ``memory_model`` seam.  Exactly one must be given.
-    """
-    if (memory_order is None) == (model is None):
-        raise TypeError("pass exactly one of memory_order= or model=")
-    if model is not None:
-        return KernelConfig(
-            seed=seed,
-            ncpus=2,
-            memory_model=model,
-            store_buffer_delay=usec(20),
-            race_detection=race_detection,
-        )
+def _make_config(model: str, *, seed: int, race_detection: bool) -> KernelConfig:
+    """The 2-CPU experiment config under memory model ``model``."""
     return KernelConfig(
         seed=seed,
         ncpus=2,
-        memory_order=memory_order,
+        memory_model=model,
         store_buffer_delay=usec(20),
         race_detection=race_detection,
     )
@@ -77,29 +54,24 @@ def _make_config(
 
 @dataclass
 class PublicationResult:
-    memory_order: str
+    model: str
     monitored: bool
     reads: int
     torn_reads: int  # pointer seen, fields not yet visible
     #: RaceReports when run with ``race_detection=True`` (else empty).
     race_reports: list = field(default_factory=list)
-    #: The resolved ``memory_model`` the run used (sc/tso/pso/weak).
-    model: str = ""
 
 
 def run_publication(
     *,
-    memory_order: "str | None" = None,
-    model: "str | None" = None,
+    model: str,
     monitored: bool = False,
     rounds: int = 50,
     seed: int = 0,
     race_detection: bool = False,
 ) -> PublicationResult:
     """The time-date record publication loop on two CPUs."""
-    config = _make_config(
-        memory_order, model, seed=seed, race_detection=race_detection
-    )
+    config = _make_config(model, seed=seed, race_detection=race_detection)
     kernel = Kernel(config)
     pointer = SimVar("global-record", initial=None)
     lock = Monitor("record-lock") if monitored else None
@@ -124,10 +96,11 @@ def run_publication(
             if lock is not None:
                 yield Enter(lock)
             record = yield MemRead(pointer)
-            if record is not None and id(record) not in seen:
+            # Keyed by uid: a freed record's id() can be reused by the next.
+            if record is not None and record.uid not in seen:
                 # A fresh record was published: follow the pointer.
                 contents = yield MemRead(record)
-                seen.add(id(record))
+                seen.add(record.uid)
                 reads[0] += 1
                 if contents is None:
                     torn[0] += 1  # followed the pointer into a hole
@@ -139,8 +112,7 @@ def run_publication(
     kernel.fork_root(reader, name="reader")
     kernel.run_for(sec(10))
     result = PublicationResult(
-        memory_order=config.memory_order,
-        model=config.memory_model,
+        model=model,
         monitored=monitored,
         reads=reads[0],
         torn_reads=torn[0],
@@ -154,19 +126,16 @@ def run_publication(
 
 @dataclass
 class InitOnceResult:
-    memory_order: str
+    model: str
     fenced: bool
     saw_uninitialised: bool
     #: RaceReports when run with ``race_detection=True`` (else empty).
     race_reports: list = field(default_factory=list)
-    #: The resolved ``memory_model`` the run used (sc/tso/pso/weak).
-    model: str = ""
 
 
 def run_init_once(
     *,
-    memory_order: "str | None" = None,
-    model: "str | None" = None,
+    model: str,
     fenced: bool = False,
     seed: int = 0,
     race_detection: bool = False,
@@ -175,14 +144,12 @@ def run_init_once(
 
     Thread A initialises and sets the done flag (publishing both through
     plain stores); thread B spins on the flag and then reads the data.
-    Under weak ordering B can see ``done`` before ``data``.  ``fenced``
+    Under ``pso`` B can see ``done`` before ``data``.  ``fenced``
     adds the explicit barrier that repairs the idiom.
     """
     from repro.kernel.primitives import Fence
 
-    config = _make_config(
-        memory_order, model, seed=seed, race_detection=race_detection
-    )
+    config = _make_config(model, seed=seed, race_detection=race_detection)
     kernel = Kernel(config)
     data = SimVar("init-data", initial=None)
     done = SimVar("init-done", initial=False)
@@ -210,8 +177,7 @@ def run_init_once(
     kernel.fork_root(consumer, name="consumer")
     kernel.run_for(sec(1))
     result = InitOnceResult(
-        memory_order=config.memory_order,
-        model=config.memory_model,
+        model=model,
         fenced=fenced,
         saw_uninitialised=observed["uninitialised"],
         race_reports=(

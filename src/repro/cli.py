@@ -127,14 +127,15 @@ def _cmd_xclients(args: argparse.Namespace) -> None:
 def _cmd_weakmem(args: argparse.Namespace) -> None:
     from repro.casestudies.weakmem import run_init_once, run_publication
 
-    for order, monitored in (("strong", False), ("weak", False), ("weak", True)):
-        result = run_publication(memory_order=order, monitored=monitored,
+    for model, monitored in (("sc", False), ("pso", False), ("pso", True)):
+        result = run_publication(model=model, monitored=monitored,
                                  seed=args.seed)
-        label = f"{order}{'+monitor' if monitored else ''}"
-        print(f"publication {label:<14} torn reads: {result.torn_reads}/50")
-    weak = sum(run_init_once(memory_order="weak", seed=s).saw_uninitialised
-               for s in range(20))
-    print(f"init-once under weak ordering: hazard in {weak}/20 seeds")
+        label = f"{model}{'+monitor' if monitored else ''}"
+        print(f"publication {label:<14} torn reads: "
+              f"{result.torn_reads}/{result.reads}")
+    hazards = sum(run_init_once(model="pso", seed=s).saw_uninitialised
+                  for s in range(20))
+    print(f"init-once under pso: hazard in {hazards}/20 seeds")
 
 
 def _cmd_races(args: argparse.Namespace) -> None:
@@ -156,18 +157,18 @@ def _cmd_races(args: argparse.Namespace) -> None:
         detailed.extend(races)
 
     for monitored in (False, True):
-        result = run_publication(memory_order="weak", monitored=monitored,
+        result = run_publication(model="pso", monitored=monitored,
                                  seed=args.seed, race_detection=True)
         races = [r for r in result.race_reports if r.hb_race]
         benign = [r for r in result.race_reports if not r.hb_race]
-        add(f"publication weak{'+monitor' if monitored else ''}", races, benign)
+        add(f"publication pso{'+monitor' if monitored else ''}", races, benign)
 
     for fenced in (False, True):
-        result = run_init_once(memory_order="weak", fenced=fenced,
+        result = run_init_once(model="pso", fenced=fenced,
                                seed=args.seed, race_detection=True)
         races = [r for r in result.race_reports if r.hb_race]
         benign = [r for r in result.race_reports if not r.hb_race]
-        add(f"init-once weak{'+fence' if fenced else ''}", races, benign)
+        add(f"init-once pso{'+fence' if fenced else ''}", races, benign)
 
     result = run_producer_consumer(notify_semantics="deferred",
                                    seed=args.seed, race_detection=True)

@@ -39,14 +39,10 @@ WAKES_AT_LEAST_ONE = "at_least_one"
 FORK_FAILURE_RAISE = "raise"
 FORK_FAILURE_WAIT = "wait"
 
-MEMORY_STRONG = "strong"
-MEMORY_WEAK = "weak"
-
 MODEL_SC = "sc"
 MODEL_TSO = "tso"
 MODEL_PSO = "pso"
-MODEL_WEAK = "weak"
-MEMORY_MODELS = (MODEL_SC, MODEL_TSO, MODEL_PSO, MODEL_WEAK)
+MEMORY_MODELS = (MODEL_SC, MODEL_TSO, MODEL_PSO)
 
 SCHED_STRICT = "strict"
 SCHED_FAIR_SHARE = "fair_share"
@@ -91,22 +87,17 @@ class KernelConfig:
     #: suited to controlling long-term average behavior than to
     #: controlling moment-by-moment processor allocation".
     scheduler_policy: str = SCHED_STRICT
-    #: Memory model for SimVar/SimRecord: "strong" or "weak" (Section 5.5).
-    #: Legacy knob; ``memory_order="weak"`` is an alias for
-    #: ``memory_model="weak"``.
-    memory_order: str = MEMORY_STRONG
-    #: Memory-model seam (:mod:`repro.memmodel`): "sc" (default —
-    #: sequential consistency, every store globally visible at once),
-    #: "tso" (x86-TSO: per-thread FIFO store buffers with store-to-load
-    #: forwarding; only store→load reordering is possible), "pso"
-    #: (per-thread buffers that are FIFO per *variable* only, so stores
-    #: to different variables drain out of program order — the §5.5
-    #: machine), or "weak" (the original per-CPU randomly-delayed
-    #: buffer, kept byte-identical for the legacy case studies).
+    #: Memory model for SimVar traps (Section 5.5, :mod:`repro.memmodel`):
+    #: "sc" (default — sequential consistency, every store globally
+    #: visible at once), "tso" (x86-TSO: per-thread FIFO store buffers
+    #: with store-to-load forwarding; only store→load reordering is
+    #: possible), or "pso" (per-thread buffers that are FIFO per
+    #: *variable* only, so stores to different variables drain out of
+    #: program order — the §5.5 machine).
     memory_model: str = MODEL_SC
-    #: Store-buffer flush latency under the buffered models (tso/pso/
-    #: weak): an undrained store becomes globally visible at most this
-    #: many microseconds after issue.
+    #: Store-buffer flush latency under the buffered models (tso/pso):
+    #: an undrained store becomes globally visible at most this many
+    #: microseconds after issue.
     store_buffer_delay: int = usec(5)
     #: Run the dynamic race detector (Eraser locksets + happens-before
     #: vector clocks, :mod:`repro.analysis.races`) over every SimVar
@@ -161,22 +152,8 @@ class KernelConfig:
             raise ValueError(f"bad notify_wakes: {self.notify_wakes!r}")
         if self.fork_failure not in (FORK_FAILURE_RAISE, FORK_FAILURE_WAIT):
             raise ValueError(f"bad fork_failure: {self.fork_failure!r}")
-        if self.memory_order not in (MEMORY_STRONG, MEMORY_WEAK):
-            raise ValueError(f"bad memory_order: {self.memory_order!r}")
         if self.memory_model not in MEMORY_MODELS:
             raise ValueError(f"bad memory_model: {self.memory_model!r}")
-        if self.memory_order == MEMORY_WEAK:
-            # Legacy spelling: memory_order="weak" selects the original
-            # per-CPU delayed-visibility model.
-            if self.memory_model == MODEL_SC:
-                self.memory_model = MODEL_WEAK
-            elif self.memory_model != MODEL_WEAK:
-                raise ValueError(
-                    "memory_order='weak' conflicts with "
-                    f"memory_model={self.memory_model!r}"
-                )
-        elif self.memory_model == MODEL_WEAK:
-            self.memory_order = MEMORY_WEAK
         if self.scheduler_policy not in (SCHED_STRICT, SCHED_FAIR_SHARE):
             raise ValueError(f"bad scheduler_policy: {self.scheduler_policy!r}")
         if self.switch_cost < 0 or self.monitor_overhead < 0:

@@ -52,7 +52,7 @@ from repro.kernel.errors import (
 )
 from repro.kernel.events import EventHeap
 from repro.kernel.instrumentation import Tracer
-from repro.kernel.memory import SimVar, create_memory_model
+from repro.kernel.memory import create_memory_model
 from repro.kernel.primitives import (
     Annotate,
     Broadcast,
@@ -208,8 +208,6 @@ class Kernel:
             Fence: self._h_fence,
         }
         self.memory = create_memory_model(self.config, self.rng.fork("memory"))
-        #: Every SimVar touched through traps, so fences can drain buffers.
-        self._vars_seen: dict[int, SimVar] = {}
         #: Passive race detector (Eraser lockset + happens-before), or
         #: None.  Imported lazily: analysis depends on the kernel, not
         #: vice versa, except through this optional observer.
@@ -1109,7 +1107,6 @@ class Kernel:
     # -- shared memory (Section 5.5) ---------------------------------------
 
     def _h_mem_write(self, cpu: Cpu, thread: SimThread, trap: MemWrite) -> _Outcome:
-        self._vars_seen[trap.var.uid] = trap.var
         token = None
         if self.race_detector is not None:
             # The detector sees the access with the thread's current
@@ -1117,37 +1114,31 @@ class Kernel:
             # returned write token travels with the stored value so a
             # later reader can report which write it observed.
             token = self.race_detector.on_write(thread, trap.var, self.now)
-        if self.controller is not None and self.memory.drainable:
+        if self.controller is not None and self.memory.buffered:
             self._offer_mem_drains()
-        self.memory.store(
-            trap.var, trap.value, cpu.index, self.now, thread=thread, token=token
-        )
+        self.memory.store(trap.var, trap.value, self.now, thread, token)
         thread.pending_send = None
         return _Outcome.CONTINUE
 
     def _h_mem_read(self, cpu: Cpu, thread: SimThread, trap: MemRead) -> _Outcome:
-        self._vars_seen[trap.var.uid] = trap.var
-        if self.controller is not None and self.memory.drainable:
+        if self.controller is not None and self.memory.buffered:
             self._offer_mem_drains()
-        value, token = self.memory.load_observed(
-            trap.var, cpu.index, self.now, thread=thread
-        )
+        value, token = self.memory.load_observed(trap.var, self.now, thread)
         thread.pending_send = value
         if self.race_detector is not None:
             self.race_detector.on_read(thread, trap.var, self.now, observed=token)
         return _Outcome.CONTINUE
 
     def _h_fence(self, cpu: Cpu, thread: SimThread, trap: Fence) -> _Outcome:
-        self._fence(cpu, thread)
+        self._fence(thread)
         if self.race_detector is not None:
             self.race_detector.on_fence(thread)
         thread.pending_send = None
         return _Outcome.CONTINUE
 
-    def _fence(self, cpu: Cpu, thread: SimThread) -> None:
-        if not self.memory.buffered:
-            return  # strong ordering: fences are free no-ops
-        self.memory.fence_cpu(cpu.index, list(self._vars_seen.values()), thread=thread)
+    def _fence(self, thread: SimThread) -> None:
+        if self.memory.buffered:  # under sc, fences are free no-ops
+            self.memory.fence(thread)
 
     def _offer_mem_drains(self) -> None:
         """Controller-visible store-buffer drains (``mem.drain`` sites).
@@ -1181,7 +1172,7 @@ class Kernel:
         # "The monitor implementation for weak ordering can use memory
         # barrier instructions to ensure that all monitor-protected data
         # access is consistent."
-        self._fence(cpu, thread)
+        self._fence(thread)
         monitor.enters += 1
         self.stats.ml_enters += 1
         thread.stats.monitor_enters += 1
@@ -1246,7 +1237,7 @@ class Kernel:
             # Inheritance ablation: drop back to the pre-boost priority.
             thread.priority = monitor.boost_restore
             monitor.boost_restore = None
-        self._fence(cpu, thread)
+        self._fence(thread)
         self._hand_off_monitor(monitor)
         if self._trace_monitor:
             self.tracer.record(

@@ -1,30 +1,21 @@
-"""Simulated shared memory with selectable ordering (Section 5.5).
+"""Simulated shared memory (Section 5.5).
 
 "We saw several places where the correctness of threaded code depended on
 strong memory ordering, an assumption no longer true in some modern
 multiprocessors with weakly ordered memory."
 
-The model is a per-CPU store buffer, the minimal machine on which the
-paper's two examples break:
-
-* a writer constructs a record and publishes a pointer to it; under weak
-  ordering a reader on another CPU can follow the pointer before the
-  record's fields are visible;
-* Birrell's call-initialiser-exactly-once hint: a thread "can both believe
-  that the initializer has already been called and not yet be able to see
-  the initialized data".
-
-Mechanics: a store by a thread on CPU *i* is immediately visible to CPU
-*i* but becomes visible to other CPUs only after ``store_buffer_delay``
-microseconds — unless a fence drains the buffer first.  Monitor entry and
-exit fence implicitly ("The monitor implementation for weak ordering can
-use memory barrier instructions"), which is why monitor-protected data is
-always safe.  Under ``memory_order="strong"`` every store is globally
-visible at once and fences are no-ops.
-
 Thread code uses memory through the ``MemRead``/``MemWrite``/``Fence``
 traps (or the ``SimVar`` convenience wrappers), never by mutating Python
 objects directly — direct mutation would silently get strong ordering.
+
+The kernel talks to its memory through three calls:
+``store(var, value, now, thread, token)``,
+``load_observed(var, now, thread)`` and, for buffered memories only,
+``fence(thread)``.  This module holds the cells and the default
+sequentially consistent memory, on which every store is globally visible
+at once and fences are free no-ops the kernel skips.  The weakly ordered
+machines — per-thread store buffers under ``tso`` and ``pso``, on which
+the paper's two examples break — live in :mod:`repro.memmodel`.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Any
 
-from repro.kernel.config import MODEL_PSO, MODEL_TSO, MODEL_WEAK, KernelConfig
+from repro.kernel.config import MODEL_PSO, MODEL_SC, MODEL_TSO, KernelConfig
 
 _uid_counter = itertools.count(1)
 
@@ -40,169 +31,66 @@ _uid_counter = itertools.count(1)
 class SimVar:
     """One shared memory cell.
 
-    ``committed`` holds the globally visible value; ``pending`` holds
-    in-flight stores as ``(visible_at, cpu_index, value, token)`` tuples
-    in program order.  ``token`` is the race detector's write token for
-    the committed value (None when race detection is off or the value is
-    the initial one) — it rides along so a reader can tell the detector
-    *which* write it observed.
+    ``committed`` holds the globally visible value.  ``token`` is the
+    race detector's write token for that value (None when race detection
+    is off or the value is the initial one) — it rides along so a reader
+    can tell the detector *which* write it observed.  ``uid`` is never
+    reused, so it identifies the cell even after it is freed.
     """
 
-    __slots__ = ("uid", "name", "committed", "pending", "token")
+    __slots__ = ("uid", "name", "committed", "token")
 
     def __init__(self, name: str, initial: Any = None) -> None:
         self.uid = next(_uid_counter)
         self.name = name
         self.committed = initial
-        self.pending: list[tuple[int, int, Any, Any]] = []
         self.token: Any = None
 
     def __repr__(self) -> str:
-        return f"<SimVar {self.name!r}={self.committed!r} pending={len(self.pending)}>"
+        return f"<SimVar {self.name!r}={self.committed!r}>"
 
 
 class MemorySystem:
-    """Applies the configured ordering to SimVar loads and stores.
+    """Sequentially consistent memory: stores commit globally at once."""
 
-    Weak ordering here is genuinely weak, not TSO: each store's
-    visibility delay is drawn (deterministically) from ``[1, delay]``, so
-    two stores by the same CPU to *different* variables can become
-    globally visible out of program order — the reordering behind both
-    §5.5 examples.  Per-variable coherence is preserved: once a later
-    store to a variable is visible, earlier ones can never resurface.
-    """
+    #: No store buffers: the kernel skips fences and ``mem.drain``
+    #: decision points entirely.
+    buffered = False
 
-    #: No controller-visible drain points: the legacy models commit on
-    #: time and fences only (see :mod:`repro.memmodel` for the seam).
-    drainable = False
-
-    def __init__(self, config: KernelConfig, rng: Any) -> None:
-        self.weak = config.memory_model == MODEL_WEAK
-        #: Whether stores can be buffered at all — the kernel's fence
-        #: fast path skips the memory system entirely when this is False.
-        self.buffered = self.weak
-        self._delay = max(1, config.store_buffer_delay)
-        self._rng = rng
-        #: Fences that actually drained a store buffer.  Under strong
-        #: ordering every fence is a no-op and this stays 0.
-        self.fences = 0
-        #: Every ``fence_cpu`` call, effective or not.
-        self.fence_requests = 0
+    def __init__(self) -> None:
         self.stores = 0
         self.loads = 0
-        #: Loads that observed a value another CPU had already overwritten
-        #: (i.e. a stale read) — the §5.5 hazard counter.
-        self.stale_loads = 0
+        #: Fences that drained a store buffer — always 0 here, kept so
+        #: every memory reports the same counters.
+        self.fences = 0
 
     def store(
-        self,
-        var: SimVar,
-        value: Any,
-        cpu_index: int,
-        now: int,
-        thread: Any = None,
-        token: Any = None,
+        self, var: SimVar, value: Any, now: int, thread: Any, token: Any
     ) -> None:
         self.stores += 1
-        if not self.weak:
-            var.committed = value
-            var.token = token
-            return
-        self._drain_visible(var, now)
-        delay = self._rng.randint(1, self._delay)
-        var.pending.append((now + delay, cpu_index, value, token))
+        var.committed = value
+        var.token = token
 
-    def load(self, var: SimVar, cpu_index: int, now: int) -> Any:
-        return self.load_observed(var, cpu_index, now)[0]
-
-    def load_observed(
-        self, var: SimVar, cpu_index: int, now: int, thread: Any = None
-    ) -> tuple[Any, Any]:
-        """Like :meth:`load`, also returning the observed write token."""
+    def load_observed(self, var: SimVar, now: int, thread: Any) -> tuple[Any, Any]:
+        """The value ``thread`` sees in ``var`` and its write token."""
         self.loads += 1
-        if not self.weak:
-            return var.committed, var.token
-        self._drain_visible(var, now)
-        # Store-to-load forwarding: this CPU sees its own latest store.
-        newest_here = None
-        newest_anywhere = False
-        for _visible_at, writer_cpu, value, token in reversed(var.pending):
-            newest_anywhere = True
-            if writer_cpu == cpu_index:
-                newest_here = (value, token)
-                break
-        if newest_here is not None:
-            return newest_here
-        if newest_anywhere:
-            # Another CPU has a newer in-flight value we cannot see yet.
-            self.stale_loads += 1
         return var.committed, var.token
-
-    def fence_cpu(
-        self,
-        cpu_index: int,
-        vars_touched: list[SimVar] | None = None,
-        thread: Any = None,
-    ) -> None:
-        """Drain this CPU's store buffer: its stores become visible now.
-
-        With no var list we cannot enumerate all SimVars, so SimVar keeps
-        pending stores and the kernel passes the registry of fenced vars;
-        in practice the kernel registers every SimVar it has seen.
-
-        Only *effective* fences count in ``fences``: a fence under strong
-        ordering (or with no vars to drain) is a no-op and must not make a
-        strong-ordering run report nonzero fence work.  ``fence_requests``
-        counts every call regardless.
-        """
-        self.fence_requests += 1
-        if not self.weak or vars_touched is None:
-            return
-        self.fences += 1
-        for var in vars_touched:
-            last_mine = -1
-            for index, (_visible_at, writer_cpu, _value, _token) in enumerate(
-                var.pending
-            ):
-                if writer_cpu == cpu_index:
-                    last_mine = index
-            if last_mine >= 0:
-                # Committing our newest store supersedes everything older,
-                # whoever wrote it (coherence).
-                var.committed = var.pending[last_mine][2]
-                var.token = var.pending[last_mine][3]
-                var.pending = var.pending[last_mine + 1:]
-
-    def _drain_visible(self, var: SimVar, now: int) -> None:
-        """Commit up to the latest program-order store now visible.
-
-        Coherence: committing a store kills every earlier pending store
-        to the same variable, visible or not — an old value must never
-        overwrite a newer one.
-        """
-        if not var.pending:
-            return
-        last_visible = -1
-        for index, (visible_at, _writer_cpu, _value, _token) in enumerate(
-            var.pending
-        ):
-            if visible_at <= now:
-                last_visible = index
-        if last_visible >= 0:
-            var.committed = var.pending[last_visible][2]
-            var.token = var.pending[last_visible][3]
-            var.pending = var.pending[last_visible + 1:]
 
 
 def create_memory_model(config: KernelConfig, rng: Any) -> Any:
     """Instantiate the memory model ``config.memory_model`` selects.
 
     The store-buffer models live in :mod:`repro.memmodel` (a layer above
-    the kernel); the import is deferred so the default ``sc`` and legacy
-    ``weak`` paths never touch that package and no import cycle forms.
+    the kernel); the import is deferred so the default ``sc`` path never
+    touches that package and no import cycle forms.  The name is checked
+    here as well as in ``KernelConfig`` because builders may set it after
+    the config was validated.
     """
-    if config.memory_model in (MODEL_TSO, MODEL_PSO):
+    model = config.memory_model
+    if model == MODEL_SC:
+        return MemorySystem()
+    if model in (MODEL_TSO, MODEL_PSO):
         from repro.memmodel.storebuffer import StoreBufferMemory
 
-        return StoreBufferMemory(config, rng, fifo=config.memory_model == MODEL_TSO)
-    return MemorySystem(config, rng)
+        return StoreBufferMemory(config, rng, fifo=model == MODEL_TSO)
+    raise ValueError(f"bad memory_model: {model!r}")

@@ -237,11 +237,11 @@ class Annotate(Trap):
 
 @dataclass(frozen=True)
 class MemWrite(Trap):
-    """Store to a shared :class:`SimVar` under the configured memory order.
+    """Store to a shared :class:`SimVar` under the configured memory model.
 
-    Under weak ordering the store lands in this CPU's store buffer and
-    becomes visible to other CPUs only after the buffer delay or a fence
-    (Section 5.5).
+    Under ``tso``/``pso`` the store lands in the writing thread's store
+    buffer and becomes visible to other threads only when it drains: by
+    age, by a fence, or by a ``mem.drain`` decision (Section 5.5).
     """
 
     var: Any
@@ -250,15 +250,18 @@ class MemWrite(Trap):
 
 @dataclass(frozen=True)
 class MemRead(Trap):
-    """Load from a shared :class:`SimVar`; may observe stale data under
-    weak ordering."""
+    """Load from a shared :class:`SimVar`.
+
+    The thread sees its own buffered stores first; under ``tso``/``pso``
+    it may observe stale data another thread has not yet drained.
+    """
 
     var: Any
 
 
 @dataclass(frozen=True)
 class Fence(Trap):
-    """Memory barrier: drain this CPU's store buffer.
+    """Memory barrier: drain the calling thread's store buffer.
 
     Monitor entry/exit fence implicitly; explicit fences are for the
     lock-free publication idioms the weak-memory case study examines.

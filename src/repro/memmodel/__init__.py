@@ -17,12 +17,9 @@ multiprocessors with weakly ordered memory."
 ``pso``    Per-thread buffers, FIFO per variable only: stores to
            different variables drain out of program order — the
            machine on which both §5.5 examples break.
-``weak``   The legacy per-CPU randomly-delayed buffer
-           (:class:`~repro.kernel.memory.MemorySystem`), kept
-           byte-identical for the original case studies;
-           ``memory_order="weak"`` is an alias.
 =========  ==========================================================
 
+``sc`` is the unbuffered :class:`~repro.kernel.memory.MemorySystem`.
 The buffered models expose controller-visible ``mem.drain`` decision
 points, so :mod:`repro.explore` can enumerate drain interleavings; the
 litmus harness (:mod:`repro.memmodel.litmus`, ``python -m repro

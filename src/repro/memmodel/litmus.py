@@ -38,14 +38,13 @@ from typing import Any, Callable
 
 from repro.kernel import Kernel, KernelConfig
 from repro.kernel import primitives as p
-from repro.kernel.config import MODEL_PSO, MODEL_SC, MODEL_TSO
+from repro.kernel.config import MEMORY_MODELS, MODEL_PSO, MODEL_SC, MODEL_TSO
 from repro.kernel.memory import SimVar
 from repro.kernel.simtime import msec, sec
 
-#: The models the harness enumerates (legacy ``weak`` draws its
-#: nondeterminism from the RNG, outside the decision seam, so it cannot
-#: be enumerated — the weakmem case study covers it by sampling).
-MODELS = (MODEL_SC, MODEL_TSO, MODEL_PSO)
+#: The models the harness enumerates: every model on the seam, since
+#: none draws nondeterminism from outside the decision seam.
+MODELS = MEMORY_MODELS
 
 #: An op is ("w", var, value) or ("r", var, register).
 Op = tuple

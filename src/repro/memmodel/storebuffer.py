@@ -1,10 +1,9 @@
 """Per-thread store-buffer memory models: x86-TSO and PSO.
 
-The legacy :class:`~repro.kernel.memory.MemorySystem` models §5.5's
-weak ordering with per-CPU buffers and randomly drawn visibility delays
-— good for *reproducing* the paper's hazards, but its nondeterminism
-lives in the RNG, outside the schedule-exploration seam.  These models
-move the nondeterminism into the seam:
+These are the weakly ordered machines behind
+``KernelConfig(memory_model=...)``; the default ``sc`` is the unbuffered
+:class:`~repro.kernel.memory.MemorySystem`.  Every source of
+nondeterminism lives inside the schedule-exploration seam:
 
 * **TSO** (``memory_model="tso"``, ``fifo=True``): each thread owns a
   FIFO store buffer.  A ``MemWrite`` enqueues locally; a ``MemRead``
@@ -67,25 +66,23 @@ class _Entry:
 class StoreBufferMemory:
     """Per-thread store buffers, FIFO (TSO) or per-variable FIFO (PSO).
 
-    Exposes the same counter names and call surface as
-    :class:`~repro.kernel.memory.MemorySystem` plus the drain-decision
-    seam (``drain_options``/``drain_option``) the kernel offers to the
-    schedule controller.
+    Exposes the same counters and ``store``/``load_observed`` calls as
+    :class:`~repro.kernel.memory.MemorySystem`, plus ``fence`` and the
+    drain-decision seam (``drain_options``/``drain_option``) the kernel
+    offers to the schedule controller.
     """
 
-    #: The kernel's fence fast path keys off this.
+    #: Stores can be buffered: the kernel fences this memory and offers
+    #: its ``mem.drain`` decision points.
     buffered = True
-    #: Controller-visible ``mem.drain`` decision points exist.
-    drainable = True
 
     def __init__(self, config: KernelConfig, rng: Any, *, fifo: bool) -> None:
         self.fifo = fifo
-        self.weak = False  # not the legacy per-CPU model
         self._delay = max(1, config.store_buffer_delay)
         self._rng = rng
         #: Fences that actually drained a store buffer.
         self.fences = 0
-        #: Every ``fence_cpu`` call, effective or not.
+        #: Every ``fence`` call, effective or not.
         self.fence_requests = 0
         self.stores = 0
         self.loads = 0
@@ -97,24 +94,13 @@ class StoreBufferMemory:
         self._buffers: dict[int, list[_Entry]] = {}
         self._owners: dict[int, Any] = {}
 
-    # -- the MemorySystem surface -----------------------------------------
+    # -- the kernel's calls ------------------------------------------------
 
     def store(
-        self,
-        var: SimVar,
-        value: Any,
-        cpu_index: int,
-        now: int,
-        thread: Any = None,
-        token: Any = None,
+        self, var: SimVar, value: Any, now: int, thread: Any, token: Any
     ) -> None:
         self.stores += 1
         self._age(now)
-        if thread is None:
-            # Setup code outside any simulated thread: commit directly.
-            var.committed = value
-            var.token = token
-            return
         buffer = self._buffers.get(thread.tid)
         if buffer is None:
             buffer = self._buffers[thread.tid] = []
@@ -122,24 +108,19 @@ class StoreBufferMemory:
         delay = self._rng.randint(1, self._delay)
         buffer.append(_Entry(var, value, now + delay, token))
 
-    def load(self, var: SimVar, cpu_index: int, now: int) -> Any:
-        return self.load_observed(var, cpu_index, now)[0]
-
-    def load_observed(
-        self, var: SimVar, cpu_index: int, now: int, thread: Any = None
-    ) -> tuple[Any, Any]:
+    def load_observed(self, var: SimVar, now: int, thread: Any) -> tuple[Any, Any]:
+        """The value ``thread`` sees in ``var`` and its write token."""
         self.loads += 1
         self._age(now)
-        if thread is not None:
-            buffer = self._buffers.get(thread.tid)
-            if buffer:
-                # Store-to-load forwarding: a thread always sees its own
-                # newest buffered store.
-                for entry in reversed(buffer):
-                    if entry.var is var:
-                        return entry.value, entry.token
+        buffer = self._buffers.get(thread.tid)
+        if buffer:
+            # Store-to-load forwarding: a thread always sees its own
+            # newest buffered store.
+            for entry in reversed(buffer):
+                if entry.var is var:
+                    return entry.value, entry.token
         for tid, buffer in self._buffers.items():
-            if thread is not None and tid == thread.tid:
+            if tid == thread.tid:
                 continue
             if any(entry.var is var for entry in buffer):
                 # Another thread has a newer in-flight value we cannot see.
@@ -147,18 +128,10 @@ class StoreBufferMemory:
                 break
         return var.committed, var.token
 
-    def fence_cpu(
-        self,
-        cpu_index: int,
-        vars_touched: list[SimVar] | None = None,
-        thread: Any = None,
-    ) -> None:
-        """Drain the fencing *thread's* buffer completely, in program
-        order.  Only effective fences count in ``fences`` (same
-        convention as the legacy model)."""
+    def fence(self, thread: Any) -> None:
+        """Drain the fencing thread's buffer completely, in program
+        order.  Only fences that drain something count in ``fences``."""
         self.fence_requests += 1
-        if thread is None:
-            return
         buffer = self._buffers.get(thread.tid)
         if not buffer:
             return

@@ -108,24 +108,24 @@ class TestForkFailure:
 
 class TestWeakMemory:
     def test_publication_safe_under_strong_ordering(self):
-        result = run_publication(memory_order="strong", rounds=20)
+        result = run_publication(model="sc", rounds=20)
         assert result.torn_reads == 0
 
     def test_publication_tears_under_weak_ordering(self):
-        result = run_publication(memory_order="weak", rounds=50)
+        result = run_publication(model="pso", rounds=50)
         assert result.torn_reads >= 5
 
     def test_monitor_fences_repair_weak_ordering(self):
-        result = run_publication(memory_order="weak", monitored=True, rounds=20)
+        result = run_publication(model="pso", monitored=True, rounds=20)
         assert result.torn_reads == 0
 
     def test_init_once_hazard_across_seeds(self):
         weak_hits = sum(
-            run_init_once(memory_order="weak", seed=s).saw_uninitialised
+            run_init_once(model="pso", seed=s).saw_uninitialised
             for s in range(10)
         )
         fenced_hits = sum(
-            run_init_once(memory_order="weak", fenced=True, seed=s).saw_uninitialised
+            run_init_once(model="pso", fenced=True, seed=s).saw_uninitialised
             for s in range(10)
         )
         assert weak_hits >= 1

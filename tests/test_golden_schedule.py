@@ -28,7 +28,7 @@ Cedar/GVX worlds (idle and active), notify semantics (spurious-conflict
 producer/consumer), YieldButNotToMe and directed-yield donations,
 fork/join churn through the resource-wait path, every timed-wait kind
 (sleep, CV timeout, channel timeout), multiprocessor dispatch, the
-fair-share lottery, and weak memory with fences.
+fair-share lottery, and PSO store buffers with fences.
 """
 
 from __future__ import annotations
@@ -69,6 +69,20 @@ def test_golden_schedule(name):
         "if it came from a performance change, the optimisation is NOT "
         "behaviour-preserving and must be fixed."
     )
+
+
+def test_weak_memory_entry_runs_on_store_buffers():
+    # The fingerprint cannot tell memory models apart (it hashes the trace
+    # and the kernel stats, which are the same under every model), so a
+    # fall-back to sc would keep the pin green: probe the memory instead.
+    seen = {}
+
+    def probe(kernel):
+        seen.update(buffered=kernel.memory.buffered, fences=kernel.memory.fences)
+
+    golden_run(GOLDEN["weak-memory"], probe=probe)
+    # Every one of the writer's 40 explicit fences drained a buffered store.
+    assert seen == {"buffered": True, "fences": 40}
 
 
 def test_golden_update_mode():

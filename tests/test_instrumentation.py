@@ -1,11 +1,13 @@
 """Instrumentation: tracer, stats snapshots, channels, memory model."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.kernel import Kernel, KernelConfig, SimVar, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.kernel.instrumentation import Tracer
-from repro.kernel.memory import MemorySystem
+from repro.kernel.memory import MemorySystem, create_memory_model
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.stats import WindowStats
 
@@ -181,50 +183,84 @@ class TestChannels:
 
 
 class TestMemoryModelUnit:
-    def _memory(self, order):
-        config = KernelConfig(memory_order=order, store_buffer_delay=usec(10))
-        return MemorySystem(config, DeterministicRng(0))
+    def _pso_kernel(self, delay):
+        return make_kernel(ncpus=2, memory_model="pso", store_buffer_delay=delay)
 
     def test_strong_ordering_immediate_visibility(self):
-        memory = self._memory("strong")
+        memory = MemorySystem()
         var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        assert memory.load(var, cpu_index=1, now=0) == 1
+        memory.store(var, 1, 0, None, None)
+        assert memory.load_observed(var, 0, None) == (1, None)
 
     def test_weak_ordering_delays_cross_cpu_visibility(self):
-        memory = self._memory("weak")
+        kernel = self._pso_kernel(usec(10))
         var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        assert memory.load(var, cpu_index=1, now=0) == 0  # not visible yet
-        assert memory.load(var, cpu_index=1, now=100) == 1  # delay elapsed
+        seen = []
+
+        def writer():
+            yield p.MemWrite(var, 1)
+            yield p.Compute(msec(1))
+
+        def reader():
+            yield p.Compute(usec(1))
+            seen.append((yield p.MemRead(var)))  # still in writer's buffer
+            yield p.Compute(usec(100))
+            seen.append((yield p.MemRead(var)))  # delay elapsed
+
+        kernel.fork_root(writer, name="writer")
+        kernel.fork_root(reader, name="reader")
+        kernel.run_for(msec(1))
+        assert seen == [0, 1]
+        assert kernel.memory.stale_loads == 1
+        kernel.shutdown()
 
     def test_store_to_load_forwarding_same_cpu(self):
-        memory = self._memory("weak")
+        kernel = self._pso_kernel(msec(5))
         var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        assert memory.load(var, cpu_index=0, now=0) == 1  # own store visible
+        seen = []
+
+        def body():
+            yield p.MemWrite(var, 1)
+            seen.append(((yield p.MemRead(var)), var.committed))
+
+        kernel.fork_root(body, name="writer")
+        kernel.run_for(msec(1))
+        assert seen == [(1, 0)]  # own store visible, not yet committed
+        kernel.shutdown()
 
     def test_fence_publishes_own_stores(self):
-        memory = self._memory("weak")
+        kernel = self._pso_kernel(msec(5))
         var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        memory.fence_cpu(0, [var])
-        assert memory.load(var, cpu_index=1, now=0) == 1
+        seen = []
+
+        def writer():
+            yield p.MemWrite(var, 1)
+            yield p.Fence()
+
+        def reader():
+            yield p.Compute(usec(1))
+            seen.append((yield p.MemRead(var)))
+
+        kernel.fork_root(writer, name="writer")
+        kernel.fork_root(reader, name="reader")
+        kernel.run_for(msec(1))
+        assert seen == [1]
+        kernel.shutdown()
 
     def test_fence_counts_effective_fences_only(self):
-        # Regression: fence_cpu used to bump ``fences`` before its early
-        # return, so strong-ordering runs reported nonzero fence work.
-        strong = self._memory("strong")
-        var = SimVar("x", initial=0)
-        strong.fence_cpu(0, [var])
-        assert strong.fences == 0
-        assert strong.fence_requests == 1
+        # One store then two fences: only the first drains anything.
+        kernel = self._pso_kernel(msec(5))
 
-        weak = self._memory("weak")
-        weak.fence_cpu(0, None)  # nothing to drain: request, not a fence
-        weak.fence_cpu(0, [var])  # effective
-        assert weak.fences == 1
-        assert weak.fence_requests == 2
+        def body(var):
+            yield p.MemWrite(var, 1)
+            yield p.Fence()
+            yield p.Fence()
+
+        kernel.fork_root(body, (SimVar("x", initial=0),), name="fencer")
+        kernel.run_for(msec(1))
+        assert kernel.memory.fences == 1
+        assert kernel.memory.fence_requests == 2
+        kernel.shutdown()
 
     def test_strong_run_with_fence_traps_reports_zero_fences(self):
         def body(var):
@@ -232,31 +268,39 @@ class TestMemoryModelUnit:
             yield p.Fence()
             yield p.Fence()
 
-        strong = make_kernel(memory_order="strong")
+        strong = make_kernel()
         strong.fork_root(body, (SimVar("x", initial=0),), name="fencer")
         strong.run_for(msec(1))
-        # Strong ordering never reaches the memory system at all.
+        # Under sc the kernel skips fences: the unbuffered memory has no
+        # fence to call.
         assert strong.memory.fences == 0
-        assert strong.memory.fence_requests == 0
         strong.shutdown()
 
-        weak = make_kernel(memory_order="weak")
-        weak.fork_root(body, (SimVar("x", initial=0),), name="fencer")
-        weak.run_for(msec(1))
-        assert weak.memory.fences == 2
-        assert weak.memory.fence_requests == 2
-        weak.shutdown()
-
     def test_coherence_old_value_never_resurfaces(self):
-        memory = self._memory("weak")
-        var = SimVar("x", initial=0)
-        memory.store(var, 1, cpu_index=0, now=0)
-        memory.store(var, 2, cpu_index=0, now=1)
-        # Whatever the delays drew, once 2 is visible 1 must never return.
-        saw_two = False
-        for t in range(0, 30):
-            value = memory.load(var, cpu_index=1, now=t)
-            if saw_two:
-                assert value == 2
-            saw_two = saw_two or value == 2
-        assert saw_two
+        writer = SimpleNamespace(tid=1, name="w")
+        reader = SimpleNamespace(tid=2, name="r")
+
+        def fresh(model):
+            config = KernelConfig(memory_model=model, store_buffer_delay=usec(10))
+            memory = create_memory_model(config, DeterministicRng(0))
+            var = SimVar("x", initial=0)
+            memory.store(var, 1, 0, writer, None)
+            memory.store(var, 2, 1, writer, None)
+            return memory, var
+
+        for model in ("tso", "pso"):
+            # Aging: whatever the delays drew, once 2 is visible 1 never
+            # returns.
+            memory, var = fresh(model)
+            seen = [memory.load_observed(var, t, reader)[0] for t in range(30)]
+            assert seen[-1] == 2, model
+            assert 1 not in seen[seen.index(2):], model
+            # Drain decisions: only the oldest store to a variable is
+            # ever offered.
+            memory, var = fresh(model)
+            committed = []
+            while options := memory.drain_options():
+                assert len(options) == 1, model
+                memory.drain_option(options[0][0], 0)
+                committed.append(var.committed)
+            assert committed == [1, 2], model

@@ -28,39 +28,30 @@ from repro.memmodel.storebuffer import StoreBufferMemory
 
 class TestConfigSeam:
     def test_default_is_sc(self):
-        config = KernelConfig()
-        assert config.memory_model == "sc"
-        assert config.memory_order == "strong"
-
-    def test_memory_order_weak_aliases_to_weak_model(self):
-        config = KernelConfig(memory_order="weak")
-        assert config.memory_model == "weak"
-
-    def test_weak_model_aliases_back_to_memory_order(self):
-        config = KernelConfig(memory_model="weak")
-        assert config.memory_order == "weak"
-
-    def test_conflicting_selectors_raise(self):
-        with pytest.raises(ValueError):
-            KernelConfig(memory_order="weak", memory_model="tso")
+        assert KernelConfig().memory_model == "sc"
 
     def test_unknown_model_raises(self):
         with pytest.raises(ValueError):
             KernelConfig(memory_model="rmo")
 
+    def test_factory_rejects_names_set_after_validation(self):
+        # Builders assign ``memory_model`` after ``__post_init__`` ran, so
+        # the factory must not fall back to sc for a name it does not know.
+        for name in ("weak", "rmo"):
+            config = KernelConfig()
+            config.memory_model = name
+            with pytest.raises(ValueError):
+                create_memory_model(config, DeterministicRng(0))
+
     def test_factory_dispatch(self):
         rng = DeterministicRng(0)
-        assert isinstance(
-            create_memory_model(KernelConfig(), rng), MemorySystem
-        )
+        sc = create_memory_model(KernelConfig(), rng)
+        assert isinstance(sc, MemorySystem) and not sc.buffered
         tso = create_memory_model(KernelConfig(memory_model="tso"), rng)
         pso = create_memory_model(KernelConfig(memory_model="pso"), rng)
         assert isinstance(tso, StoreBufferMemory) and tso.fifo
         assert isinstance(pso, StoreBufferMemory) and not pso.fifo
-        assert tso.drainable and tso.buffered
-        weak = create_memory_model(KernelConfig(memory_order="weak"), rng)
-        assert isinstance(weak, MemorySystem) and weak.weak
-        assert not weak.drainable
+        assert tso.buffered and pso.buffered
 
 
 class _FakeThread:
@@ -81,44 +72,44 @@ class TestStoreBufferMemory:
         writer = _FakeThread(1, "w")
         reader = _FakeThread(2, "r")
         var = SimVar("x", 0)
-        mem.store(var, 1, 0, 0, thread=writer)
+        mem.store(var, 1, 0, writer, None)
         assert var.committed == 0
         # Forwarding: the writer sees its own buffered store...
-        assert mem.load_observed(var, 0, 0, thread=writer)[0] == 1
+        assert mem.load_observed(var, 0, writer)[0] == 1
         # ...but another thread still sees the committed value (and the
         # miss counts as a stale load, the §5.5 hazard witness).
-        assert mem.load_observed(var, 1, 0, thread=reader)[0] == 0
+        assert mem.load_observed(var, 0, reader)[0] == 0
         assert mem.stale_loads == 1
 
     def test_fence_drains_the_whole_buffer_in_order(self):
         mem = _buffer_memory()
         writer = _FakeThread(1, "w")
         x, y = SimVar("x", 0), SimVar("y", 0)
-        mem.store(x, 1, 0, 0, thread=writer)
-        mem.store(y, 2, 0, 0, thread=writer)
-        mem.fence_cpu(0, thread=writer)
+        mem.store(x, 1, 0, writer, None)
+        mem.store(y, 2, 0, writer, None)
+        mem.fence(writer)
         assert (x.committed, y.committed) == (1, 2)
         assert mem.buffered_entries() == 0
         assert mem.fences == 1
         # An empty-buffer fence counts as a request, not a fence.
-        mem.fence_cpu(0, thread=writer)
+        mem.fence(writer)
         assert (mem.fences, mem.fence_requests) == (1, 2)
 
     def test_aging_commits_after_the_delay(self):
         mem = _buffer_memory(delay=usec(10))
         writer = _FakeThread(1, "w")
         var = SimVar("x", 0)
-        mem.store(var, 7, 0, 0, thread=writer)
+        mem.store(var, 7, 0, writer, None)
         assert var.committed == 0
-        mem.load_observed(var, 1, usec(10), thread=_FakeThread(2, "r"))
+        mem.load_observed(var, usec(10), _FakeThread(2, "r"))
         assert var.committed == 7
 
     def test_tso_offers_only_the_buffer_head(self):
         mem = _buffer_memory("tso")
         writer = _FakeThread(1, "w")
         x, y = SimVar("x", 0), SimVar("y", 0)
-        mem.store(x, 1, 0, 0, thread=writer)
-        mem.store(y, 2, 0, 0, thread=writer)
+        mem.store(x, 1, 0, writer, None)
+        mem.store(y, 2, 0, writer, None)
         options = mem.drain_options()
         assert [label for _key, label in options] == ["w drains x"]
         # Committing the non-head directly is a model-soundness error.
@@ -132,8 +123,8 @@ class TestStoreBufferMemory:
         mem = _buffer_memory("pso")
         writer = _FakeThread(1, "w")
         x, y = SimVar("x", 0), SimVar("y", 0)
-        mem.store(x, 1, 0, 0, thread=writer)
-        mem.store(y, 2, 0, 0, thread=writer)
+        mem.store(x, 1, 0, writer, None)
+        mem.store(y, 2, 0, writer, None)
         labels = [label for _key, label in mem.drain_options()]
         assert labels == ["w drains x", "w drains y"]
         # Store-store reordering: y commits while x stays buffered.
@@ -280,10 +271,12 @@ class TestWeakmemOnTheSeam:
             for s in range(20)
         )
 
-    def test_legacy_weak_path_is_untouched(self):
-        result = run_publication(memory_order="weak", rounds=20)
-        assert result.model == "weak"
-        assert result.torn_reads > 0
+    def test_reader_follows_every_published_record(self):
+        # Records are remembered by uid: a freed record's id() is reused
+        # by the next one, which an id()-keyed reader would skip.
+        for model in ("sc", "pso"):
+            result = run_publication(model=model, rounds=20)
+            assert result.reads == 20, model
 
 
 class TestRaceVerdicts:

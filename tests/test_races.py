@@ -69,14 +69,14 @@ class TestTruePositives:
 
     def test_publication_hazard_is_flagged(self):
         result = run_publication(
-            memory_order="weak", rounds=6, race_detection=True
+            model="pso", rounds=6, race_detection=True
         )
         racy = {r.var_name for r in result.race_reports if r.hb_race}
         assert "global-record" in racy  # the published pointer itself
         assert any(name.startswith("record-") for name in racy)  # its fields
 
     def test_init_once_hazard_is_flagged(self):
-        result = run_init_once(memory_order="weak", race_detection=True)
+        result = run_init_once(model="pso", race_detection=True)
         racy = {r.var_name for r in result.race_reports if r.hb_race}
         assert racy == {"init-done", "init-data"}
 
@@ -85,7 +85,7 @@ class TestTruePositives:
         # the publication clock) but the ``init-done`` spin flag itself is
         # still read without any ordering discipline.
         result = run_init_once(
-            memory_order="weak", fenced=True, race_detection=True
+            model="pso", fenced=True, race_detection=True
         )
         racy = {r.var_name for r in result.race_reports if r.hb_race}
         assert racy == {"init-done"}
@@ -95,7 +95,7 @@ class TestTruePositives:
         # locking discipline is still absent — the detector still fires,
         # which is the whole point of running it on a strong machine.
         result = run_publication(
-            memory_order="strong", rounds=6, race_detection=True
+            model="sc", rounds=6, race_detection=True
         )
         assert result.torn_reads == 0
         assert any(r.hb_race for r in result.race_reports)
@@ -141,7 +141,7 @@ class TestTrueNegatives:
 
     def test_monitored_publication_is_clean(self):
         result = run_publication(
-            memory_order="weak", monitored=True, rounds=6,
+            model="pso", monitored=True, rounds=6,
             race_detection=True,
         )
         assert result.torn_reads == 0
@@ -230,7 +230,7 @@ class TestPassivity:
         # the exact event stream of a disabled one (CAT_RACE aside).
         def run(race_detection):
             kernel = Kernel(KernelConfig(
-                seed=7, ncpus=2, memory_order="weak", trace=True,
+                seed=7, ncpus=2, memory_model="pso", trace=True,
                 race_detection=race_detection,
             ))
             shared = SimVar("shared", initial=0)
@@ -305,14 +305,24 @@ class TestRacesCli:
 
         assert main(["races"]) == 0
         out = capsys.readouterr().out
-        assert "publication weak" in out
+        assert "publication pso" in out
         assert "RACY" in out
         assert "clean" in out
 
+    def test_weakmem_command(self, capsys):
+        from repro.cli import main
+
+        assert main(["weakmem"]) == 0
+        out = capsys.readouterr().out
+        assert "publication sc             torn reads: 0/6" in out
+        assert "publication pso            torn reads: " in out
+        assert "publication pso+monitor    torn reads: 0/6" in out
+        assert "init-once under pso: hazard in " in out
+
     @pytest.fixture(autouse=True)
     def _fast_cli(self, monkeypatch):
-        # The full CLI run simulates tens of seconds; shrink the workloads
-        # so the smoke test stays quick while exercising every branch.
+        # The full CLI runs simulate tens of seconds; shrink the workloads
+        # so the smoke tests stay quick while exercising every branch.
         import repro.casestudies.weakmem as weakmem
 
         original = weakmem.run_publication

@@ -121,7 +121,7 @@ class TestOnce:
         for seed in range(15):
             kernel = Kernel(
                 KernelConfig(
-                    seed=seed, ncpus=2, memory_order="weak",
+                    seed=seed, ncpus=2, memory_model="pso",
                     store_buffer_delay=usec(20), switch_cost=0,
                     monitor_overhead=0,
                 )
@@ -148,7 +148,7 @@ class TestOnce:
         for seed in range(10):
             kernel = Kernel(
                 KernelConfig(
-                    seed=seed, ncpus=2, memory_order="weak",
+                    seed=seed, ncpus=2, memory_model="pso",
                     store_buffer_delay=usec(20), switch_cost=0,
                     monitor_overhead=0,
                 )
