@@ -195,7 +195,9 @@ class Watchdog:
         )
         self.starvation_budget = config.starvation_budget
         self.raise_on_cycle = config.watchdog_raise
-        self._next_check = self.interval
+        #: Sim time of the next sweep: ``maybe_check`` sweeps at the first
+        #: instant the kernel loop visits at or after it.
+        self.next_sweep = self.interval
         #: Threads that blocked since the last sweep pruned them; states
         #: are revalidated live at check time.
         self._candidates: dict[int, SimThread] = {}
@@ -221,9 +223,9 @@ class Watchdog:
             self._candidates[thread.tid] = thread
 
     def maybe_check(self, now: int) -> None:
-        if now < self._next_check:
+        if now < self.next_sweep:
             return
-        self._next_check = now + self.interval
+        self.next_sweep = now + self.interval
         self.check(now)
 
     # -- the sweep ---------------------------------------------------------

@@ -183,6 +183,9 @@ class Kernel:
         self.pending_thread_errors: list[UncaughtThreadError] = []
         self._dispatches_this_instant = 0
         self._instant = -1
+        #: The last instant that ticked (0: time 0 never ticks), so an
+        #: instant the loop revisits ticks only once.
+        self._last_tick = 0
 
         self._handlers: dict[type, Callable[[Cpu, SimThread, Any], _Outcome]] = {
             Compute: self._h_compute,
@@ -300,7 +303,7 @@ class Kernel:
             if until is None or next_time <= until:
                 kernel.events.push(next_time, recur)
 
-        self.events.push(first, recur)
+        self.post_at(first, recur)  # a ``start`` in the past raises
 
     def run_for(self, duration: int, **kwargs: Any) -> int:
         """Advance the simulation by ``duration`` µs."""
@@ -324,10 +327,15 @@ class Kernel:
         watchdog sweep); returning True ends the run early *without*
         fast-forwarding the clock to ``t_end`` — the exploration driver
         uses it to abandon dead schedules the moment a deadlock is
-        confirmed instead of grinding ticks to the horizon.
+        confirmed instead of grinding ticks to the horizon.  It sees
+        every instant a burst ends at because passing it turns inline
+        burning off (see ``_burns_inline``): the loop then completes
+        each burst itself, which makes ``stop_when=lambda k: False`` the
+        reference path the inline one must match.
         """
         if t_end < self.now:
             raise ValueError(f"cannot run backwards ({t_end} < {self.now})")
+        horizon = t_end if stop_when is None else None
         stopped = False
         while True:
             self._dispatch_idle_cpus()
@@ -339,7 +347,7 @@ class Kernel:
             if t_next > t_end:
                 break
             self.now = t_next
-            self._complete_due_bursts()
+            self._complete_due_bursts(horizon)
             if self._on_tick_boundary():
                 self._on_tick()
             for action in self.events.pop_due(self.now):
@@ -405,11 +413,15 @@ class Kernel:
             if busy_until is not None and (t_next is None or busy_until < t_next):
                 t_next = busy_until
         if self._tick_needed():
-            quantum = self.config.quantum
-            tick = (self.now // quantum + 1) * quantum
+            tick = self._next_boundary()
             if t_next is None or tick < t_next:
                 t_next = tick
         return t_next
+
+    def _next_boundary(self) -> int:
+        """The first quantum boundary after now."""
+        quantum = self.config.quantum
+        return (self.now // quantum + 1) * quantum
 
     def _tick_needed(self) -> bool:
         """Ticks matter only when a timeout can fire or rotation/donation
@@ -429,10 +441,13 @@ class Kernel:
         return any(cpu.current is not None for cpu in self.scheduler.cpus)
 
     def _on_tick_boundary(self) -> bool:
-        return self.now > 0 and self.now % self.config.quantum == 0
+        """The clock sits on a quantum boundary that has not ticked yet."""
+        now = self.now
+        return now != self._last_tick and now % self.config.quantum == 0
 
     def _on_tick(self) -> None:
         """Scheduler tick: expire donations, fire timeouts, round-robin."""
+        self._last_tick = self.now
         self.stats.ticks += 1
         if self._trace_tick:
             self.tracer.record(self.now, instr.CAT_TICK, "tick", "-")
@@ -551,16 +566,18 @@ class Kernel:
             return
         self._continue_thread(cpu, thread)
 
-    def _complete_due_bursts(self) -> None:
+    def _complete_due_bursts(self, horizon: int | None) -> None:
         for cpu in self.scheduler.cpus:
             if cpu.current is not None and cpu.busy_until == self.now:
                 thread = cpu.current
                 thread.pending_compute = 0
                 cpu.busy_until = None
                 cpu.burst_start = None
-                self._continue_thread(cpu, thread)
+                self._continue_thread(cpu, thread, horizon)
 
-    def _continue_thread(self, cpu: Cpu, thread: SimThread) -> None:
+    def _continue_thread(
+        self, cpu: Cpu, thread: SimThread, horizon: int | None = None
+    ) -> None:
         """Advance a thread that has finished burning CPU."""
         if thread.resume_action is not None:
             if not self._attempt_reacquire(cpu, thread):
@@ -570,7 +587,7 @@ class Kernel:
                 cpu.burst_start = self.now
                 cpu.busy_until = self.now + thread.pending_compute
                 return
-        self._resume(cpu, thread)
+        self._resume(cpu, thread, horizon)
 
     def _attempt_reacquire(self, cpu: Cpu, thread: SimThread) -> bool:
         """Monitor (re)acquisition after a wake — post-CV-wake, or after
@@ -604,9 +621,17 @@ class Kernel:
         monitor.entry_queue.append(thread)
         return False
 
-    def _resume(self, cpu: Cpu, thread: SimThread) -> None:
-        """Drive the generator through zero-time traps until it burns CPU,
-        blocks, yields, or finishes."""
+    def _resume(self, cpu: Cpu, thread: SimThread, horizon: int | None) -> None:
+        """Drive the generator through zero-time traps until it blocks,
+        yields, finishes, or starts a CPU burst the loop must complete.
+
+        ``horizon`` is the ``t_end`` of a ``run_until`` without
+        ``stop_when``, passed on the burst-completion path only.  With
+        it, a burst that ends by the horizon and before anything else
+        the loop would do is burned here: the clock jumps to its end and
+        the same generator runs on (``_burns_inline``).  Any other burst
+        is left on the CPU (``busy_until``) for the loop to complete.
+        """
         while True:
             if self._maybe_preempt(cpu, thread):
                 return
@@ -638,17 +663,69 @@ class Kernel:
             if outcome is _Outcome.BURN:
                 if self._maybe_preempt(cpu, thread):
                     return
+                end = self.now + thread.pending_compute
+                if (
+                    horizon is not None
+                    and end <= horizon
+                    and self._burns_inline(cpu, end)
+                ):
+                    self.now = end
+                    thread.pending_compute = 0
+                    continue
                 cpu.burst_start = self.now
-                cpu.busy_until = self.now + thread.pending_compute
+                cpu.busy_until = end
                 return
             # CONTINUE: handle the next trap at the same instant.
+
+    def _burns_inline(self, cpu: Cpu, end: int) -> bool:
+        """True if, from now until ``end``, the loop would do nothing but
+        complete this CPU's burst, so ``_resume`` may burn it unobserved.
+
+        Called with the clock at the burst's start, after
+        ``_maybe_preempt`` declined.  Each refusal keeps an instant the
+        loop must visit: this instant's tick (it runs after the burst
+        completions), an event or a needed tick before ``end``, a due
+        watchdog sweep, and on a multiprocessor another CPU's burst
+        ending first (or at ``end``, where CPU index order decides), its
+        preemption by a thread readied now, or an idle CPU's dispatch
+        (``take_next`` also clears a stale donation).  An event at
+        exactly ``end`` is fine: it fires after the thread resumes there
+        either way.
+        """
+        if self._on_tick_boundary():
+            return False
+        t_event = self.events.next_time()
+        if t_event is not None and t_event < end:
+            return False
+        if self._tick_needed() and self._next_boundary() < end:
+            return False
+        watchdog = self.watchdog
+        if watchdog is not None and self.now >= watchdog.next_sweep:
+            return False
+        scheduler = self.scheduler
+        if len(scheduler.cpus) > 1:
+            for other in scheduler.cpus:
+                if other is cpu:
+                    continue
+                running = other.current
+                if running is None:
+                    if scheduler.ready_count() or other.donee is not None:
+                        return False
+                elif other.busy_until <= end or (
+                    other.donee is not running
+                    and scheduler.would_preempt(running.priority)
+                ):
+                    return False
+        return True
 
     def _maybe_preempt(self, cpu: Cpu, thread: SimThread) -> bool:
         """Strict-priority preemption, unless a donation pins the thread.
 
         Called at the top of every ``_resume`` iteration — i.e. once per
         trap — so the no-preemption fast path is a single comparison
-        against the scheduler's cached best-ready priority.
+        against the scheduler's cached best-ready priority.  The loop's
+        per-instant ``_check_preemption`` calls it too, for threads in
+        the middle of a burst.
         """
         scheduler = self.scheduler
         if scheduler.best_ready <= thread.priority:
@@ -657,6 +734,7 @@ class Kernel:
             return False
         self.stats.preemptions += 1
         thread.stats.preemptions += 1
+        self._interrupt_burst(cpu)  # a no-op inside _resume: no burst yet
         self._off_cpu(cpu, thread)
         # Preempted threads keep their round-robin place: queue front.
         scheduler.make_ready(thread, front=True)
@@ -667,22 +745,8 @@ class Kernel:
     def _check_preemption(self) -> None:
         for cpu in self.scheduler.cpus:
             thread = cpu.current
-            if thread is None:
-                continue
-            self._interrupt_burst_if_preempting(cpu, thread)
-
-    def _interrupt_burst_if_preempting(self, cpu: Cpu, thread: SimThread) -> None:
-        if cpu.donee is thread:
-            return
-        if not self.scheduler.would_preempt(thread.priority):
-            return
-        self._interrupt_burst(cpu)
-        self.stats.preemptions += 1
-        thread.stats.preemptions += 1
-        self._off_cpu(cpu, thread)
-        self.scheduler.make_ready(thread, front=True)
-        if self._trace_switch:
-            self.tracer.record(self.now, instr.CAT_SWITCH, "preempt", thread.name)
+            if thread is not None:
+                self._maybe_preempt(cpu, thread)
 
     def _interrupt_burst(self, cpu: Cpu) -> None:
         """Account a partially-completed compute burst."""
@@ -888,9 +952,6 @@ class Kernel:
         if any(t.state is ThreadState.RECEIVING for t in live):
             return False
         return any(t.state in self._DEADLOCK_STATES for t in live)
-
-    def _deadlock_report(self) -> str:
-        return str(self._make_deadlock())
 
     def _make_deadlock(self) -> Deadlock:
         """Build the global-wedge :class:`Deadlock` with diagnosis rows.

@@ -307,6 +307,37 @@ class TestRunBoundaries:
             kernel.post_at(msec(50), lambda k: None)
         kernel.shutdown()
 
+    def test_post_every_start_in_past_rejected(self):
+        # A past start would fire with the clock running backwards.
+        kernel = make_kernel()
+        kernel.run_until(msec(100))
+        with pytest.raises(ValueError, match="past"):
+            kernel.post_every(
+                msec(10), lambda k: None, start=msec(20), until=msec(200)
+            )
+        kernel.shutdown()
+
+    def test_revisited_boundary_instant_ticks_once(self):
+        # An event that posts another event at its own instant makes the
+        # loop visit 100 ms twice; only 4 boundaries pass in 200 ms.
+        kernel = make_kernel(quantum=msec(50))
+
+        def spinner():
+            while True:
+                yield p.Compute(msec(7))
+
+        def napper():
+            while True:
+                yield p.Pause(msec(1))
+
+        kernel.fork_root(spinner)
+        kernel.fork_root(spinner)
+        kernel.fork_root(napper)
+        kernel.post_at(msec(100), lambda k: k.post_at(k.now, lambda k: None))
+        kernel.run_for(msec(200))
+        assert kernel.stats.ticks == 4
+        kernel.shutdown()
+
     def test_post_every_until_bound(self):
         kernel = make_kernel()
         fired = []
