@@ -50,7 +50,7 @@ races:
 # Seeded fault-injection sweep with the waits-for watchdog and invariant
 # checks; writes the JSON report (see docs/ROBUSTNESS.md).
 chaos:
-	PYTHONPATH=src python -m repro chaos --smoke --output chaos-report.json
+	PYTHONPATH=src python -m repro --seed 0 chaos --smoke --output chaos-report.json
 
 # Systematic schedule exploration: find the directed scenarios' bugs,
 # shrink each to a minimal replayable trace, write the JSON report (see

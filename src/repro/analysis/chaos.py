@@ -3,25 +3,24 @@
 ``python -m repro chaos`` runs entries of the scenario catalogue
 (:mod:`repro.analysis.scenarios`) under seeded :class:`FaultPlan`s —
 stolen NOTIFYs, spurious wakeups, feigned FORK failures, thread kills,
-timer jitter — with the waits-for watchdog on, and asserts the
-robustness invariants the paper's systems earned the hard way:
+timer jitter — and asserts the robustness invariants the paper's systems
+earned the hard way.
 
-* **No leaked monitor holds.**  Every monitor a live thread holds names
-  that thread as owner, and vice versa — even after injected kills,
-  because generator unwinding runs ``finally`` clauses.
-* **Stats reconcile.**  ``threads_created == threads_finished + live``,
-  and stack reservations track live threads exactly; after shutdown both
-  ``live_threads`` and ``stack_bytes`` are zero.
-* **Every partial deadlock is detected.**  After each run an independent
-  brute-force scan of the waits-for graph (straight from thread state,
-  sharing no bookkeeping with the watchdog) finds the cycles; each must
-  already be in the watchdog's reports.
+Chaos has no run loop of its own.  Each run is one recorded schedule of
+the explore harness (:func:`repro.explore.driver.run_schedule`) on the
+entry with the sampled plan and a fixed :data:`CHAOS_RUN` horizon, so
+the watchdog, the early stop, the race detector (where the entry asks
+for it) and the invariant battery are the ones exploration uses:
+
+* **No leaked monitor holds**, **stats reconcile** and **every partial
+  deadlock is detected** — :func:`repro.explore.driver.check_invariants`;
+  after shutdown ``live_threads`` and ``stack_bytes`` must be zero.
 * **Directed deadlocks are found while the system lives.**  Two
   entries wedge a thread pair on purpose — one via the §5.3
   IF-instead-of-WHILE anti-pattern sprung by an injected spurious
-  wakeup, one via a plain ABBA lock cycle — and the sweep asserts the
-  watchdog reported exactly that cycle while an unrelated daemon kept
-  running.
+  wakeup, one via a plain ABBA lock cycle.  A deadlock entry's own
+  check reports the watchdog's cycle only while an unrelated thread is
+  still live, and chaos requires that report.
 * **Each clean entry's own check holds.**  The directed cluster and
   cache entries assert what the generic invariants cannot see: a wedged
   shard trips the breaker and is congestion, not deadlock; a killed
@@ -34,21 +33,23 @@ robustness invariants the paper's systems earned the hard way:
 Directed runs are the ``chaos``-tagged entries (or a ``--scenario``
 selection) under their own plan; sampled runs cycle through the
 ``sweep``-tagged entries.  The sweep is a pure function of its seed; the
-JSON report it writes is the CI artifact.
+JSON report it writes is the CI artifact, and a failing run's recorded
+schedule is saved next to it for ``python -m repro explore --replay``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.analysis.faults import FaultPlan
 from repro.analysis.scenarios import EXPECT_DEADLOCK, Scenario, resolve
-from repro.analysis.watchdog import waits_on
-from repro.kernel import Kernel, KernelConfig, msec, sec
+from repro.explore.driver import ScheduleOutcome, run_schedule
+from repro.explore.trace import ScheduleController
+from repro.kernel import msec, sec
 from repro.kernel.rng import DeterministicRng
-from repro.kernel.thread import ThreadState
 
 #: Simulated time per chaos run.
 CHAOS_RUN = sec(1)
@@ -83,115 +84,6 @@ def plan_dict(plan: FaultPlan) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Invariant checks
-# ---------------------------------------------------------------------------
-
-def _brute_force_cycles(kernel: Kernel) -> list[frozenset[int]]:
-    """Independent waits-for cycle scan, sharing no state with the
-    watchdog: every live thread is a start node, every edge re-derived."""
-    cycles: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for start in kernel.threads.values():
-        if not start.alive:
-            continue
-        path: list[int] = []
-        on_path: set[int] = set()
-        node = start
-        while node is not None and node.tid not in on_path:
-            path.append(node.tid)
-            on_path.add(node.tid)
-            node = waits_on(node)
-        if node is not None:
-            cycle = frozenset(path[path.index(node.tid):])
-            if cycle not in seen:
-                seen.add(cycle)
-                cycles.append(cycle)
-    return cycles
-
-
-def check_invariants(kernel: Kernel, *, expect_deadlock: bool) -> list[str]:
-    """All post-run invariant checks; returns human-readable violations."""
-    failures: list[str] = []
-    stats = kernel.stats
-
-    # 1. Monitor-hold consistency (no leaks through kills/unwinds).
-    monitors: dict[int, Any] = {}
-    for thread in kernel.threads.values():
-        for monitor in thread.held_monitors:
-            monitors[monitor.uid] = monitor
-            if not thread.alive:
-                failures.append(
-                    f"dead thread {thread.name!r} still lists "
-                    f"monitor {monitor.name!r} as held"
-                )
-            elif monitor.owner is not thread:
-                failures.append(
-                    f"{thread.name!r} holds {monitor.name!r} but its owner "
-                    f"is {getattr(monitor.owner, 'name', None)!r}"
-                )
-        candidate = thread.blocked_on
-        if hasattr(candidate, "entry_queue") and hasattr(candidate, "owner"):
-            monitors[candidate.uid] = candidate
-    for monitor in monitors.values():
-        owner = monitor.owner
-        if owner is not None and monitor not in owner.held_monitors:
-            failures.append(
-                f"monitor {monitor.name!r} names owner {owner.name!r} "
-                "which does not hold it"
-            )
-
-    # 2. Thread accounting reconciles.
-    live = [t for t in kernel.threads.values() if t.alive]
-    if stats.live_threads != len(live):
-        failures.append(
-            f"live_threads={stats.live_threads} but {len(live)} threads alive"
-        )
-    if stats.threads_created != stats.threads_finished + stats.live_threads:
-        failures.append(
-            f"created={stats.threads_created} != finished="
-            f"{stats.threads_finished} + live={stats.live_threads}"
-        )
-    expected_stack = stats.live_threads * kernel.config.stack_reservation
-    if stats.stack_bytes != expected_stack:
-        failures.append(
-            f"stack_bytes={stats.stack_bytes} != live*reservation="
-            f"{expected_stack}"
-        )
-
-    # 3. Every partial deadlock detected: force a final sweep, then scan
-    # independently and require containment.
-    watchdog = kernel.watchdog
-    if watchdog is not None:
-        watchdog.check(kernel.now)
-        reported = {report.tids for report in watchdog.deadlocks}
-        for cycle in _brute_force_cycles(kernel):
-            if cycle not in reported:
-                names = sorted(
-                    kernel.threads[tid].name for tid in cycle
-                )
-                failures.append(f"undetected waits-for cycle: {names}")
-
-    # 4. Directed scenarios: the wedge must exist, be reported, and be
-    # *partial* — a bystander still making progress.
-    if expect_deadlock:
-        if watchdog is None or not watchdog.deadlocks:
-            failures.append("expected a partial deadlock; watchdog found none")
-        else:
-            wedged = set().union(*(r.tids for r in watchdog.deadlocks))
-            bystanders = [
-                t for t in live
-                if t.tid not in wedged
-                and t.state in (ThreadState.READY, ThreadState.RUNNING,
-                                ThreadState.SLEEPING)
-            ]
-            if not bystanders:
-                failures.append(
-                    "deadlock detected but no unrelated thread is still live"
-                )
-    return failures
-
-
-# ---------------------------------------------------------------------------
 # The sweep
 # ---------------------------------------------------------------------------
 
@@ -213,6 +105,29 @@ class RunRecord:
         return not self.failures
 
 
+def chaos_entry(scenario: Scenario, plan: FaultPlan) -> Scenario:
+    """The catalogue entry as chaos runs it: under ``plan``, for
+    :data:`CHAOS_RUN`."""
+    return replace(scenario, plan=plan, horizon=CHAOS_RUN)
+
+
+def chaos_failures(scenario: Scenario, outcome: ScheduleOutcome) -> list[str]:
+    """Chaos's verdict on one run: every harness failure, plus the
+    entry's own check for a clean entry; a deadlock entry must instead
+    show its check's partial deadlock.  An entry that expects a
+    violation only some schedules show is explore's business."""
+    failures = list(outcome.harness_failures)
+    if scenario.expect is None and outcome.violation is not None:
+        failures.append(outcome.violation)
+    elif scenario.expect == EXPECT_DEADLOCK and outcome.violation is None:
+        failures.append(
+            "deadlock detected but no unrelated thread is still live"
+            if outcome.deadlocks
+            else "expected a partial deadlock; watchdog found none"
+        )
+    return failures
+
+
 def run_one(
     scenario: Scenario,
     plan: FaultPlan,
@@ -221,59 +136,28 @@ def run_one(
     trace_dir: str | None = None,
     controller: Any = None,
 ) -> RunRecord:
-    """One chaos run: build, run, sweep, check, shut down.
+    """One chaos run: :func:`run_schedule` on :func:`chaos_entry`, then
+    :func:`chaos_failures`.
 
-    Every run records its schedule through a :class:`ScheduleController`
-    (with default tails, so directed runs stay byte-identical — the
-    disarmed seams decide nothing); a replay passes its own forcing
-    ``controller`` instead.  When ``trace_dir`` is given and the run
-    fails an invariant, the recorded :class:`DecisionTrace` is saved
-    there so ``repro explore --replay`` can reproduce the exact run.
-    The entry's ``check`` counts only for a clean entry (``expect`` is
-    None); a deadlock entry must instead show a reported partial
-    deadlock.
+    The schedule is recorded through a default-tail
+    :class:`ScheduleController` (``controller`` replaces it), which
+    changes nothing about the run.  When ``trace_dir`` is given and the
+    run fails, the recorded :class:`DecisionTrace` is saved there so
+    ``repro explore --replay`` can reproduce the exact run.
     """
-    from repro.explore.trace import ScheduleController
-
     recorder = controller or ScheduleController()
-    config = KernelConfig(
-        seed=seed, fault_plan=plan, watchdog=True,
-        schedule_controller=recorder,
-    )
-    kernel, shutdown = scenario.build(config)
+    entry = chaos_entry(scenario, plan)
+    outcome = run_schedule(entry, recorder, seed=seed)
     record = RunRecord(
-        scenario=scenario.name, plan=plan_dict(plan), seed=seed
+        scenario=scenario.name,
+        plan=plan_dict(plan),
+        seed=seed,
+        faults=outcome.faults,
+        deadlocks=outcome.deadlocks,
+        starvation=outcome.starvation,
+        failures=chaos_failures(entry, outcome),
     )
-    try:
-        try:
-            kernel.run_until(CHAOS_RUN, raise_on_deadlock=False)
-        except Exception as error:  # noqa: BLE001 - a fault surfaced a
-            # workload bug (e.g. a monitor held without try/finally when a
-            # kill unwound it); that is a finding, not a harness crash.
-            record.failures.append(f"run aborted: {error!r}")
-        record.faults = dict(kernel.stats.fault_counts)
-        record.deadlocks = len(kernel.watchdog.deadlocks)
-        record.starvation = len(kernel.watchdog.starvation)
-        record.failures.extend(check_invariants(
-            kernel, expect_deadlock=scenario.expect == EXPECT_DEADLOCK
-        ))
-        if scenario.expect is None:
-            record.failures.extend(scenario.check(kernel))
-    finally:
-        shutdown()
-    # 5. Post-shutdown: everything returned.
-    stats = kernel.stats
-    if stats.live_threads != 0:
-        record.failures.append(
-            f"after shutdown: live_threads={stats.live_threads}"
-        )
-    if stats.stack_bytes != 0:
-        record.failures.append(
-            f"after shutdown: stack_bytes={stats.stack_bytes}"
-        )
     if record.failures and trace_dir is not None:
-        import os
-
         recorder.trace.meta.update(
             scenario=scenario.name, seed=seed, plan=record.plan,
             kill_immune=list(plan.kill_immune),

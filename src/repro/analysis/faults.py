@@ -9,7 +9,7 @@ Section 5.4; timeout slop, Section 6.3).  This module makes those failure
 modes reproducible on demand so the robustness claims can be tested
 instead of assumed.
 
-Five fault kinds, each driven by its own RNG stream:
+Five fault kinds:
 
 * ``drop_notify`` — a NOTIFY that would have woken a waiter is stolen;
   correct WAIT-in-a-loop code with a timeout recovers, IF-based code
@@ -25,19 +25,30 @@ Five fault kinds, each driven by its own RNG stream:
 * ``timer_jitter`` — a timed wait's deadline is pushed later by a
   bounded random amount, modelling coarse timeout granularity.
 
-Determinism contract: the injector draws from streams forked off the
-kernel seed under per-kind labels.  ``DeterministicRng.fork`` is pure
-(CRC32 of seed+label, no parent draws) and ``chance(p)`` consumes no
-state when ``p <= 0``, so a plan with every rate at zero is trace- and
-stats-identical to running with no plan at all, and turning one fault
-kind on never perturbs another kind's schedule of draws.  The regression
-test ``tests/test_faults.py`` pins both properties.
+Determinism contract: every fault decision draws from a fresh stream
+forked off the kernel's ``faults`` stream under ``f"{kind}:{seq}"``.
+``kind`` names the decision (``drop_notify``, ``fork_fail``,
+``timer_jitter``, ``spurious``, ``spurious_victim``, ``kill``,
+``kill_victim``; its controller site is ``fault.<kind>``) and ``seq``
+counts that kind's earlier decisions with more than one choice.
+``DeterministicRng.fork`` is pure (CRC32 of seed+label, no
+parent draws), so a decision's default depends on nothing but its kind
+and number.  Three properties follow, and ``tests/test_faults.py`` pins
+them:
+
+* a plan with every rate at zero decides nothing, so it is trace- and
+  stats-identical to running with no plan at all;
+* turning one fault kind on never perturbs another kind's draws;
+* with a :class:`~repro.explore.trace.ScheduleController` attached,
+  decisions are numbered by the controller in exactly the same way, so
+  a recorded run equals an uncontrolled one, and forcing an earlier
+  decision leaves every later default where it was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
@@ -125,22 +136,13 @@ class FaultInjector:
         self.kernel = kernel
         self.plan = plan
         #: Schedule-exploration seam, or None.  When present, every
-        #: fault decision is routed through ``controller.decide`` with a
-        #: *per-decision* forked default stream (``fork(f"{kind}:{seq}")``)
-        #: instead of the sequential per-run streams below.  Sequential
-        #: streams shift when exploration forces an earlier decision
-        #: (the forced site consumes no draw), so a minimized trace
-        #: would replay against a different fault tail; a per-decision
-        #: fork depends only on (kind, seq) and stays put.
+        #: fault decision is routed through ``controller.decide`` at site
+        #: ``fault.<kind>``, which numbers it and may force it.
         self.controller = kernel.controller
         self._rng = rng
-        # One stream per fault kind so enabling one kind does not shift
-        # another kind's draw sequence.
-        self._notify_rng = rng.fork("notify")
-        self._spurious_rng = rng.fork("spurious")
-        self._fork_rng = rng.fork("fork")
-        self._kill_rng = rng.fork("kill")
-        self._timer_rng = rng.fork("timer")
+        #: Per-kind decision counts, kept only when no controller numbers
+        #: the decisions.
+        self._seq: dict[str, int] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -153,158 +155,103 @@ class FaultInjector:
 
             kernel.tracer.record(kernel.now, CAT_FAULT, kind, thread_name, detail)
 
-    # -- per-decision default streams (exploration seam) -------------------
+    # -- the one decision path ---------------------------------------------
 
-    def _forked_chance(self, kind: str, prob: float):
-        """Default for a boolean fault decision: a fresh stream derived
-        from (kind, seq) alone, so forcing any earlier decision leaves
-        this draw untouched."""
+    def _decide(
+        self,
+        kind: str,
+        n: int,
+        draw: "Callable[[DeterministicRng], int]",
+        labels: tuple[str, ...] = (),
+    ) -> int:
+        """Resolve one fault decision over ``n`` choices.
+
+        The default is ``draw`` over a fresh stream forked from the
+        decision's kind and its per-kind sequence number, so it depends
+        on nothing else in the run.  The controller numbers decisions
+        itself; without one, they are numbered here the same way (only
+        decisions with more than one choice count), so attaching a
+        recording controller changes nothing.
+        """
         base = self._rng
 
         def default(seq: int) -> int:
-            return int(base.fork(f"{kind}:{seq}").chance(prob))
+            return draw(base.fork(f"{kind}:{seq}"))
 
-        return default
+        if self.controller is not None:
+            return self.controller.decide(f"fault.{kind}", n, default, labels)
+        if n <= 1:
+            return 0
+        seq = self._seq.get(kind, 0)
+        self._seq[kind] = seq + 1
+        return default(seq)
 
-    def _forked_pick(self, kind: str, n: int):
-        """Default for a victim-choice decision: uniform over ``n``."""
-        base = self._rng
-
-        def default(seq: int) -> int:
-            return base.fork(f"{kind}:{seq}").randint(0, n - 1)
-
-        return default
+    def _fires(self, kind: str, prob: float, labels: tuple[str, ...] = ()) -> bool:
+        """A boolean fault decision: inject with probability ``prob``."""
+        return bool(
+            self._decide(kind, 2, lambda stream: int(stream.chance(prob)), labels)
+        )
 
     # -- trap-site decisions ----------------------------------------------
 
     def steal_notify(self) -> bool:
         """Decide whether this NOTIFY (which has waiters) wakes nobody."""
         prob = self.plan.drop_notify_prob
-        if self.controller is not None:
-            if prob <= 0.0:
-                return False  # disarmed seam: no decision recorded
-            return bool(
-                self.controller.decide(
-                    "fault.drop_notify", 2, self._forked_chance("drop_notify", prob)
-                )
-            )
-        return self._notify_rng.chance(prob)
+        return prob > 0.0 and self._fires("drop_notify", prob)
 
     def fail_fork(self) -> bool:
         """Decide whether this FORK is denied for (feigned) resources."""
         prob = self.plan.fork_fail_prob
-        if self.controller is not None:
-            if prob <= 0.0:
-                return False
-            return bool(
-                self.controller.decide(
-                    "fault.fork_fail", 2, self._forked_chance("fork_fail", prob)
-                )
-            )
-        return self._fork_rng.chance(prob)
+        return prob > 0.0 and self._fires("fork_fail", prob)
 
     def timer_jitter(self) -> int:
-        """Extra microseconds to push a timed-wait deadline later."""
-        plan = self.plan
-        if plan.timer_jitter_max == 0:
+        """Extra microseconds to push a timed-wait deadline later: one
+        decision carrying the amount (0 = no jitter, j = +j µs)."""
+        prob, most = self.plan.timer_jitter_prob, self.plan.timer_jitter_max
+        if most == 0 or prob <= 0.0:
             return 0
-        if self.controller is not None:
-            if plan.timer_jitter_prob <= 0.0:
-                return 0
-            # One decision carrying the amount: 0 = no jitter, j = +j µs.
-            return self.controller.decide(
-                "fault.timer_jitter",
-                plan.timer_jitter_max + 1,
-                self._forked_jitter(),
-            )
-        if not self._timer_rng.chance(plan.timer_jitter_prob):
-            return 0
-        return self._timer_rng.randint(1, plan.timer_jitter_max)
 
-    def _forked_jitter(self):
-        base, plan = self._rng, self.plan
+        def draw(stream: "DeterministicRng") -> int:
+            return stream.randint(1, most) if stream.chance(prob) else 0
 
-        def default(seq: int) -> int:
-            stream = base.fork(f"timer_jitter:{seq}")
-            if not stream.chance(plan.timer_jitter_prob):
-                return 0
-            return stream.randint(1, plan.timer_jitter_max)
-
-        return default
+        return self._decide("timer_jitter", most + 1, draw)
 
     # -- tick-driven faults ------------------------------------------------
 
     def on_tick(self) -> None:
         """Called by the kernel from every scheduler tick."""
         plan = self.plan
+        kernel = self.kernel
         if plan.spurious_wakeup_prob > 0.0:
-            if self.controller is not None:
-                self._controlled_spurious()
-            elif self._spurious_rng.chance(plan.spurious_wakeup_prob):
-                victim = self._pick_cv_waiter()
-                if victim is not None:
-                    self.kernel._inject_spurious_wake(victim)
+            self._tick_fault(
+                "spurious", plan.spurious_wakeup_prob, self._cv_waiters(),
+                kernel._inject_spurious_wake,
+            )
         if plan.kill_thread_prob > 0.0:
-            if self.controller is not None:
-                self._controlled_kill()
-            elif self._kill_rng.chance(plan.kill_thread_prob):
-                victim = self._pick_kill_target()
-                if victim is not None:
-                    self.kernel._inject_kill(victim)
-
-    def _controlled_spurious(self) -> None:
-        """Spurious wake as two decisions: fire?, then which waiter.
-
-        Unlike the legacy path (which burns a chance draw even with no
-        waiters), decisions only exist when there is a real choice —
-        the trace stays as short as the schedule's actual freedom.
-        """
-        waiters = self._cv_waiters()
-        if not waiters:
-            return
-        names = tuple(t.name for t in waiters)
-        fired = self.controller.decide(
-            "fault.spurious",
-            2,
-            self._forked_chance("spurious", self.plan.spurious_wakeup_prob),
-            labels=names,
-        )
-        if not fired:
-            return
-        victim = waiters[0]
-        if len(waiters) > 1:
-            index = self.controller.decide(
-                "fault.spurious_victim",
-                len(waiters),
-                self._forked_pick("spurious_victim", len(waiters)),
-                labels=names,
+            self._tick_fault(
+                "kill", plan.kill_thread_prob, self._kill_targets(),
+                kernel._inject_kill,
             )
-            victim = waiters[index]
-        self.kernel._inject_spurious_wake(victim)
 
-    def _controlled_kill(self) -> None:
-        targets = self._kill_targets()
-        if not targets:
+    def _tick_fault(
+        self,
+        kind: str,
+        prob: float,
+        candidates: "list[SimThread]",
+        inject: "Callable[[SimThread], None]",
+    ) -> None:
+        """Two decisions, each only where there is a real choice: fire?,
+        then (among several candidates) which victim."""
+        if not candidates:
             return
-        names = tuple(t.name for t in targets)
-        fired = self.controller.decide(
-            "fault.kill",
-            2,
-            self._forked_chance("kill", self.plan.kill_thread_prob),
-            labels=names,
+        names = tuple(t.name for t in candidates)
+        if not self._fires(kind, prob, names):
+            return
+        n = len(candidates)
+        index = self._decide(
+            f"{kind}_victim", n, lambda stream: stream.randint(0, n - 1), names
         )
-        if not fired:
-            return
-        victim = targets[0]
-        if len(targets) > 1:
-            index = self.controller.decide(
-                "fault.kill_victim",
-                len(targets),
-                self._forked_pick("kill_victim", len(targets)),
-                labels=names,
-            )
-            victim = targets[index]
-        self.kernel._inject_kill(victim)
+        inject(candidates[index])
 
     def _cv_waiters(self) -> "list[SimThread]":
         from repro.kernel.thread import ThreadState
@@ -314,12 +261,6 @@ class FaultInjector:
             for t in self.kernel.threads.values()
             if t.state is ThreadState.WAITING_CV
         ]
-
-    def _pick_cv_waiter(self) -> "SimThread | None":
-        waiters = self._cv_waiters()
-        if not waiters:
-            return None
-        return self._spurious_rng.choice(waiters)
 
     def _kill_targets(self) -> "list[SimThread]":
         from repro.kernel.thread import ThreadState
@@ -332,9 +273,3 @@ class FaultInjector:
             and t.pending_throw is None
             and not any(t.name.startswith(p) for p in immune)
         ]
-
-    def _pick_kill_target(self) -> "SimThread | None":
-        targets = self._kill_targets()
-        if not targets:
-            return None
-        return self._kill_rng.choice(targets)

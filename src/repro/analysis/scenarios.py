@@ -41,6 +41,7 @@ from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.kernel.config import MODEL_PSO
 from repro.kernel.primitives import Enter, Exit, Notify, Wait
+from repro.kernel.thread import ThreadState
 from repro.memmodel.litmus import LITMUS_TESTS, MODELS, litmus_scenario
 from repro.server.model import TenantSpec
 from repro.server.world import build_server_world
@@ -54,11 +55,11 @@ from repro.workloads import build_cedar_world, build_gvx_world
 from repro.workloads.cedar import CEDAR_ACTIVITIES
 from repro.workloads.gvx import GVX_ACTIVITIES
 
-#: ``expect`` values.  A deadlock entry is engineered to wedge: chaos
-#: requires a watchdog-reported cycle with a live bystander, and its
-#: ``check`` reports that cycle as the violation explore must find.  A
-#: violation entry's ``check`` names a bug that only some schedules
-#: show, so explore must find it and chaos does not count it.
+#: ``expect`` values.  A deadlock entry is engineered to wedge: its
+#: ``check`` reports a watchdog cycle beside a live bystander, which
+#: chaos requires and explore must find.  A violation entry's ``check``
+#: names a bug that only some schedules show, so explore must find it
+#: and chaos does not count it.
 EXPECT_DEADLOCK = "deadlock"
 EXPECT_VIOLATION = "violation"
 
@@ -82,8 +83,8 @@ class Scenario:
     #: Scenario-specific failures over the finished kernel; with
     #: ``expect`` set they name the expected bug instead.
     check: Callable[[Kernel], list[str]] = _quiet
-    #: Run the dynamic race detector per explored schedule
-    #: (micro-scenarios only; the worlds are too hot for it).
+    #: Run the dynamic race detector on every harness run, chaos's
+    #: included (micro-scenarios only; the worlds are too hot for it).
     race_detection: bool = False
     tags: tuple[str, ...] = ()
     description: str = ""
@@ -93,13 +94,26 @@ class Scenario:
 # Shared checks
 # ---------------------------------------------------------------------------
 
+#: States of a bystander still making progress beside a deadlock.
+_BYSTANDER_STATES = (ThreadState.READY, ThreadState.RUNNING, ThreadState.SLEEPING)
+
+
 def _deadlock_found(kernel: Kernel) -> list[str]:
-    """The watchdog's first confirmed waits-for cycle, if any."""
-    if kernel.watchdog is not None and kernel.watchdog.deadlocks:
-        first = kernel.watchdog.deadlocks[0]
-        chain = " -> ".join(first.cycle + (first.cycle[0],))
-        return [f"partial deadlock at t={first.time}us: {chain}"]
-    return []
+    """The watchdog's first confirmed waits-for cycle, if the deadlock
+    is *partial*: some thread outside every reported cycle is still
+    ready, running or sleeping."""
+    watchdog = kernel.watchdog
+    if watchdog is None or not watchdog.deadlocks:
+        return []
+    wedged = set().union(*(report.tids for report in watchdog.deadlocks))
+    if not any(
+        t.tid not in wedged and t.state in _BYSTANDER_STATES
+        for t in kernel.threads.values()
+    ):
+        return []
+    first = watchdog.deadlocks[0]
+    chain = " -> ".join(first.cycle + (first.cycle[0],))
+    return [f"partial deadlock at t={first.time}us: {chain}"]
 
 
 def _track_minted(balancer) -> list:

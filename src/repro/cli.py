@@ -263,10 +263,10 @@ def _replay(trace, seed: int) -> bool:
     """Replay a saved decision trace through the scenario catalogue and
     print it.  True when the replayed decisions match the saved ones and
     the saved failure (if any) reproduces."""
-    from repro.analysis.chaos import run_one
+    from repro.analysis.chaos import chaos_entry, chaos_failures
     from repro.analysis.faults import FaultPlan
     from repro.analysis.scenarios import SCENARIOS
-    from repro.explore import ScheduleController, replay
+    from repro.explore import replay
 
     meta = trace.meta
     scenario = SCENARIOS.get(meta.get("scenario", ""))
@@ -275,23 +275,23 @@ def _replay(trace, seed: int) -> bool:
               file=sys.stderr)
         raise SystemExit(1)
     seed = int(meta.get("seed", seed))
-    if "failures" in meta:
-        # Saved by a failing chaos run: rerun it the way chaos ran it.
-        plan = FaultPlan(**meta["plan"],
-                         kill_immune=tuple(meta.get("kill_immune", ())))
-        controller = ScheduleController(force=trace.choices)
-        found = run_one(scenario, plan, seed, controller=controller).failures
-        replayed = controller.trace
+    # A failing chaos run saved its plan: rerun the entry the way chaos ran it.
+    from_chaos = "failures" in meta
+    if from_chaos:
+        scenario = chaos_entry(scenario, FaultPlan(
+            **meta["plan"], kill_immune=tuple(meta.get("kill_immune", ()))
+        ))
+    outcome = replay(scenario, trace.choices, seed=seed)
+    if from_chaos:
+        found = chaos_failures(scenario, outcome)
         reproduced = bool(set(found) & set(meta["failures"]))
     else:
-        outcome = replay(scenario, trace.choices, seed=seed)
         found = [outcome.violation] if outcome.violation else []
-        replayed = outcome.trace
         reproduced = bool(found) or not meta.get("violation")
-    print(replayed.render())
+    print(outcome.trace.render())
     for failure in found:
         print(f"violation: {failure}")
-    divergence = trace.divergence(replayed)
+    divergence = trace.divergence(outcome.trace)
     if divergence is not None:
         print(f"REPLAY DIVERGED: {divergence}")
     if not reproduced:

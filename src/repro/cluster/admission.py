@@ -28,9 +28,8 @@ per tenant plus virtual-finish-time weighted fair queueing across them:
 Everything is integer arithmetic on a monitor-protected structure using
 the same Mesa pattern as :class:`~repro.sync.queues.BoundedQueue`, and
 the class speaks the same protocol (``try_put``/``put``/``get``/
-``prune``/``len``/``rejects``/``max_depth``), so it drops into
-:class:`~repro.server.server.RpcServer` routing and the cluster balancer
-interchangeably with drop-tail.
+``prune``/``len``/``rejects``/``max_depth``), so the cluster balancer
+takes it and drop-tail interchangeably.
 
 :class:`TokenBucket` is the classic leaky-meter companion: a deterministic
 integer bucket refilled lazily from simulated time, used by the balancer

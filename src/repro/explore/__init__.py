@@ -13,8 +13,9 @@ Layers:
   :class:`ScheduleController` (the seam the kernel consults);
 * :mod:`repro.explore.strategies` — random walk, PCT, seed sweep,
   exhaustive bounded enumeration;
-* :mod:`repro.explore.driver` — the per-schedule invariant harness and
-  the exploration loop;
+* :mod:`repro.explore.driver` — the per-schedule harness every tool
+  runs entries through (chaos, explore, litmus, ``--replay``), its
+  invariant battery, and the one strategy loop;
 * :mod:`repro.explore.minimize` — prefix bisection + greedy
   sparsification down to a minimal forced schedule.
 

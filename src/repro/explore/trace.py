@@ -12,7 +12,8 @@ function of ``(config, seed, decisions)``:
 * **record** — no chooser, no forced choices: every site takes its
   *default* (exactly what the uncontrolled kernel would have done) and
   is appended to the trace.  A recorded run is byte-identical to an
-  uncontrolled one; the golden record/replay property test pins this.
+  uncontrolled one, fault decisions included; the golden record/replay
+  property test and the fault record-mode test pin this.
 * **drive** — a ``chooser`` callback (an exploration strategy) answers
   each :class:`DecisionPoint`, or returns None to take the default.
 * **replay** — ``force`` pins the first ``len(force)`` decisions, in

@@ -7,7 +7,11 @@ driver, so *every* source of nondeterminism (scheduler picks and
 ``mem.drain`` store-buffer commits alike) is enumerated rather than
 sampled.  Each test carries a pinned expected-outcome table per model;
 ``enumerate_litmus`` reports the reachable set, and any outcome outside
-the table is a violation (a soundness bug in the model).
+the table is a violation (a soundness bug in the model).  It drives the
+strategy through explore's own loop
+(:func:`repro.explore.driver.run_strategy`), so every schedule is one
+:func:`~repro.explore.driver.run_schedule` — the harness chaos and
+explore share, invariant battery included.
 
 What the tables show (see ``docs/MEMORY.md`` for the derivations):
 
@@ -339,7 +343,7 @@ def enumerate_litmus(
     an outcome outside it is a soundness violation regardless of
     strategy.
     """
-    from repro.explore.driver import run_schedule
+    from repro.explore.driver import run_strategy
     from repro.explore.strategies import make_strategy
 
     scenario, state = litmus_scenario(test_name, model)
@@ -347,25 +351,16 @@ def enumerate_litmus(
     result = LitmusResult(
         test=test_name, model=model, strategy=search.name, budget=budget
     )
-    for index in range(budget):
-        if search.exhausted:
-            result.exhausted = True
-            break
-        controller = search.controller(index)
-        outcome = run_schedule(
-            scenario, controller, seed=search.kernel_seed(index, seed), index=index
-        )
-        search.observe(outcome.trace)
+    for outcome in run_strategy(scenario, search, budget=budget, seed=seed):
         result.runs += 1
         registers = state.get("outcome")
         if outcome.harness_failures:
             result.harness_failures.append(
-                {"index": index, "failures": list(outcome.harness_failures)}
+                {"index": outcome.index, "failures": list(outcome.harness_failures)}
             )
         if outcome.violation is not None:
             result.forbidden.append((registers, outcome.violation))
         elif registers is not None and registers not in result.witnesses:
             result.witnesses[registers] = outcome
-    else:
-        result.exhausted = bool(search.exhausted)
+    result.exhausted = search.exhausted
     return result

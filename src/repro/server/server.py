@@ -77,18 +77,14 @@ class RpcServer:
         workers: int = 4,
         admission_capacity: int = 32,
         name: str = "server",
-        admission_policy: str = "drop_tail",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if admission_policy not in ("drop_tail", "wfq"):
-            raise ValueError(f"unknown admission policy {admission_policy!r}")
         self.world = world
         self.kernel = world.kernel
         self.tenants = {t.name: t for t in tenants}
         self.workers = workers
         self.name = name
-        self.admission_policy = admission_policy
         self.stats = ServerStats()
         #: Timed-get interval: one scheduler quantum, the kernel's
         #: timeout granularity — anything shorter rounds up to it anyway.
@@ -96,18 +92,7 @@ class RpcServer:
 
         self.net = world.add_device(f"{name}.net")
         self.ingress = UnboundedQueue(f"{name}.ingress")
-        if admission_policy == "wfq":
-            from repro.cluster.admission import WfqQueue
-
-            self.admission = WfqQueue(
-                f"{name}.admission",
-                max(1, admission_capacity // max(1, len(tenants))),
-                {t.name: t.weight for t in tenants},
-            )
-        else:
-            self.admission = BoundedQueue(
-                f"{name}.admission", admission_capacity
-            )
+        self.admission = BoundedQueue(f"{name}.admission", admission_capacity)
         self.serial_queues: dict[str, BoundedQueue] = {
             t.name: BoundedQueue(
                 f"{name}.serial.{t.name}", SERIAL_QUEUE_CAPACITY

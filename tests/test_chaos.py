@@ -20,8 +20,11 @@ from repro.analysis.chaos import (
     verify_golden,
     write_report,
 )
-from repro.analysis.scenarios import EXPECT_DEADLOCK, resolve
+from repro.analysis.scenarios import EXPECT_DEADLOCK, SCENARIOS, resolve
+from repro.kernel import Kernel, msec
+from repro.kernel.primitives import Enter, Exit, Pause
 from repro.kernel.rng import DeterministicRng
+from repro.sync.monitor import Monitor
 
 DIRECTED = resolve("chaos")
 SWEEP = resolve("sweep")
@@ -101,7 +104,7 @@ class TestPlanSampling:
 
 class TestInvariantChecker:
     def test_flags_a_missing_deadlock_report(self):
-        """check_invariants is itself checked: an expected deadlock that
+        """Chaos's verdict is itself checked: an expected deadlock that
         the watchdog missed must surface as a failure."""
         record = run_one(
             # A world never deadlocks.
@@ -110,6 +113,37 @@ class TestInvariantChecker:
             seed=0,
         )
         assert any("deadlock" in failure for failure in record.failures)
+
+    def test_flags_a_deadlock_with_no_live_bystander(self):
+        """A deadlock entry must wedge only *part* of the system: the
+        same ABBA cycle with no bystander thread beside it fails chaos."""
+
+        def abba_alone(config):
+            kernel = Kernel(config)
+            m_a, m_b = Monitor("alone.a"), Monitor("alone.b")
+
+            def grab(first, second):
+                def body():
+                    yield Enter(first)
+                    yield Pause(msec(10))
+                    yield Enter(second)
+                    yield Exit(second)
+                    yield Exit(first)
+
+                return body
+
+            kernel.fork_root(grab(m_a, m_b), name="first", priority=4)
+            kernel.fork_root(grab(m_b, m_a), name="second", priority=4)
+            return kernel, kernel.shutdown
+
+        scenario = dataclasses.replace(
+            SCENARIOS["abba"], name="abba-alone", build=abba_alone
+        )
+        record = run_one(scenario, FaultPlan(), seed=0)
+        assert record.deadlocks == 1
+        assert record.failures == [
+            "deadlock detected but no unrelated thread is still live"
+        ]
 
     def test_clean_kernel_passes(self):
         scenario = SWEEP[0]

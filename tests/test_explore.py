@@ -321,6 +321,24 @@ class TestStrategies:
             seen.append(outcome.trace.choices)
         assert seen == [[0], [1]]
 
+    def test_explore_reports_a_tree_exhausted_on_its_last_budgeted_schedule(
+        self,
+    ):
+        """SB under tso is a 240-schedule tree: a budget of exactly 240
+        visits all of it, so explore must say exhausted, as the litmus
+        enumerator does for the same search."""
+        from repro.memmodel.litmus import enumerate_litmus
+
+        result = explore(
+            SCENARIOS["litmus-sb-tso"], make_strategy("exhaustive"),
+            budget=240, seed=0,
+        )
+        assert result.ok
+        assert result.schedules_run == 240
+        assert result.exhausted is True
+        litmus = enumerate_litmus("sb", "tso", budget=240)
+        assert (litmus.runs, litmus.exhausted) == (240, True)
+
     def test_seed_sweep_varies_the_kernel_seed(self):
         strategy = make_strategy("seeds")
         assert strategy.kernel_seed(0, 7) == 7

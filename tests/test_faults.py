@@ -1,8 +1,10 @@
 """Seeded fault injection (repro.analysis.faults).
 
 Covers the determinism contract (zero-rate plan is byte-identical to no
-plan; per-kind RNG streams are independent and derived from a dedicated
-fork of the kernel seed) and each fault kind end to end: injected,
+plan; each decision draws from its own stream, forked by kind and
+sequence number off a dedicated fork of the kernel seed, so kinds are
+independent and a recording controller changes nothing) and each fault
+kind end to end: injected,
 counted in ``GlobalStats.fault_counts``, traced under ``CAT_FAULT``, and
 producing exactly the failure mode it models.
 """
@@ -11,9 +13,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.chaos import CHAOS_RUN, sample_plan
 from repro.analysis.faults import FaultInjector, FaultPlan
-from repro.analysis.golden import golden_run, load_golden
-from repro.analysis.scenarios import SCENARIOS
+from repro.analysis.golden import fingerprint, golden_run, load_golden
+from repro.analysis.scenarios import SCENARIOS, resolve
+from repro.explore import ScheduleController
 from repro.kernel import (
     ForkFailed,
     Kernel,
@@ -82,7 +86,7 @@ class TestDeterminism:
 
     def test_per_kind_streams_are_independent(self):
         """Draws of one fault kind must not shift another kind's
-        sequence: each kind owns a forked stream."""
+        sequence: each decision forks its own stream by kind and number."""
         k1 = make_kernel(seed=7, fault_plan=FaultPlan(drop_notify_prob=0.3))
         baseline = [k1.faults.steal_notify() for _ in range(64)]
         assert any(baseline) and not all(baseline)
@@ -116,14 +120,88 @@ class TestDeterminism:
 
     def test_injector_uses_the_dedicated_faults_fork(self):
         """Pins the stream derivation: kernel seed -> fork('faults') ->
-        fork per kind.  A regression here silently reseeds every chaos
-        run."""
+        one fork per decision, labelled by kind and sequence number.  A
+        regression here silently reseeds every chaos run."""
         kernel = make_kernel(
             seed=11, fault_plan=FaultPlan(drop_notify_prob=0.25)
         )
-        expected_stream = DeterministicRng(11).fork("faults").fork("notify")
-        expected = [expected_stream.chance(0.25) for _ in range(32)]
+        faults = DeterministicRng(11).fork("faults")
+        expected = [
+            faults.fork(f"drop_notify:{seq}").chance(0.25) for seq in range(32)
+        ]
+        assert any(expected) and not all(expected)
         assert [kernel.faults.steal_notify() for _ in range(32)] == expected
+
+
+def _sweep_runs():
+    """The sweep entries with the plans ``chaos --runs 13`` samples at
+    seed 0: run ``i`` is entry ``i`` under plan ``i`` at kernel seed
+    ``i``."""
+    rng = DeterministicRng(0).fork("chaos")
+    return [
+        pytest.param(scenario, sample_plan(rng), index, id=scenario.name)
+        for index, scenario in enumerate(resolve("sweep"))
+    ]
+
+
+class TestRecordModeUnderFaults:
+    @pytest.mark.parametrize("scenario,plan,seed", _sweep_runs())
+    def test_recording_controller_changes_nothing(self, scenario, plan, seed):
+        """Record mode is an uncontrolled run, faults included: the
+        injector numbers its decisions exactly as the controller does,
+        so attaching one moves no fault and no schedule."""
+
+        def run(controller):
+            kernel, shutdown = scenario.build(KernelConfig(
+                seed=seed, trace=True, fault_plan=plan, watchdog=True,
+                schedule_controller=controller,
+            ))
+            try:
+                kernel.run_until(CHAOS_RUN, raise_on_deadlock=False)
+                return fingerprint(kernel), dict(kernel.stats.fault_counts)
+            finally:
+                shutdown()
+
+        assert run(ScheduleController()) == run(None)
+
+    def test_a_single_candidate_victim_is_not_numbered(self):
+        """A victim pick among one candidate is no decision: the injector
+        must not number it, as the controller does not, or every later
+        victim pick would draw from another stream."""
+
+        def run(controller):
+            kernel = make_kernel(
+                seed=5, trace=True, schedule_controller=controller,
+                fault_plan=FaultPlan(spurious_wakeup_prob=1.0),
+            )
+            lock = Monitor("m")
+            cv = ConditionVariable(lock, "c")
+
+            def waiter(delay):
+                def body():
+                    yield p.Pause(delay)
+                    yield Enter(lock)
+                    try:
+                        while True:
+                            yield Wait(cv)
+                    finally:
+                        yield Exit(lock)
+
+                return body
+
+            kernel.fork_root(waiter(0), name="early")
+            for index in range(3):
+                kernel.fork_root(waiter(msec(200)), name=f"late{index}")
+            kernel.run_for(sec(1))
+            victims = [e.thread for e in kernel.tracer.events
+                       if e.category == CAT_FAULT]
+            kernel.shutdown()
+            return victims
+
+        uncontrolled = run(None)
+        assert uncontrolled[0] == "early"  # alone on the CV at first
+        assert len(set(uncontrolled)) > 2
+        assert run(ScheduleController()) == uncontrolled
 
 
 class TestDropNotify:
@@ -354,8 +432,9 @@ class TestKill:
 
 class TestTimerJitter:
     def test_jitter_delays_the_wake_deterministically(self):
-        """Replays the dedicated timer stream to predict the exact jitter,
-        then asserts the sleeper woke at exactly the jittered tick."""
+        """Replays the first timer decision's stream to predict the exact
+        jitter, then asserts the sleeper woke at exactly the jittered
+        tick."""
         seed, jitter_max = 3, msec(60)
         plan = FaultPlan(timer_jitter_prob=1.0, timer_jitter_max=jitter_max)
         kernel = make_kernel(seed=seed, fault_plan=plan)
@@ -370,7 +449,7 @@ class TestTimerJitter:
 
         # chance(1.0) short-circuits without drawing, so the jitter is the
         # stream's first randint.
-        stream = DeterministicRng(seed).fork("faults").fork("timer")
+        stream = DeterministicRng(seed).fork("faults").fork("timer_jitter:0")
         jitter = stream.randint(1, jitter_max)
         deadline = msec(45) + jitter
         quantum = kernel.config.quantum
