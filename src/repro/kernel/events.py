@@ -26,51 +26,33 @@ class EventHeap:
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, EventAction]] = []
-        self._seq = 0
-        self._cancelled: set[int] = set()
+        #: Events pushed so far.  Each push's count breaks time ties, and
+        #: the kernel reads it to learn that the heap may have gained an
+        #: earlier head (see ``Kernel._resume``).
+        self.pushes = 0
 
     def __len__(self) -> int:
-        return len(self._heap) - len(self._cancelled)
+        return len(self._heap)
 
-    def push(self, when: int, action: EventAction) -> int:
-        """Schedule ``action`` at absolute time ``when``; returns a token."""
+    def push(self, when: int, action: EventAction) -> None:
+        """Schedule ``action`` at absolute time ``when``."""
         if when < 0:
             raise ValueError("event time must be >= 0")
-        token = self._seq
-        self._seq += 1
-        heapq.heappush(self._heap, (when, token, action))
-        return token
-
-    def cancel(self, token: int) -> None:
-        """Cancel a scheduled event.  Cancelling twice is harmless."""
-        self._cancelled.add(token)
+        heapq.heappush(self._heap, (when, self.pushes, action))
+        self.pushes += 1
 
     def next_time(self) -> int | None:
         """The time of the earliest pending event, or None if empty."""
         heap = self._heap
-        if not self._cancelled:
-            # Hot path: nothing cancelled, so the heap head is live.
-            return heap[0][0] if heap else None
-        self._drop_cancelled()
-        if not heap:
-            return None
-        return heap[0][0]
+        return heap[0][0] if heap else None
 
     def pop_due(self, now: int) -> list[EventAction]:
         """Remove and return every action scheduled at or before ``now``.
 
         Returned in (time, insertion) order.
         """
+        heap = self._heap
         due: list[EventAction] = []
-        while self._heap and self._heap[0][0] <= now:
-            when, token, action = heapq.heappop(self._heap)
-            if token in self._cancelled:
-                self._cancelled.discard(token)
-                continue
-            due.append(action)
+        while heap and heap[0][0] <= now:
+            due.append(heapq.heappop(heap)[2])
         return due
-
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0][1] in self._cancelled:
-            __, token, __action = heapq.heappop(self._heap)
-            self._cancelled.discard(token)

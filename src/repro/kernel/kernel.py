@@ -211,6 +211,9 @@ class Kernel:
             Fence: self._h_fence,
         }
         self.memory = create_memory_model(self.config, self.rng.fork("memory"))
+        #: Fixed per kernel: only store-buffer memories have fences to
+        #: make and drains to offer, so under ``sc`` the traps skip both.
+        self._buffered = self.memory.buffered
         #: Passive race detector (Eraser lockset + happens-before), or
         #: None.  Imported lazily: analysis depends on the kernel, not
         #: vice versa, except through this optional observer.
@@ -274,11 +277,11 @@ class Kernel:
         """Create a device channel bound to this kernel."""
         return Channel(name).bind(self)
 
-    def post_at(self, when: int, action: Callable[["Kernel"], None]) -> int:
+    def post_at(self, when: int, action: Callable[["Kernel"], None]) -> None:
         """Run ``action(kernel)`` at absolute sim time ``when``."""
         if when < self.now:
             raise ValueError(f"cannot post into the past ({when} < {self.now})")
-        return self.events.push(when, action)
+        self.events.push(when, action)
 
     def post_every(
         self,
@@ -329,8 +332,8 @@ class Kernel:
         uses it to abandon dead schedules the moment a deadlock is
         confirmed instead of grinding ticks to the horizon.  It sees
         every instant a burst ends at because passing it turns inline
-        burning off (see ``_burns_inline``): the loop then completes
-        each burst itself, which makes ``stop_when=lambda k: False`` the
+        burning off (see ``_burn_limit``): the loop then completes each
+        burst itself, which makes ``stop_when=lambda k: False`` the
         reference path the inline one must match.
         """
         if t_end < self.now:
@@ -354,7 +357,8 @@ class Kernel:
                 action(self)
             if self.watchdog is not None:
                 self.watchdog.maybe_check(self.now)
-            self._check_preemption()
+            if self.scheduler.best_ready:  # else nothing can preempt
+                self._check_preemption()
             if stop_when is not None and stop_when(self):
                 stopped = True
                 break
@@ -627,13 +631,23 @@ class Kernel:
 
         ``horizon`` is the ``t_end`` of a ``run_until`` without
         ``stop_when``, passed on the burst-completion path only.  With
-        it, a burst that ends by the horizon and before anything else
-        the loop would do is burned here: the clock jumps to its end and
-        the same generator runs on (``_burns_inline``).  Any other burst
-        is left on the CPU (``busy_until``) for the loop to complete.
+        it, a burst that ends by the burn limit (``_burn_limit``) is
+        burned here: the clock jumps to its end and the same generator
+        runs on.  Any other burst is left on the CPU (``busy_until``)
+        for the loop to complete.
+
+        The limit is computed at the first burst and kept for the bursts
+        after it until an event is pushed or the best ready priority
+        moves (which also tells whether anything is ready): nothing else
+        it reads can change while this thread runs.
         """
+        scheduler = self.scheduler
+        events = self.events
+        limit = None
         while True:
-            if self._maybe_preempt(cpu, thread):
+            if scheduler.best_ready > thread.priority and self._maybe_preempt(
+                cpu, thread
+            ):
                 return
             try:
                 if thread.pending_throw is not None:
@@ -661,47 +675,55 @@ class Kernel:
             if outcome is _Outcome.SUSPEND:
                 return
             if outcome is _Outcome.BURN:
-                if self._maybe_preempt(cpu, thread):
+                if scheduler.best_ready > thread.priority and self._maybe_preempt(
+                    cpu, thread
+                ):
                     return
                 end = self.now + thread.pending_compute
-                if (
-                    horizon is not None
-                    and end <= horizon
-                    and self._burns_inline(cpu, end)
-                ):
-                    self.now = end
-                    thread.pending_compute = 0
-                    continue
+                if horizon is not None:
+                    if (
+                        limit is None
+                        or pushes != events.pushes
+                        or best != scheduler.best_ready
+                    ):
+                        limit = self._burn_limit(cpu, horizon)
+                        pushes = events.pushes
+                        best = scheduler.best_ready
+                    if limit is not None and end <= limit:
+                        self.now = end
+                        thread.pending_compute = 0
+                        continue
                 cpu.burst_start = self.now
                 cpu.busy_until = end
                 return
             # CONTINUE: handle the next trap at the same instant.
 
-    def _burns_inline(self, cpu: Cpu, end: int) -> bool:
-        """True if, from now until ``end``, the loop would do nothing but
-        complete this CPU's burst, so ``_resume`` may burn it unobserved.
+    def _burn_limit(self, cpu: Cpu, horizon: int) -> int | None:
+        """The latest instant to which ``_resume`` may burn a burst that
+        starts now on ``cpu``, or None if this instant's tick must run
+        first (it follows the burst completions and may rotate the
+        thread).
 
-        Called with the clock at the burst's start, after
-        ``_maybe_preempt`` declined.  Each refusal keeps an instant the
-        loop must visit: this instant's tick (it runs after the burst
-        completions), an event or a needed tick before ``end``, a due
-        watchdog sweep, and on a multiprocessor another CPU's burst
-        ending first (or at ``end``, where CPU index order decides), its
-        preemption by a thread readied now, or an idle CPU's dispatch
-        (``take_next`` also clears a stale donation).  An event at
-        exactly ``end`` is fine: it fires after the thread resumes there
-        either way.
+        Each bound keeps an instant the loop must visit: the horizon;
+        the next quantum boundary (the loop ticks on any boundary it
+        lands on); the next watchdog sweep (at or before now when one is
+        due); the next event (one exactly at the limit fires after the
+        thread resumes there either way); and on a multiprocessor
+        another CPU's burst ending (at the same instant, CPU index order
+        decides), its preemption by a thread readied now, or an idle
+        CPU's dispatch (``take_next`` also clears a stale donation).  A
+        burst may end on a bound but the next one cannot, so a limit
+        kept across bursts stops there too.  A limit earlier than needed
+        is safe: the loop completes the burst on the same schedule.
         """
         if self._on_tick_boundary():
-            return False
+            return None
+        limit = min(horizon, self._next_boundary())
+        if self.watchdog is not None:
+            limit = min(limit, self.watchdog.next_sweep)
         t_event = self.events.next_time()
-        if t_event is not None and t_event < end:
-            return False
-        if self._tick_needed() and self._next_boundary() < end:
-            return False
-        watchdog = self.watchdog
-        if watchdog is not None and self.now >= watchdog.next_sweep:
-            return False
+        if t_event is not None and t_event < limit:
+            limit = t_event
         scheduler = self.scheduler
         if len(scheduler.cpus) > 1:
             for other in scheduler.cpus:
@@ -710,20 +732,21 @@ class Kernel:
                 running = other.current
                 if running is None:
                     if scheduler.ready_count() or other.donee is not None:
-                        return False
-                elif other.busy_until <= end or (
-                    other.donee is not running
-                    and scheduler.would_preempt(running.priority)
+                        return None
+                elif other.donee is not running and scheduler.would_preempt(
+                    running.priority
                 ):
-                    return False
-        return True
+                    return None
+                else:
+                    limit = min(limit, other.busy_until - 1)
+        return limit
 
     def _maybe_preempt(self, cpu: Cpu, thread: SimThread) -> bool:
         """Strict-priority preemption, unless a donation pins the thread.
 
-        Called at the top of every ``_resume`` iteration — i.e. once per
-        trap — so the no-preemption fast path is a single comparison
-        against the scheduler's cached best-ready priority.  The loop's
+        ``_resume`` checks before every trap and every burst, and makes
+        the no-preemption comparison against the scheduler's cached
+        best-ready priority itself before it calls here.  The loop's
         per-instant ``_check_preemption`` calls it too, for threads in
         the middle of a burst.
         """
@@ -1175,14 +1198,14 @@ class Kernel:
             # returned write token travels with the stored value so a
             # later reader can report which write it observed.
             token = self.race_detector.on_write(thread, trap.var, self.now)
-        if self.controller is not None and self.memory.buffered:
+        if self.controller is not None and self._buffered:
             self._offer_mem_drains()
         self.memory.store(trap.var, trap.value, self.now, thread, token)
         thread.pending_send = None
         return _Outcome.CONTINUE
 
     def _h_mem_read(self, cpu: Cpu, thread: SimThread, trap: MemRead) -> _Outcome:
-        if self.controller is not None and self.memory.buffered:
+        if self.controller is not None and self._buffered:
             self._offer_mem_drains()
         value, token = self.memory.load_observed(trap.var, self.now, thread)
         thread.pending_send = value
@@ -1191,15 +1214,12 @@ class Kernel:
         return _Outcome.CONTINUE
 
     def _h_fence(self, cpu: Cpu, thread: SimThread, trap: Fence) -> _Outcome:
-        self._fence(thread)
+        if self._buffered:  # under sc, fences are free no-ops
+            self.memory.fence(thread)
         if self.race_detector is not None:
             self.race_detector.on_fence(thread)
         thread.pending_send = None
         return _Outcome.CONTINUE
-
-    def _fence(self, thread: SimThread) -> None:
-        if self.memory.buffered:  # under sc, fences are free no-ops
-            self.memory.fence(thread)
 
     def _offer_mem_drains(self) -> None:
         """Controller-visible store-buffer drains (``mem.drain`` sites).
@@ -1233,7 +1253,8 @@ class Kernel:
         # "The monitor implementation for weak ordering can use memory
         # barrier instructions to ensure that all monitor-protected data
         # access is consistent."
-        self._fence(thread)
+        if self._buffered:
+            self.memory.fence(thread)
         monitor.enters += 1
         self.stats.ml_enters += 1
         thread.stats.monitor_enters += 1
@@ -1298,7 +1319,8 @@ class Kernel:
             # Inheritance ablation: drop back to the pre-boost priority.
             thread.priority = monitor.boost_restore
             monitor.boost_restore = None
-        self._fence(thread)
+        if self._buffered:
+            self.memory.fence(thread)
         self._hand_off_monitor(monitor)
         if self._trace_monitor:
             self.tracer.record(

@@ -1,13 +1,15 @@
 """Inline burst burning must be unobservable.
 
 ``Kernel._resume`` burns a running thread's CPU burst in place, instead
-of handing it back to the kernel loop, when nothing else the loop would
-do falls before the burst's end (``Kernel._burns_inline``).  Passing
-``stop_when`` turns that off, so ``run_for(..., stop_when=never)`` is the
-per-instant reference path.  Every case here runs both ways and requires
-equal golden fingerprints (full trace plus statistics); each targeted
-case also checks that the plain run really took the inline path, by
-counting kernel-loop passes.
+of handing it back to the kernel loop, when the burst ends by the burn
+limit: the latest instant before which the loop would do nothing else
+(``Kernel._burn_limit``).  ``_resume`` keeps one limit across a run of
+bursts, so the cases include the ways a kept limit could go stale.
+Passing ``stop_when`` turns burning off, so ``run_for(...,
+stop_when=never)`` is the per-instant reference path.  Every case here
+runs both ways and requires equal golden fingerprints (full trace plus
+statistics); each targeted case also checks that the plain run really
+took the inline path, by counting kernel-loop passes.
 """
 
 from __future__ import annotations
@@ -96,6 +98,16 @@ def test_burst_ending_on_a_needed_tick():
     assert_inline_matches_reference(install, msec(600), switch_cost=0)
 
 
+def test_lone_bursts_ending_on_unneeded_ticks():
+    # A lone thread needs no ticks, but its 5 ms bursts end exactly on
+    # the 50 ms boundaries and the loop ticks on every boundary it
+    # visits.  A limit kept past such a boundary would skip its tick.
+    def install(kernel):
+        kernel.fork_root(cruncher, (msec(5),), name="alone")
+
+    assert_inline_matches_reference(install, msec(300), switch_cost=0)
+
+
 def test_event_at_a_burst_end():
     # Bursts end every 3 ms; the events every 5 ms land on a burst end
     # at 15, 30, ... ms and inside a burst otherwise.  Each readies a
@@ -112,6 +124,27 @@ def test_event_at_a_burst_end():
         kernel.fork_root(cruncher, (msec(3),), name="crunch")
         kernel.fork_root(receiver, name="receiver", priority=6)
         kernel.post_every(msec(5), lambda k: channel.post(k.now))
+
+    assert_inline_matches_reference(install, msec(200), switch_cost=0)
+
+
+def test_event_posted_by_the_running_thread():
+    # As ``ReplicationLink._ship`` does, the body posts an event that
+    # falls inside one of its own later bursts (7 ms on: inside the
+    # third 3 ms burst).  A limit computed before the post would burn
+    # past the event.
+    def install(kernel):
+        fired = []
+
+        def shipper():
+            while True:
+                yield p.Compute(msec(2))
+                kernel.post_at(kernel.now + msec(7), lambda k: fired.append(k.now))
+                for _ in range(5):
+                    yield p.Compute(msec(3))
+                    yield p.Annotate("fired", len(fired))
+
+        kernel.fork_root(shipper, name="shipper")
 
     assert_inline_matches_reference(install, msec(200), switch_cost=0)
 

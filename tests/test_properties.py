@@ -249,21 +249,6 @@ class TestEventHeapProperties:
         assert [w for w, _ in fired] == sorted(times)
         assert len(heap) == 0
 
-    @FAST
-    @given(
-        times=st.lists(st.integers(min_value=0, max_value=100),
-                       min_size=2, max_size=20)
-    )
-    def test_cancel_removes_events(self, times):
-        heap = EventHeap()
-        fired = []
-        tokens = [heap.push(when, lambda k: fired.append(1)) for when in times]
-        heap.cancel(tokens[0])
-        heap.cancel(tokens[0])  # double-cancel is harmless
-        for action in heap.pop_due(1000):
-            action(None)
-        assert len(fired) == len(times) - 1
-
 
 class TestRngProperties:
     @FAST
