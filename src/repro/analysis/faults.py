@@ -25,30 +25,30 @@ Five fault kinds:
 * ``timer_jitter`` — a timed wait's deadline is pushed later by a
   bounded random amount, modelling coarse timeout granularity.
 
-Determinism contract: every fault decision draws from a fresh stream
-forked off the kernel's ``faults`` stream under ``f"{kind}:{seq}"``.
-``kind`` names the decision (``drop_notify``, ``fork_fail``,
-``timer_jitter``, ``spurious``, ``spurious_victim``, ``kill``,
-``kill_victim``; its controller site is ``fault.<kind>``) and ``seq``
-counts that kind's earlier decisions with more than one choice.
-``DeterministicRng.fork`` is pure (CRC32 of seed+label, no
-parent draws), so a decision's default depends on nothing but its kind
-and number.  Three properties follow, and ``tests/test_faults.py`` pins
-them:
+Determinism contract: every fault decision is one ``Kernel.decide``
+call at site ``fault.<kind>``, where ``kind`` names the decision
+(``drop_notify``, ``fork_fail``, ``timer_jitter``, ``spurious``,
+``spurious_victim``, ``kill``, ``kill_victim``).  The kernel numbers
+it: ``seq`` counts that site's earlier decisions with more than one
+choice.  Its default draws from a fresh stream forked off the kernel's
+``faults`` stream under ``f"{kind}:{seq}"``.  ``DeterministicRng.fork``
+is pure (CRC32 of seed+label, no parent draws), so a decision's
+default depends on nothing but its kind and number.  Three properties
+follow, and ``tests/test_faults.py`` pins them:
 
 * a plan with every rate at zero decides nothing, so it is trace- and
   stats-identical to running with no plan at all;
 * turning one fault kind on never perturbs another kind's draws;
-* with a :class:`~repro.explore.trace.ScheduleController` attached,
-  decisions are numbered by the controller in exactly the same way, so
-  a recorded run equals an uncontrolled one, and forcing an earlier
+* a :class:`~repro.explore.trace.ScheduleController` only forces,
+  chooses or records decisions the kernel has already numbered, so a
+  recorded run equals an uncontrolled one, and forcing an earlier
   decision leaves every later default where it was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
@@ -135,14 +135,7 @@ class FaultInjector:
     def __init__(self, kernel: "Kernel", plan: FaultPlan, rng: "DeterministicRng") -> None:
         self.kernel = kernel
         self.plan = plan
-        #: Schedule-exploration seam, or None.  When present, every
-        #: fault decision is routed through ``controller.decide`` at site
-        #: ``fault.<kind>``, which numbers it and may force it.
-        self.controller = kernel.controller
         self._rng = rng
-        #: Per-kind decision counts, kept only when no controller numbers
-        #: the decisions.
-        self._seq: dict[str, int] = {}
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -150,7 +143,7 @@ class FaultInjector:
         """Count an injected fault and trace it under ``CAT_FAULT``."""
         kernel = self.kernel
         kernel.stats.note_fault(kind)
-        if kernel._trace_fault:
+        if kernel._tracing:
             from repro.kernel.instrumentation import CAT_FAULT
 
             kernel.tracer.record(kernel.now, CAT_FAULT, kind, thread_name, detail)
@@ -162,34 +155,28 @@ class FaultInjector:
         kind: str,
         n: int,
         draw: "Callable[[DeterministicRng], int]",
-        labels: tuple[str, ...] = (),
+        candidates: "Sequence[SimThread]" = (),
     ) -> int:
-        """Resolve one fault decision over ``n`` choices.
-
-        The default is ``draw`` over a fresh stream forked from the
-        decision's kind and its per-kind sequence number, so it depends
-        on nothing else in the run.  The controller numbers decisions
-        itself; without one, they are numbered here the same way (only
-        decisions with more than one choice count), so attaching a
-        recording controller changes nothing.
-        """
+        """Resolve one fault decision over ``n`` choices at the kernel's
+        seam.  The default is ``draw`` over a fresh stream forked from
+        the decision's kind and sequence number, so it depends on
+        nothing else in the run."""
         base = self._rng
+        return self.kernel.decide(
+            f"fault.{kind}",
+            n,
+            lambda seq: draw(base.fork(f"{kind}:{seq}")),
+            candidates,
+        )
 
-        def default(seq: int) -> int:
-            return draw(base.fork(f"{kind}:{seq}"))
-
-        if self.controller is not None:
-            return self.controller.decide(f"fault.{kind}", n, default, labels)
-        if n <= 1:
-            return 0
-        seq = self._seq.get(kind, 0)
-        self._seq[kind] = seq + 1
-        return default(seq)
-
-    def _fires(self, kind: str, prob: float, labels: tuple[str, ...] = ()) -> bool:
+    def _fires(
+        self, kind: str, prob: float, candidates: "Sequence[SimThread]" = ()
+    ) -> bool:
         """A boolean fault decision: inject with probability ``prob``."""
         return bool(
-            self._decide(kind, 2, lambda stream: int(stream.chance(prob)), labels)
+            self._decide(
+                kind, 2, lambda stream: int(stream.chance(prob)), candidates
+            )
         )
 
     # -- trap-site decisions ----------------------------------------------
@@ -242,14 +229,12 @@ class FaultInjector:
     ) -> None:
         """Two decisions, each only where there is a real choice: fire?,
         then (among several candidates) which victim."""
-        if not candidates:
-            return
-        names = tuple(t.name for t in candidates)
-        if not self._fires(kind, prob, names):
+        if not candidates or not self._fires(kind, prob, candidates):
             return
         n = len(candidates)
         index = self._decide(
-            f"{kind}_victim", n, lambda stream: stream.randint(0, n - 1), names
+            f"{kind}_victim", n, lambda stream: stream.randint(0, n - 1),
+            candidates,
         )
         inject(candidates[index])
 

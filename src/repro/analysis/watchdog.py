@@ -284,7 +284,7 @@ class Watchdog:
         )
         self.deadlocks.append(report)
         kernel = self.kernel
-        if kernel._trace_watchdog:
+        if kernel._tracing:
             from repro.kernel.instrumentation import CAT_WATCHDOG
 
             kernel.tracer.record(
@@ -326,7 +326,7 @@ class Watchdog:
                 ready_since=ready_since,
             )
             self.starvation.append(report)
-            if self.kernel._trace_watchdog:
+            if self.kernel._tracing:
                 from repro.kernel.instrumentation import CAT_WATCHDOG
 
                 self.kernel.tracer.record(

@@ -17,6 +17,10 @@ ways:
 * ``inheritance`` — with the beyond-paper priority-inheritance ablation:
   the owner is boosted and the inversion clears almost immediately;
 * ``daemon+inheritance`` — both.
+
+``policy`` swaps the scheduler: the fair-share extension
+(:mod:`repro.extensions.fair_share`) runs the bare scenario under
+``"fair_share"``, where the inversion clears by itself.
 """
 
 from __future__ import annotations
@@ -48,10 +52,15 @@ def run_inversion(
     daemon_period: int = msec(200),
     hold_time: int = msec(2),
     seed: int = 0,
+    policy: str = "strict",
 ) -> InversionResult:
     """Run Birrell's scenario once; see module docstring for variants."""
     kernel = Kernel(
-        KernelConfig(seed=seed, monitor_priority_inheritance=inheritance)
+        KernelConfig(
+            seed=seed,
+            monitor_priority_inheritance=inheritance,
+            scheduler_policy=policy,
+        )
     )
     lock = Monitor("inverted")
     marks: dict[str, int] = {}

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.kernel.primitives import Enter, Exit, Notify, Wait
+from repro.kernel.primitives import Broadcast, Enter, Exit, Notify, Wait
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
 
@@ -147,6 +147,8 @@ class WfqQueue:
         self.last_finish: dict[str, int] = dict.fromkeys(weights, 0)
         self._seq = 0
         self._size = 0
+        #: Putters waiting on ``nonfull``, of any tenant.
+        self._parked = 0
         self.puts = 0
         self.gets = 0
         #: Optional custody ledger (see
@@ -198,6 +200,19 @@ class WfqQueue:
         self.served[best] += 1
         return item
 
+    def _wake_putters(self, freed: int):
+        """Tell parked putters that ``freed`` slots opened (generator).
+
+        Putters of every tenant wait on the one ``nonfull`` CV, and a
+        NOTIFY may wake one whose own sub-queue is still full.  So when
+        more than one is parked, BROADCAST: each re-tests its own
+        sub-queue in its WHILE loop."""
+        if self._parked > 1:
+            yield Broadcast(self.nonfull)
+            return
+        for _ in range(freed):
+            yield Notify(self.nonfull)
+
     # -- the BoundedQueue protocol ------------------------------------------
 
     def try_put(self, item: Any):
@@ -229,7 +244,11 @@ class WfqQueue:
         try:
             tenant = self._tenant_of(item)
             while len(self.queues[tenant]) >= self.capacity:
-                notified = yield Wait(self.nonfull, timeout)
+                self._parked += 1
+                try:
+                    notified = yield Wait(self.nonfull, timeout)
+                finally:
+                    self._parked -= 1
                 if not notified and len(self.queues[tenant]) >= self.capacity:
                     self.rejects += 1
                     return False
@@ -251,9 +270,7 @@ class WfqQueue:
             item = self._dequeue()
             if self.carry is not None:
                 self.carry[item.rid] = item
-            # Putters wait on their own sub-queue's occupancy; broadcast
-            # keeps the Mesa WHILE loops honest without per-tenant CVs.
-            yield Notify(self.nonfull)
+            yield from self._wake_putters(1)
             return item
         finally:
             yield Exit(self.monitor)
@@ -273,8 +290,8 @@ class WfqQueue:
                         kept.append(entry)
                 self.queues[tenant] = kept
             self._size -= len(removed)
-            for _ in removed:
-                yield Notify(self.nonfull)
+            if removed:
+                yield from self._wake_putters(len(removed))
             return removed
         finally:
             yield Exit(self.monitor)

@@ -10,7 +10,8 @@ to a minimal, replayable counterexample.
 Layers:
 
 * :mod:`repro.explore.trace` — :class:`DecisionTrace` (the record) and
-  :class:`ScheduleController` (the seam the kernel consults);
+  :class:`ScheduleController`, which forces, chooses and records the
+  decisions ``Kernel.decide`` numbers;
 * :mod:`repro.explore.strategies` — random walk, PCT, seed sweep,
   exhaustive bounded enumeration;
 * :mod:`repro.explore.driver` — the per-schedule harness every tool

@@ -1,19 +1,22 @@
-"""Decision traces and the schedule-controller seam.
+"""Decision traces and the schedule controller.
 
 A kernel run is nondeterministic at a small, enumerable set of *decision
 sites*: the pick among equal-best ready threads, the fair-share lottery
 draw, the donation target when several candidates tie, the optional
-extra wake of an at-least-one NOTIFY, and every fault-plan sample
-(steal this NOTIFY?  wake which waiter spuriously?  kill whom?).  The
-:class:`ScheduleController` sits at all of them via
-``KernelConfig.schedule_controller`` and turns a run into a pure
-function of ``(config, seed, decisions)``:
+extra wake of an at-least-one NOTIFY, store-buffer drains, and every
+fault-plan sample (steal this NOTIFY?  wake which waiter spuriously?
+kill whom?).  Each site calls ``Kernel.decide``, which numbers the
+site's decisions and takes the site's *default* unless a
+:class:`ScheduleController` is attached via
+``KernelConfig.schedule_controller``.  The controller turns a run into a
+pure function of ``(config, seed, decisions)``:
 
-* **record** — no chooser, no forced choices: every site takes its
-  *default* (exactly what the uncontrolled kernel would have done) and
-  is appended to the trace.  A recorded run is byte-identical to an
-  uncontrolled one, fault decisions included; the golden record/replay
-  property test and the fault record-mode test pin this.
+* **record** — no chooser, no forced choices: every decision takes its
+  default and is appended to the trace.  The kernel numbers decisions
+  the same way with or without a controller, so a recorded run is
+  byte-identical to an uncontrolled one, fault decisions included; the
+  golden record/replay property test and the fault record-mode test
+  pin this.
 * **drive** — a ``chooser`` callback (an exploration strategy) answers
   each :class:`DecisionPoint`, or returns None to take the default.
 * **replay** — ``force`` pins the first ``len(force)`` decisions, in
@@ -21,50 +24,31 @@ function of ``(config, seed, decisions)``:
   default or, under ``tail="baseline"``, to choice 0.
 
 Choice 0 is by convention the *quietest* option at every site: FIFO
-head at pick sites, no injection at fault sites.  That makes the
-all-zero schedule the canonical baseline, which is what counterexample
-minimization (:mod:`repro.explore.minimize`) shrinks toward — a minimal
-trace is just its non-zero decisions.
+head at pick sites, "hold buffers" at ``mem.drain``, no injection at
+fault sites.  That makes the all-zero schedule the canonical baseline,
+which is what counterexample minimization (:mod:`repro.explore.minimize`)
+shrinks toward — a minimal trace is just its non-zero decisions.
 
 Defaults never perturb unrelated RNG streams: scheduler-owned sites
-(lottery, extra wake) draw from the same legacy stream an uncontrolled
-run uses, and fault sites derive a fresh stream per decision
-(``fork(f"{kind}:{seq}")``), so forcing any prefix leaves every later
-default exactly where it was — the property that makes a minimized
-trace replay its fault sequence byte-for-byte.
+(lottery, extra wake) draw from the same stream either way, and fault
+sites derive a fresh stream per decision (``fork(f"{kind}:{seq}")``),
+so forcing any prefix leaves every later default exactly where it was
+— the property that makes a minimized trace replay its fault sequence
+byte-for-byte.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-#: Unforced, unchosen sites take the legacy default (what an
-#: uncontrolled kernel would do, same RNG streams and all).
+#: Unforced, unchosen sites take the site's default (what
+#: ``Kernel.decide`` returns with no controller attached).
 TAIL_DEFAULT = "default"
 #: Unforced, unchosen sites take choice 0 (FIFO pick, no fault).  Used
 #: by minimization so a shrunk prefix runs against a quiet tail.
 TAIL_BASELINE = "baseline"
-
-#: Decision sites, for reference and for strategies that filter by kind.
-SITE_PICK = "sched.pick"
-SITE_LOTTERY = "sched.lottery"
-SITE_DONEE = "sched.donee"
-SITE_NOTIFY_EXTRA = "sched.notify_extra"
-SITE_DROP_NOTIFY = "fault.drop_notify"
-SITE_SPURIOUS = "fault.spurious"
-SITE_SPURIOUS_VICTIM = "fault.spurious_victim"
-SITE_KILL = "fault.kill"
-SITE_KILL_VICTIM = "fault.kill_victim"
-SITE_FORK_FAIL = "fault.fork_fail"
-SITE_TIMER_JITTER = "fault.timer_jitter"
-#: Store-buffer drain offer under the tso/pso memory models: choice 0
-#: holds every buffer (the baseline and recorded default); choice k
-#: commits the k-th offered store.  Labels name the owning thread and
-#: variable ("writer drains flag"), so rendered traces read as
-#: interleavings of commits.
-SITE_MEM_DRAIN = "mem.drain"
 
 
 @dataclass(frozen=True)
@@ -215,18 +199,25 @@ class DecisionTrace:
 Chooser = Callable[[DecisionPoint], "int | None"]
 
 
+def _labels(site: str, candidates: Any) -> tuple[str, ...]:
+    """Name a decision's candidates for the trace: threads by name; a
+    ``mem.drain`` site's store-buffer options (``(key, label)`` pairs)
+    by label, after its choice 0."""
+    if site == "mem.drain":
+        return ("hold buffers",) + tuple(label for _key, label in candidates)
+    return tuple(candidate.name for candidate in candidates)
+
+
 class ScheduleController:
-    """The seam the kernel consults at every decision site.
+    """Forces, chooses and records the kernel's decisions.
 
     Attach via ``KernelConfig.schedule_controller``.  Thread-unsafe by
     design (the kernel is single-threaded); one controller per run.
 
-    ``decide(site, n, default, labels)`` resolves one choice point:
-    forced choices (positional, from a prior trace) win, then the
-    chooser, then the tail policy (``default(seq)`` or baseline 0).
-    Every resolution is recorded.  Sites with ``n <= 1`` are not
-    decisions and are neither consulted nor recorded — a disarmed seam
-    stays free, mirroring the ``chance(p <= 0)`` contract.
+    ``Kernel.decide`` numbers each decision and hands it to
+    :meth:`resolve`: forced choices (positional, from a prior trace)
+    win, then the chooser, then the tail policy (``default(seq)`` or
+    baseline 0).  Every resolution is recorded.
     """
 
     def __init__(
@@ -250,36 +241,28 @@ class ScheduleController:
         #: Forced or chosen values that fell outside ``[0, n)`` and were
         #: clamped — a replay diverging from its recording shows up here.
         self.divergences = 0
-        self._kernel: Any = None
-        self._site_seq: dict[str, int] = {}
 
-    def attach(self, kernel: Any) -> None:
-        """Called by the kernel during construction (for timestamps)."""
-        self._kernel = kernel
-
-    def decide(
+    def resolve(
         self,
         site: str,
+        seq: int,
         n: int,
         default: Callable[[int], int],
-        labels: Iterable[str] = (),
+        candidates: Any,
+        now: int,
     ) -> int:
-        """Resolve one choice point; returns a choice in ``[0, n)``."""
-        if n <= 1:
-            return 0
+        """Answer the ``seq``-th decision at ``site`` (``n >= 2``
+        alternatives, at simulated time ``now``); returns a choice in
+        ``[0, n)``."""
         index = len(self.trace.decisions)
-        seq = self._site_seq.get(site, 0)
-        self._site_seq[site] = seq + 1
-        now = self._kernel.now if self._kernel is not None else 0
+        labels = _labels(site, candidates)
         forced = False
         choice: int | None = None
         if self.force is not None and index < len(self.force):
             choice = self.force[index]
             forced = True
         elif self.chooser is not None:
-            choice = self.chooser(
-                DecisionPoint(site, seq, index, n, now, tuple(labels))
-            )
+            choice = self.chooser(DecisionPoint(site, seq, index, n, now, labels))
         if choice is None:
             choice = 0 if self.tail == TAIL_BASELINE else default(seq)
         choice = int(choice)
@@ -287,6 +270,6 @@ class ScheduleController:
             self.divergences += 1
             choice = max(0, min(choice, n - 1))
         self.trace.decisions.append(
-            Decision(site, seq, n, choice, forced, now, tuple(labels))
+            Decision(site, seq, n, choice, forced, now, labels)
         )
         return choice

@@ -12,7 +12,8 @@ The experiment quantifies the trade-off on this kernel, using the
 ``scheduler_policy="fair_share"`` lottery (tickets double per priority
 level, no priority preemption):
 
-* **starvation/inversion side** — Birrell's stable-inversion scenario:
+* **starvation/inversion side** — Birrell's stable-inversion scenario
+  (:func:`repro.casestudies.inversion.run_inversion`, no workarounds):
   under strict priority the high thread starves unless the SystemDaemon
   intervenes; under fair share the low-priority lock holder always gets
   *some* share, so the inversion self-clears with no hacks at all;
@@ -26,52 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.casestudies.inversion import run_inversion
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Channelreceive, Compute, Enter, Exit, GetTime, Pause
-from repro.kernel.simtime import msec, sec, usec
-from repro.sync.monitor import Monitor
-
-
-@dataclass
-class FairShareInversionResult:
-    policy: str
-    acquired_at: int | None
-
-
-def run_inversion(*, policy: str, run_length: int = sec(5), seed: int = 0) -> FairShareInversionResult:
-    """Birrell's scenario under either policy, with NO workarounds."""
-    kernel = Kernel(KernelConfig(seed=seed, scheduler_policy=policy))
-    lock = Monitor("inverted")
-    marks: dict[str, int] = {}
-
-    def low():
-        yield Enter(lock)
-        try:
-            yield Pause(msec(50))
-            yield Compute(msec(2))
-        finally:
-            yield Exit(lock)
-
-    def hog():
-        while True:
-            yield Compute(msec(10))
-
-    def high():
-        yield Enter(lock)
-        try:
-            marks["acquired"] = yield GetTime()
-        finally:
-            yield Exit(lock)
-
-    kernel.fork_root(low, name="low", priority=2)
-    kernel.post_at(msec(10), lambda k: k.fork_root(hog, name="hog", priority=4))
-    kernel.post_at(msec(20), lambda k: k.fork_root(high, name="high", priority=6))
-    kernel.run_for(run_length)
-    result = FairShareInversionResult(
-        policy=policy, acquired_at=marks.get("acquired")
-    )
-    kernel.shutdown()
-    return result
+from repro.kernel.primitives import Channelreceive, Compute, GetTime
+from repro.kernel.simtime import msec, usec
 
 
 @dataclass

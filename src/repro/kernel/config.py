@@ -18,7 +18,7 @@ flip exactly one variable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.kernel.simtime import msec, sec, usec
@@ -112,15 +112,16 @@ class KernelConfig:
     #: one fault kind never perturbs another kind's schedule.  Typed
     #: loosely to keep the kernel layer free of analysis imports.
     fault_plan: Any = None
-    #: Schedule-exploration seam
-    #: (:class:`repro.explore.trace.ScheduleController`) or None.  When
-    #: set, every nondeterministic choice point — the pick among
-    #: equal-best ready threads, fair-share lottery draws, fault-plan
-    #: samples — is routed through ``controller.decide`` so it can be
-    #: recorded, forced, or replayed.  None (the default) leaves every
-    #: hot path byte-identical to a controller-free run; the golden
-    #: schedule guard pins that.  Typed loosely for the same layering
-    #: reason as ``fault_plan``.
+    #: Schedule controller
+    #: (:class:`repro.explore.trace.ScheduleController`) or None.  Every
+    #: nondeterministic choice point — the pick among equal-best ready
+    #: threads, fair-share lottery draws, store-buffer drains, fault-plan
+    #: samples — is numbered by ``Kernel.decide``, which hands it to the
+    #: controller, when set, to record, force or replay.  None (the
+    #: default) takes each site's default; the numbering is the same
+    #: either way, so recording changes nothing (the golden schedule
+    #: guard pins that).  Typed loosely for the same layering reason as
+    #: ``fault_plan``.
     schedule_controller: Any = None
     #: Run the waits-for watchdog (:mod:`repro.analysis.watchdog`):
     #: partial-deadlock cycles among monitor/JOIN/untimed-CV waiters and
@@ -138,8 +139,6 @@ class KernelConfig:
     propagate_thread_errors: bool = True
     #: Record a full event trace (costs memory; stats are always kept).
     trace: bool = False
-    #: Categories to trace when ``trace`` is on; empty set = all.
-    trace_categories: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
         if self.quantum <= 0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-# Event categories (values appear in traces and in config.trace_categories).
+# Event categories (values appear in traces).
 CAT_SWITCH = "switch"
 CAT_FORK = "fork"
 CAT_END = "end"
@@ -32,24 +32,6 @@ CAT_ANNOTATE = "annotate"
 CAT_RACE = "race"
 CAT_FAULT = "fault"
 CAT_WATCHDOG = "watchdog"
-
-ALL_CATEGORIES = frozenset(
-    {
-        CAT_SWITCH,
-        CAT_FORK,
-        CAT_END,
-        CAT_MONITOR,
-        CAT_CV,
-        CAT_YIELD,
-        CAT_TICK,
-        CAT_SLEEP,
-        CAT_CHANNEL,
-        CAT_ANNOTATE,
-        CAT_RACE,
-        CAT_FAULT,
-        CAT_WATCHDOG,
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -68,32 +50,18 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects :class:`TraceEvent` records for enabled categories."""
+    """Collects :class:`TraceEvent` records while enabled."""
 
-    def __init__(self, enabled: bool, categories: frozenset[str]) -> None:
+    def __init__(self, enabled: bool) -> None:
         self._events: list[TraceEvent] = []
         self.enabled = enabled
-        # Empty set means "all categories".
-        self._categories = categories or ALL_CATEGORIES
-        unknown = self._categories - ALL_CATEGORIES
-        if unknown:
-            raise ValueError(f"unknown trace categories: {sorted(unknown)}")
 
     def record(
         self, time: int, category: str, kind: str, thread: str, detail: Any = None
     ) -> None:
-        if not self.enabled or category not in self._categories:
+        if not self.enabled:
             return
         self._events.append(TraceEvent(time, category, kind, thread, detail))
-
-    def wants(self, category: str) -> bool:
-        """Whether ``record`` would keep events of this category.
-
-        The kernel precomputes one flag per hot category at construction
-        so disabled-trace runs never build ``record`` arguments on the
-        dispatch/offcpu/enter/exit/tick paths.
-        """
-        return self.enabled and category in self._categories
 
     @property
     def events(self) -> list[TraceEvent]:

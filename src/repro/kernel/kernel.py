@@ -77,7 +77,7 @@ from repro.kernel.primitives import (
     Yield,
     YieldButNotToMe,
 )
-from repro.kernel.scheduler import Cpu, Scheduler
+from repro.kernel.scheduler import Cpu, Scheduler, first_choice
 from repro.kernel.stats import GlobalStats, ThreadRecord
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.thread import SimThread, ThreadState
@@ -94,6 +94,7 @@ class _Outcome(enum.Enum):
 #: Guard against zero-cost scheduling livelock (e.g. a thread that yields
 #: in a tight loop with switch_cost=0): maximum dispatches at one instant.
 _MAX_DISPATCHES_PER_INSTANT = 100_000
+
 
 #: Every live Kernel, so test harnesses can shut down abandoned ones
 #: (closing thread generators cleanly) without tracking them by hand.
@@ -140,36 +141,24 @@ class Kernel:
         self.config = config or KernelConfig()
         self.now = 0
         self.rng = DeterministicRng(self.config.seed)
-        #: Schedule-exploration seam (repro.explore), or None.  Attached
-        #: before the scheduler and fault injector so both route their
-        #: nondeterministic choice points through it.
+        #: Schedule-exploration seam (repro.explore), or None; only
+        #: :meth:`decide` consults it.
         self.controller = self.config.schedule_controller
-        if self.controller is not None:
-            self.controller.attach(self)
+        #: Per-site decision counts (see :meth:`decide`).
+        self._decision_seqs: dict[str, int] = {}
         self.scheduler = Scheduler(
             self.config.ncpus,
-            policy=self.config.scheduler_policy,
             rng=self.rng.fork("scheduler"),
+            decide=self.decide,
+            policy=self.config.scheduler_policy,
         )
-        self.scheduler.controller = self.controller
         self.events = EventHeap()
-        self.tracer = Tracer(self.config.trace, self.config.trace_categories)
-        # Per-category trace flags, precomputed so hot paths skip even
-        # argument construction when a category is off (the common case:
-        # tracing disabled entirely).  The golden-schedule tests pin that
-        # traced runs still record the identical event stream.
-        tracer = self.tracer
-        self._trace_switch = tracer.wants(instr.CAT_SWITCH)
-        self._trace_tick = tracer.wants(instr.CAT_TICK)
-        self._trace_monitor = tracer.wants(instr.CAT_MONITOR)
-        self._trace_cv = tracer.wants(instr.CAT_CV)
-        self._trace_yield = tracer.wants(instr.CAT_YIELD)
-        self._trace_sleep = tracer.wants(instr.CAT_SLEEP)
-        self._trace_channel = tracer.wants(instr.CAT_CHANNEL)
-        self._trace_fork = tracer.wants(instr.CAT_FORK)
-        self._trace_end = tracer.wants(instr.CAT_END)
-        self._trace_fault = tracer.wants(instr.CAT_FAULT)
-        self._trace_watchdog = tracer.wants(instr.CAT_WATCHDOG)
+        self.tracer = Tracer(self.config.trace)
+        #: Whether events are recorded, read once here so hot paths skip
+        #: even argument construction when tracing is off (the common
+        #: case).  The golden-schedule tests pin that traced runs still
+        #: record the identical event stream.
+        self._tracing = self.tracer.enabled
         self.stats = GlobalStats()
         self.threads: dict[int, SimThread] = {}
         self._tid_counter = itertools.count(1)
@@ -402,6 +391,39 @@ class Kernel:
         self.shutdown()
 
     # ------------------------------------------------------------------
+    # Decisions
+    # ------------------------------------------------------------------
+
+    def decide(
+        self,
+        site: str,
+        n: int,
+        default: Callable[[int], int],
+        candidates: Any = (),
+    ) -> int:
+        """Resolve one nondeterministic choice among ``n`` alternatives.
+
+        Every choice the paper leaves open goes through here: the
+        scheduler's ``sched.*`` sites, the at-least-one NOTIFY's extra
+        wake, store-buffer drains and every fault-plan sample.  A site
+        with one alternative is not a decision: it returns 0 and is not
+        counted.  Otherwise the decision gets its site's next sequence
+        number ``seq``, and the result is ``default(seq)`` unless the
+        schedule controller answers (forcing, choosing or recording it).
+        ``candidates`` are what is chosen among, or the context of a
+        yes/no decision; only the controller names them, so a run
+        without one builds no labels.
+        """
+        if n <= 1:
+            return 0
+        seqs = self._decision_seqs
+        seq = seqs.get(site, 0)
+        seqs[site] = seq + 1
+        if self.controller is None:
+            return default(seq)
+        return self.controller.resolve(site, seq, n, default, candidates, self.now)
+
+    # ------------------------------------------------------------------
     # Clock and dispatch machinery
     # ------------------------------------------------------------------
 
@@ -453,7 +475,7 @@ class Kernel:
         """Scheduler tick: expire donations, fire timeouts, round-robin."""
         self._last_tick = self.now
         self.stats.ticks += 1
-        if self._trace_tick:
+        if self._tracing:
             self.tracer.record(self.now, instr.CAT_TICK, "tick", "-")
         if self.faults is not None:
             self.faults.on_tick()
@@ -488,7 +510,7 @@ class Kernel:
             elif kind == "sleep":
                 thread.pending_send = None
                 self.scheduler.make_ready(thread)
-                if self._trace_sleep:
+                if self._tracing:
                     self.tracer.record(
                         self.now, instr.CAT_SLEEP, "wake", thread.name
                     )
@@ -498,7 +520,7 @@ class Kernel:
                 self.stats.channel_timeouts += 1
                 thread.pending_send = None
                 self.scheduler.make_ready(thread)
-                if self._trace_channel:
+                if self._tracing:
                     self.tracer.record(
                         self.now, instr.CAT_CHANNEL, "timeout",
                         thread.name, channel.name,
@@ -516,7 +538,7 @@ class Kernel:
         thread.pending_send = False  # WAIT returns False on timeout
         thread.resume_action = ("reacquire", cv.monitor, False)
         self.scheduler.make_ready(thread)
-        if self._trace_cv:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_CV, "timeout", thread.name, cv.name
             )
@@ -555,7 +577,7 @@ class Kernel:
                 thread.pending_compute += self.config.switch_cost
         # Traced for every dispatch (not just switches) so consumers can
         # pair each dispatch with its offcpu event.
-        if self._trace_switch:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_SWITCH, "dispatch", thread.name, cpu.index
             )
@@ -616,7 +638,7 @@ class Kernel:
         # The monitor is held: this trip through the scheduler was useless.
         if was_notify:
             self.stats.spurious_conflicts += 1
-            if self._trace_monitor:
+            if self._tracing:
                 self.tracer.record(
                     self.now, instr.CAT_MONITOR, "spurious",
                     thread.name, monitor.name,
@@ -761,7 +783,7 @@ class Kernel:
         self._off_cpu(cpu, thread)
         # Preempted threads keep their round-robin place: queue front.
         scheduler.make_ready(thread, front=True)
-        if self._trace_switch:
+        if self._tracing:
             self.tracer.record(self.now, instr.CAT_SWITCH, "preempt", thread.name)
         return True
 
@@ -784,12 +806,11 @@ class Kernel:
     def _off_cpu(self, cpu: Cpu, thread: SimThread) -> None:
         """Deschedule accounting: close the execution interval."""
         interval = self.now - thread.last_dispatched
-        thread.stats.run_intervals.append(interval)
         thread.stats.cpu_time += interval
         self.stats.note_interval(interval, thread.priority)
         # A uniform leave-CPU marker so trace consumers can close run
         # spans regardless of *why* the thread left (block/yield/finish).
-        if self._trace_switch:
+        if self._tracing:
             self.tracer.record(self.now, instr.CAT_SWITCH, "offcpu", thread.name)
         cpu.current = None
         cpu.busy_until = None
@@ -860,7 +881,7 @@ class Kernel:
                 role=role,
             )
         )
-        if self._trace_fork:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_FORK, "create", thread.name,
                 parent.name if parent else None,
@@ -886,7 +907,7 @@ class Kernel:
                 self.race_detector.on_join(joiner, thread)
             joiner.pending_send = value
             self.scheduler.make_ready(joiner)
-        if self._trace_end:
+        if self._tracing:
             self.tracer.record(self.now, instr.CAT_END, "finish", thread.name)
         self._release_fork_waiter()
 
@@ -915,7 +936,7 @@ class Kernel:
             # Injected kills are faults, not workload bugs: an unjoined
             # victim's death must not fail the whole run at shutdown.
             self.pending_thread_errors.append(wrapped)
-        if self._trace_end:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_END, "die", thread.name, repr(error)
             )
@@ -981,9 +1002,8 @@ class Kernel:
 
         The table names, for every live thread, what it waits ON and who
         holds that resource (monitor owner, CV's monitor owner, join
-        target) — ``describe_block`` only said what state a thread was in.
-        Row formatting lives in :mod:`repro.analysis.watchdog` (lazy
-        import: this is an error path, never hot) so the watchdog's
+        target).  Row formatting lives in :mod:`repro.analysis.watchdog`
+        (lazy import: this is an error path, never hot) so the watchdog's
         partial-deadlock reports and the CLI table share it.
         """
         from repro.analysis.watchdog import deadlock_rows, format_rows
@@ -1005,7 +1025,7 @@ class Kernel:
 
     def _channel_post(self, channel: Channel, item: Any) -> None:
         self.stats.channel_posts += 1
-        if self._trace_channel:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_CHANNEL, "post", "-", channel.name
             )
@@ -1112,7 +1132,7 @@ class Kernel:
         thread.pending_send = None
         self._off_cpu(cpu, thread)
         self.scheduler.make_ready(thread)
-        if self._trace_yield:
+        if self._tracing:
             self.tracer.record(self.now, instr.CAT_YIELD, "yield", thread.name)
         return _Outcome.SUSPEND
 
@@ -1128,7 +1148,7 @@ class Kernel:
         cpu.donee = other
         self._off_cpu(cpu, thread)
         self.scheduler.make_ready(thread)
-        if self._trace_yield:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_YIELD, "yield-but-not-to-me",
                 thread.name, other.name,
@@ -1147,7 +1167,7 @@ class Kernel:
         cpu.donee = target
         self._off_cpu(cpu, thread)
         self.scheduler.make_ready(thread)
-        if self._trace_yield:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_YIELD, "directed-yield",
                 thread.name, target.name,
@@ -1157,7 +1177,7 @@ class Kernel:
     def _h_pause(self, cpu: Cpu, thread: SimThread, trap: Pause) -> _Outcome:
         self._block_current(cpu, thread, ThreadState.SLEEPING, "sleep")
         self._arm_timed(thread, self.now + trap.duration, "sleep")
-        if self._trace_sleep:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_SLEEP, "sleep", thread.name, trap.duration
             )
@@ -1198,14 +1218,14 @@ class Kernel:
             # returned write token travels with the stored value so a
             # later reader can report which write it observed.
             token = self.race_detector.on_write(thread, trap.var, self.now)
-        if self.controller is not None and self._buffered:
+        if self._buffered:
             self._offer_mem_drains()
         self.memory.store(trap.var, trap.value, self.now, thread, token)
         thread.pending_send = None
         return _Outcome.CONTINUE
 
     def _h_mem_read(self, cpu: Cpu, thread: SimThread, trap: MemRead) -> _Outcome:
-        if self.controller is not None and self._buffered:
+        if self._buffered:
             self._offer_mem_drains()
         value, token = self.memory.load_observed(trap.var, self.now, thread)
         thread.pending_send = value
@@ -1222,25 +1242,22 @@ class Kernel:
         return _Outcome.CONTINUE
 
     def _offer_mem_drains(self) -> None:
-        """Controller-visible store-buffer drains (``mem.drain`` sites).
+        """Store-buffer drains as decisions (``mem.drain`` sites).
 
         Before each memory access, every buffered store the model could
-        legally commit next is offered to the schedule controller as one
-        decision: choice 0 holds all buffers (the recorded default —
-        buffers then drain only by age or fences, exactly as in an
-        uncontrolled run), choice k commits option k.  Draining re-offers
-        until the controller holds, so an explorer can flush any legal
-        combination at any access boundary.
+        legally commit next is offered as one decision: choice 0 holds
+        all buffers (the default — buffers then drain only by age or
+        fences), choice k commits option k.  Draining re-offers until the
+        answer is to hold, so an explorer can flush any legal combination
+        at any access boundary.
         """
         memory = self.memory
-        controller = self.controller
         while True:
             options = memory.drain_options()
             if not options:
                 return
-            labels = ("hold buffers",) + tuple(label for _key, label in options)
-            choice = controller.decide(
-                "mem.drain", len(options) + 1, lambda _seq: 0, labels=labels
+            choice = self.decide(
+                "mem.drain", len(options) + 1, first_choice, options
             )
             if choice == 0:
                 return
@@ -1259,7 +1276,7 @@ class Kernel:
         self.stats.ml_enters += 1
         thread.stats.monitor_enters += 1
         self.stats.monitors_used.add(monitor.uid)
-        if self._trace_monitor:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_MONITOR, "enter", thread.name, monitor.name
             )
@@ -1286,7 +1303,7 @@ class Kernel:
         monitor.entry_queue.append(thread)
         if self.config.monitor_priority_inheritance:
             self._donate_priority(monitor, thread)
-        if self._trace_monitor:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_MONITOR, "block", thread.name, monitor.name
             )
@@ -1322,7 +1339,7 @@ class Kernel:
         if self._buffered:
             self.memory.fence(thread)
         self._hand_off_monitor(monitor)
-        if self._trace_monitor:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_MONITOR, "exit", thread.name, monitor.name
             )
@@ -1361,7 +1378,7 @@ class Kernel:
         self.stats.cv_waits += 1
         thread.stats.cv_waits += 1
         self.stats.cvs_used.add(cv.uid)
-        if self._trace_cv:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_CV, "wait", thread.name, cv.name
             )
@@ -1385,7 +1402,7 @@ class Kernel:
         self._require_monitor_for_cv(thread, cv, "NOTIFY")
         cv.notifies += 1
         self.stats.cv_notifies += 1
-        if self._trace_cv:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_CV, "notify", thread.name, cv.name
             )
@@ -1404,16 +1421,13 @@ class Kernel:
             return _Outcome.CONTINUE
         wake = 1
         if self.config.notify_wakes == WAKES_AT_LEAST_ONE and len(cv.waiters) > 1:
-            if self.controller is not None:
-                extra = self.controller.decide(
-                    "sched.notify_extra",
-                    2,
-                    lambda _seq: int(
-                        self.rng.chance(self.config.at_least_one_extra_prob)
-                    ),
-                )
-            else:
-                extra = self.rng.chance(self.config.at_least_one_extra_prob)
+            extra = self.decide(
+                "sched.notify_extra",
+                2,
+                lambda _seq: int(
+                    self.rng.chance(self.config.at_least_one_extra_prob)
+                ),
+            )
             if extra:
                 wake = 2
         for _ in range(min(wake, len(cv.waiters))):
@@ -1426,7 +1440,7 @@ class Kernel:
         self._require_monitor_for_cv(thread, cv, "BROADCAST")
         cv.broadcasts += 1
         self.stats.cv_broadcasts += 1
-        if self._trace_cv:
+        if self._tracing:
             self.tracer.record(
                 self.now, instr.CAT_CV, "broadcast", thread.name, cv.name
             )

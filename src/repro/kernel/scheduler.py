@@ -22,6 +22,15 @@ A donation is per-CPU state: while active, that CPU dispatches the donee in
 preference to strict priority order.  Ticks clear donations ("The end of a
 timeslice ends the effect of a YieldButNotToMe or a directed yield",
 Section 6.3), as does the donee blocking.
+
+Three choices here are left open by the paper, and each is a decision
+the kernel numbers and resolves (``Kernel.decide``, passed in as
+``decide``): ``sched.pick``, which of several equal-best ready threads
+runs (default: the round-robin head); ``sched.lottery``, the fair-share
+ticket draw (default: one seeded draw); and ``sched.donee``, which of
+several equal-priority threads a YieldButNotToMe donates to (default:
+queue order).  With no schedule controller attached each returns its
+default, so the same code serves plain and explored runs.
 """
 
 from __future__ import annotations
@@ -32,8 +41,10 @@ from repro.kernel.config import MAX_PRIORITY, MIN_PRIORITY
 from repro.kernel.thread import SimThread, ThreadState
 
 
-def _default_zero(_seq: int) -> int:
-    """Default for pick-style decision sites: the round-robin head."""
+def first_choice(_seq: int) -> int:
+    """Default for decisions whose choice 0 is the quiet one: the
+    round-robin head at pick sites, holding every store buffer at
+    ``mem.drain``."""
     return 0
 
 
@@ -75,10 +86,10 @@ class Scheduler:
     fair-share exploration (deterministic lottery, tickets doubling per
     level, no priority preemption).  ``rng`` is only consulted under
     fair share, so strict-policy runs stay byte-identical to before the
-    policy knob existed.
+    policy knob existed.  ``decide`` is the kernel's decision seam.
     """
 
-    def __init__(self, ncpus: int, *, policy: str = "strict", rng=None) -> None:
+    def __init__(self, ncpus: int, *, rng, decide, policy: str = "strict") -> None:
         self._queues: dict[int, deque[SimThread]] = {
             prio: deque() for prio in range(MIN_PRIORITY, MAX_PRIORITY + 1)
         }
@@ -92,12 +103,9 @@ class Scheduler:
         self.cpus = [Cpu(i) for i in range(ncpus)]
         self.policy = policy
         self.rng = rng
-        #: Schedule-exploration seam (set by the kernel when
-        #: ``config.schedule_controller`` is given).  When present, the
-        #: pick among equal-best ready threads, the lottery draw, and
-        #: donation-target ties become recorded/forcible decisions.
-        #: None keeps every dispatch path byte-identical to before.
-        self.controller = None
+        #: ``Kernel.decide``: the pick among equal-best ready threads,
+        #: the lottery draw and donation-target ties are its decisions.
+        self._decide = decide
 
     # -- ready-queue bookkeeping -------------------------------------------
     #
@@ -220,17 +228,11 @@ class Scheduler:
         if not best:
             return None
         queue = self._queues[best]
-        controller = self.controller
-        if controller is not None and len(queue) > 1:
+        if len(queue) > 1:
             # The paper's round-robin is one of many priority-respecting
             # orders; exploration enumerates the rest.  Choice 0 is the
             # queue head, so the default is exactly popleft().
-            index = controller.decide(
-                "sched.pick",
-                len(queue),
-                _default_zero,
-                labels=tuple(t.name for t in queue),
-            )
+            index = self._decide("sched.pick", len(queue), first_choice, queue)
             thread = queue[index]
             del queue[index]
         else:
@@ -252,24 +254,13 @@ class Scheduler:
         """The fair-share ticket draw over ``ready`` (no queue mutation)."""
         if not ready:
             return None
-        controller = self.controller
-        if controller is not None and len(ready) > 1 and self.rng is not None:
-            index = controller.decide(
-                "sched.lottery",
-                len(ready),
-                lambda _seq: self._lottery_draw(ready),
-                labels=tuple(t.name for t in ready),
-            )
-            return ready[index]
-        if len(ready) == 1:
-            return ready[0]
-        if self.rng is None:
-            # No RNG: fall back to the modal outcome of the documented
-            # ticket distribution — the first thread holding the most
-            # tickets.  The positional head is NOT that for unsorted
-            # input (peek_best_other hands us filtered lists).
-            return max(ready, key=lambda t: t.priority)
-        return ready[self._lottery_draw(ready)]
+        index = self._decide(
+            "sched.lottery",
+            len(ready),
+            lambda _seq: self._lottery_draw(ready),
+            ready,
+        )
+        return ready[index]
 
     def _lottery_draw(self, ready: list[SimThread]) -> int:
         """One seeded ticket draw; returns the winner's index."""
@@ -297,27 +288,14 @@ class Scheduler:
             others = [t for t in self.ready_threads() if t is not exclude]
             return self._lottery_pick(others)
         mask = self._nonempty_mask
-        controller = self.controller
         while mask:
             prio = mask.bit_length() - 1
-            if controller is not None:
-                candidates = [
-                    t for t in self._queues[prio] if t is not exclude
-                ]
-                if candidates:
-                    if len(candidates) == 1:
-                        return candidates[0]
-                    index = controller.decide(
-                        "sched.donee",
-                        len(candidates),
-                        _default_zero,
-                        labels=tuple(t.name for t in candidates),
-                    )
-                    return candidates[index]
-            else:
-                for thread in self._queues[prio]:
-                    if thread is not exclude:
-                        return thread
+            candidates = [t for t in self._queues[prio] if t is not exclude]
+            if candidates:
+                index = self._decide(
+                    "sched.donee", len(candidates), first_choice, candidates
+                )
+                return candidates[index]
             mask ^= 1 << prio
         return None
 

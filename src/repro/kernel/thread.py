@@ -52,7 +52,6 @@ class ThreadStats:
         "cv_timeouts",
         "cv_notifies_received",
         "forks_issued",
-        "run_intervals",
     )
 
     def __init__(self) -> None:
@@ -66,9 +65,6 @@ class ThreadStats:
         self.cv_timeouts = 0
         self.cv_notifies_received = 0
         self.forks_issued = 0
-        #: Durations of completed execution intervals (time between being
-        #: dispatched and being descheduled), for the F1/F2 histograms.
-        self.run_intervals: list[int] = []
 
 
 class SimThread:
@@ -159,13 +155,6 @@ class SimThread:
         while node is not None:
             yield node
             node = node.parent
-
-    def describe_block(self) -> str:
-        """A one-line diagnosis of what this thread is waiting for."""
-        if self.state in (ThreadState.READY, ThreadState.RUNNING):
-            return f"{self.name}: runnable"
-        target = getattr(self.blocked_on, "name", self.blocked_on)
-        return f"{self.name}: {self.state.value} on {target!r}"
 
     def __repr__(self) -> str:
         return (

@@ -20,8 +20,7 @@ multiprocessors with weakly ordered memory."
 =========  ==========================================================
 
 ``sc`` is the unbuffered :class:`~repro.kernel.memory.MemorySystem`.
-The buffered models expose controller-visible ``mem.drain`` decision
-points, so :mod:`repro.explore` can enumerate drain interleavings; the
+The buffered models expose ``mem.drain`` decision points, so :mod:`repro.explore` can enumerate drain interleavings; the
 litmus harness (:mod:`repro.memmodel.litmus`, ``python -m repro
 litmus``) uses that to compute *reachable outcome sets* for the classic
 SB/MP/LB/IRIW tests and check them against pinned expectation tables.

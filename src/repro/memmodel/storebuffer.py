@@ -26,14 +26,14 @@ Two drain mechanisms, both deterministic:
   after issue (delay drawn from the kernel's dedicated ``"memory"`` RNG
   stream), and eligible entries commit — in buffer order under TSO, in
   per-variable order under PSO — whenever the memory system is next
-  consulted.  This is the behaviour of an uncontrolled run.
-* **Decision**: when a :class:`~repro.explore.trace.ScheduleController`
-  is attached, the kernel offers every currently committable entry as a
-  ``mem.drain`` decision before each memory access (see
-  ``Kernel._offer_mem_drains``), so the explorer can enumerate drain
-  interleavings like any other nondeterministic choice.  Choice 0
-  ("hold buffers") is the recorded default, which keeps record-mode
-  runs byte-identical to uncontrolled ones.
+  consulted.  With no schedule controller, this is the only way
+  entries commit outside fences.
+* **Decision**: before each memory access the kernel offers every
+  currently committable entry as one ``mem.drain`` decision through
+  ``Kernel.decide`` (see ``Kernel._offer_mem_drains``), so an explorer
+  can enumerate drain interleavings like any other nondeterministic
+  choice.  Choice 0 ("hold buffers") is the default, so the offer
+  changes nothing unless a controller picks a drain.
 
 Cross-thread commit order under pure aging is resolved in ascending
 thread-id order — deterministic, and any other order is reachable
@@ -68,8 +68,8 @@ class StoreBufferMemory:
 
     Exposes the same counters and ``store``/``load_observed`` calls as
     :class:`~repro.kernel.memory.MemorySystem`, plus ``fence`` and the
-    drain-decision seam (``drain_options``/``drain_option``) the kernel
-    offers to the schedule controller.
+    drain options (``drain_options``/``drain_option``) the kernel offers
+    as ``mem.drain`` decisions.
     """
 
     #: Stores can be buffered: the kernel fences this memory and offers
@@ -89,7 +89,7 @@ class StoreBufferMemory:
         #: Loads that missed a newer value still buffered by another
         #: thread — the §5.5 hazard counter.
         self.stale_loads = 0
-        #: Entries committed through the controller's ``mem.drain`` seam.
+        #: Entries committed through ``mem.drain`` decisions.
         self.drain_decisions = 0
         self._buffers: dict[int, list[_Entry]] = {}
         self._owners: dict[int, Any] = {}
@@ -151,6 +151,8 @@ class StoreBufferMemory:
         oldest entry per (thread, variable) is.
         """
         options: list[tuple[tuple[int, int], str]] = []
+        if not any(self._buffers.values()):
+            return options
         for tid in sorted(self._buffers):
             buffer = self._buffers[tid]
             if not buffer:

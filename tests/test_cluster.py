@@ -196,6 +196,34 @@ class TestWfqQueue:
         assert out["taken"] == [0, 1, 2, 3, 4]
         assert q.rejects == 0
 
+    def test_get_wakes_the_putter_whose_sub_queue_has_room(self):
+        """Putters of every tenant park on one CV.  With ``a`` and ``b``
+        both full, ``a``'s putter parks first; a get that frees a slot
+        in ``b``'s sub-queue must still reach ``b``'s putter, not only
+        wake ``a``'s, which finds no room and waits again."""
+        q = WfqQueue("q", capacity=1, weights={"a": 1, "b": 4})
+        kernel = Kernel(KernelConfig(switch_cost=0, monitor_overhead=0))
+        landed = []
+
+        def putter(tenant):
+            assert (yield from q.put(item(tenant, 1)))
+            landed.append(tenant)
+
+        def scenario():
+            assert (yield from q.try_put(item("a", 0)))
+            assert (yield from q.try_put(item("b", 0)))
+            yield p.Fork(putter, ("a",), name="put-a", detached=True)
+            yield p.Yield()
+            yield p.Fork(putter, ("b",), name="put-b", detached=True)
+            yield p.Yield()
+            got = yield from q.get()
+            assert (got.tenant.name, got.value) == ("b", 0)
+
+        kernel.fork_root(scenario)
+        kernel.run_for(sec(1))
+        assert landed == ["b"]
+        assert q.depth_of("a") == 1 and q.depth_of("b") == 1
+
     def test_get_timeout_returns_none(self):
         q = WfqQueue("q", capacity=2, weights={"t": 1})
 

@@ -13,6 +13,7 @@ The two load-bearing properties:
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.explore import (
     run_schedule,
 )
 from repro.explore.trace import Decision
+from repro.kernel import Kernel, KernelConfig
 
 
 def _const(value):
@@ -41,47 +43,69 @@ def _const(value):
     return default
 
 
+def _kernel(controller=None):
+    return Kernel(KernelConfig(schedule_controller=controller))
+
+
+def _named(*names):
+    return [SimpleNamespace(name=name) for name in names]
+
+
 class TestScheduleController:
+    """The seam: ``Kernel.decide`` numbers each decision once, and the
+    controller forces, chooses or records it."""
+
     def test_single_alternative_is_not_a_decision(self):
         controller = ScheduleController()
-        assert controller.decide("sched.pick", 1, _const(0)) == 0
-        assert controller.decide("sched.pick", 0, _const(0)) == 0
+        kernel = _kernel(controller)
+        default = _const(1)
+        assert kernel.decide("sched.pick", 1, default) == 0
+        assert kernel.decide("sched.pick", 0, default) == 0
         assert len(controller.trace) == 0
+        assert default.calls == []
+        # Nor does it use up a sequence number.
+        kernel.decide("sched.pick", 2, default)
+        assert [d.seq for d in controller.trace.decisions] == [0]
 
     def test_default_tail_calls_default_with_site_seq(self):
-        controller = ScheduleController(tail=TAIL_DEFAULT)
-        default = _const(2)
-        assert controller.decide("sched.pick", 3, default) == 2
-        assert controller.decide("sched.pick", 3, default) == 2
-        assert controller.decide("fault.kill", 3, default) == 2
-        assert default.calls == [0, 1, 0]  # per-site sequence numbers
+        for controller in (ScheduleController(tail=TAIL_DEFAULT), None):
+            kernel = _kernel(controller)
+            default = _const(2)
+            assert kernel.decide("sched.pick", 3, default) == 2
+            assert kernel.decide("sched.pick", 3, default) == 2
+            assert kernel.decide("fault.kill", 3, default) == 2
+            # Per-site sequence numbers, the same with or without a
+            # controller.
+            assert default.calls == [0, 1, 0]
 
     def test_baseline_tail_never_consults_the_default(self):
-        controller = ScheduleController(tail=TAIL_BASELINE)
+        kernel = _kernel(ScheduleController(tail=TAIL_BASELINE))
         default = _const(1)
-        assert controller.decide("sched.pick", 4, default) == 0
+        assert kernel.decide("sched.pick", 4, default) == 0
         assert default.calls == []
 
     def test_forced_choices_win_positionally(self):
         controller = ScheduleController(
             chooser=lambda point: 1, force=[2, 0], tail=TAIL_BASELINE
         )
-        assert controller.decide("sched.pick", 3, _const(0)) == 2
-        assert controller.decide("fault.spurious", 2, _const(0)) == 0
+        kernel = _kernel(controller)
+        assert kernel.decide("sched.pick", 3, _const(0)) == 2
+        assert kernel.decide("fault.spurious", 2, _const(0)) == 0
         # Past the forced prefix the chooser takes over.
-        assert controller.decide("sched.pick", 3, _const(0)) == 1
+        assert kernel.decide("sched.pick", 3, _const(0)) == 1
         forced_flags = [d.forced for d in controller.trace.decisions]
         assert forced_flags == [True, True, False]
 
     def test_out_of_range_choice_is_clamped_and_counted(self):
         controller = ScheduleController(force=[7], tail=TAIL_BASELINE)
-        assert controller.decide("sched.pick", 3, _const(0)) == 2
+        assert _kernel(controller).decide("sched.pick", 3, _const(0)) == 2
         assert controller.divergences == 1
 
     def test_trace_json_round_trip(self, tmp_path):
         controller = ScheduleController(force=[1], tail=TAIL_BASELINE)
-        controller.decide("sched.pick", 3, _const(0), labels=("a", "b", "c"))
-        controller.decide("fault.drop_notify", 2, _const(0))
+        kernel = _kernel(controller)
+        kernel.decide("sched.pick", 3, _const(0), _named("a", "b", "c"))
+        kernel.decide("fault.drop_notify", 2, _const(0))
         controller.trace.meta["scenario"] = "unit"
         path = tmp_path / "trace.json"
         controller.trace.save(str(path))
@@ -157,6 +181,74 @@ class TestGoldenRecordReplay:
                   if d.site == "mem.drain"]
         assert drains, "a tso run must offer drain decisions"
         assert all(d.choice == 0 for d in drains)
+
+    def test_notify_extra_records_and_replays_identically(self):
+        """The at-least-one NOTIFY's extra wake (``sched.notify_extra``),
+        which no golden entry reaches: recording it changes nothing, the
+        recorded choices replay the run, and driving every extra wake to
+        "no" and to "yes" gives two different runs that replay too."""
+        from repro.analysis.golden import fingerprint
+        from repro.kernel import msec
+        from repro.kernel import primitives as p
+        from repro.sync import ConditionVariable, Monitor
+
+        def run_once(controller=None):
+            kernel = Kernel(KernelConfig(
+                seed=1, trace=True, notify_wakes="at_least_one",
+                at_least_one_extra_prob=0.5, schedule_controller=controller,
+            ))
+            monitor = Monitor("m")
+            cv = ConditionVariable(monitor, "cv")
+
+            def waiter():
+                while True:
+                    yield p.Enter(monitor)
+                    try:
+                        yield p.Wait(cv)
+                    finally:
+                        yield p.Exit(monitor)
+
+            def notifier():
+                for _ in range(8):
+                    yield p.Pause(msec(10))
+                    yield p.Enter(monitor)
+                    try:
+                        yield p.Notify(cv)
+                    finally:
+                        yield p.Exit(monitor)
+
+            for index in range(4):
+                kernel.fork_root(waiter, name=f"w{index}")
+            kernel.fork_root(notifier, name="notifier")
+            kernel.run_for(msec(500))  # pauses end on 50 ms ticks
+            result = fingerprint(kernel)
+            kernel.shutdown()
+            return result
+
+        def extra_wakes(controller):
+            return [d.choice for d in controller.trace.decisions
+                    if d.site == "sched.notify_extra"]
+
+        uncontrolled = run_once()
+        recorder = ScheduleController(tail=TAIL_DEFAULT)
+        assert run_once(recorder) == uncontrolled
+        assert len(extra_wakes(recorder)) == 8  # one per NOTIFY
+        replayer = ScheduleController(force=recorder.trace.choices)
+        assert run_once(replayer) == uncontrolled
+        assert replayer.divergences == 0
+        runs = []
+        for answer in (0, 1):
+            steer = ScheduleController(
+                chooser=lambda point: (
+                    answer if point.site == "sched.notify_extra" else None
+                )
+            )
+            driven = run_once(steer)
+            assert extra_wakes(steer) == [answer] * 8
+            again = ScheduleController(force=steer.trace.choices)
+            assert run_once(again) == driven
+            runs.append(driven)
+        assert runs[0] != runs[1]
 
     def test_mem_drain_decisions_record_and_replay_identically(self):
         """A driven tso run that commits buffered stores at explored

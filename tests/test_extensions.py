@@ -3,7 +3,8 @@
 import pytest
 
 from repro.extensions.adaptive_timeout import AdaptiveTimeout, run_rpc_experiment
-from repro.extensions.fair_share import run_inversion, run_reactivity
+from repro.casestudies.inversion import run_inversion
+from repro.extensions.fair_share import run_reactivity
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
 
@@ -149,6 +150,7 @@ class TestFairShareScheduler:
         fair = run_inversion(policy="fair_share", run_length=sec(3))
         assert strict.acquired_at is None
         assert fair.acquired_at is not None
+        assert fair.variant == "bare"  # no daemon, no inheritance
 
     def test_reactivity_suffers_under_fair_share(self):
         strict = run_reactivity(policy="strict", keystrokes=10)

