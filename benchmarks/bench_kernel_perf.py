@@ -223,6 +223,53 @@ def scenario_timer_wheel() -> int:
     return dispatches
 
 
+def scenario_multiprocessor_traffic() -> int:
+    """Three CPUs at default costs: a producer hands items to four
+    higher-priority workers through a monitor and condition variable.
+    Each NOTIFY readies a worker that preempts the producer and often
+    runs on another CPU, and CPUs idle while the workers wait, so the
+    loop's idle-CPU dispatch and the multiprocessor burn-limit terms
+    all run."""
+    kernel = Kernel(KernelConfig(ncpus=3))
+    lock = Monitor("mp")
+    nonempty = ConditionVariable(lock, "mp.nonempty")
+    queue = []
+    items = 2_000
+    consumed = 0
+
+    def producer():
+        for item in range(items):
+            yield p.Compute(usec(60))
+            yield Enter(lock)
+            try:
+                queue.append(item)
+                yield Notify(nonempty)
+            finally:
+                yield Exit(lock)
+
+    def worker():
+        nonlocal consumed
+        while True:
+            yield Enter(lock)
+            try:
+                while not queue:
+                    yield Wait(nonempty)
+                queue.pop()
+            finally:
+                yield Exit(lock)
+            yield p.Compute(usec(150))
+            consumed += 1
+
+    kernel.fork_root(producer, name="producer", priority=3)
+    for index in range(4):
+        kernel.fork_root(worker, name=f"worker{index}", priority=4)
+    kernel.run_for(sec(60))
+    preemptions = kernel.stats.preemptions
+    kernel.shutdown()
+    assert consumed == items and preemptions >= items
+    return consumed
+
+
 SCENARIOS = {
     "monitor_traffic": scenario_monitor_traffic,
     "monitor_traffic_tso": scenario_monitor_traffic_tso,
@@ -233,6 +280,7 @@ SCENARIOS = {
     "timed_waits": scenario_timed_waits,
     "fork_join_churn": scenario_fork_join_churn,
     "timer_wheel": scenario_timer_wheel,
+    "multiprocessor_traffic": scenario_multiprocessor_traffic,
 }
 
 
@@ -270,6 +318,10 @@ def test_perf_fork_join_churn(benchmark):
 
 def test_perf_timer_wheel(benchmark):
     assert benchmark(scenario_timer_wheel) >= 2_500
+
+
+def test_perf_multiprocessor_traffic(benchmark):
+    assert benchmark(scenario_multiprocessor_traffic) == 2_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Regenerate the pinned golden-schedule hashes.
+"""Regenerate the pinned golden-schedule hashes and report digests.
 
 Run only for *intentional* behaviour changes (a scheduling or accounting
 bugfix); never to paper over a non-behaviour-preserving optimisation.
@@ -21,7 +21,8 @@ def main() -> None:
     golden = regenerate_golden()
     for name, digest in sorted(golden.items()):
         print(f"{name}: {digest['events']} events, trace={digest['trace'][:12]}…")
-    print(f"wrote {default_golden_path()}")
+    path = default_golden_path()
+    print(f"wrote {path} and {path.with_name('report_digests.json')}")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ entries under varied configuration:
 * the exploration tests record and replay every entry through a
   schedule controller and require the pinned hashes both times;
 * ``scripts/update_golden_schedule.py`` regenerates the pins after an
-  intentional behaviour change.
+  intentional behaviour change, with the :func:`report_digests` of the
+  server, cluster and workload reports, which the fingerprint cannot see.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.analysis.scenarios import Scenario, resolve
-from repro.kernel import Kernel, KernelConfig
+from repro.cluster.world import run_cluster
+from repro.kernel import Kernel, KernelConfig, msec
+from repro.server.world import run_server
+from repro.workload.world import run_workload
 
 
 def default_golden_path() -> Path:
@@ -119,9 +123,28 @@ def load_golden(path: Path | None = None) -> dict:
 
 
 def regenerate_golden(path: Path | None = None) -> dict:
-    """Recompute every golden fingerprint and rewrite the pinned file."""
+    """Recompute every golden fingerprint and report digest and rewrite
+    both pinned files (``report_digests.json`` sits beside ``path``)."""
     path = path or default_golden_path()
     golden: dict[str, Any] = {s.name: golden_run(s) for s in resolve("golden")}
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
+    for target, pins in (
+        (path, golden),
+        (path.with_name("report_digests.json"), report_digests()),
+    ):
+        target.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
     return golden
+
+
+def report_digests() -> dict[str, str]:
+    """The ``.digest`` of each pinned report run: 500 ms at seed 0."""
+    at = dict(seed=0, duration=msec(500))
+    return {
+        "server-overload": run_server(scenario="overload", **at).digest,
+        "cluster-steady": run_cluster(scenario="steady", **at).digest,
+        "cluster-steady-replicas": run_cluster(replicas=True, **at).digest,
+        "workload-diurnal": run_workload(scenario="diurnal", **at).digest,
+        "workload-cache-stampede": run_workload(
+            scenario="cache-stampede", **at
+        ).digest,
+    }

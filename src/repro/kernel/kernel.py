@@ -324,14 +324,30 @@ class Kernel:
         burning off (see ``_burn_limit``): the loop then completes each
         burst itself, which makes ``stop_when=lambda k: False`` the
         reference path the inline one must match.
+
+        Each pass does only the work due at its instant: it asks the
+        side-effect-free ``_tick_needed`` only when the next quantum
+        boundary comes first, pops events only when the heap's head is
+        due, and preempts each runner the best ready priority outranks.
         """
         if t_end < self.now:
             raise ValueError(f"cannot run backwards ({t_end} < {self.now})")
         horizon = t_end if stop_when is None else None
         stopped = False
+        scheduler = self.scheduler
+        cpus = scheduler.cpus
+        heap = self.events._heap  # each pass peeks at its head in place
+        quantum = self.config.quantum
         while True:
             self._dispatch_idle_cpus()
-            t_next = self._next_time()
+            t_next = heap[0][0] if heap else None
+            for cpu in cpus:
+                busy_until = cpu.busy_until
+                if busy_until is not None and (t_next is None or busy_until < t_next):
+                    t_next = busy_until
+            boundary = (self.now // quantum + 1) * quantum
+            if (t_next is None or boundary < t_next) and self._tick_needed():
+                t_next = boundary
             if t_next is None:
                 if raise_on_deadlock and self._is_deadlocked():
                     raise self._make_deadlock()
@@ -340,14 +356,19 @@ class Kernel:
                 break
             self.now = t_next
             self._complete_due_bursts(horizon)
-            if self._on_tick_boundary():
+            now = self.now  # an inline burn may have moved the clock
+            if now % quantum == 0 and now != self._last_tick:
                 self._on_tick()
-            for action in self.events.pop_due(self.now):
-                action(self)
+            if heap and heap[0][0] <= now:
+                for action in self.events.pop_due(now):
+                    action(self)
             if self.watchdog is not None:
-                self.watchdog.maybe_check(self.now)
-            if self.scheduler.best_ready:  # else nothing can preempt
-                self._check_preemption()
+                self.watchdog.maybe_check(now)
+            if scheduler.best_ready:  # else nothing can preempt
+                for cpu in cpus:
+                    thread = cpu.current
+                    if thread is not None and scheduler.best_ready > thread.priority:
+                        self._maybe_preempt(cpu, thread)
             if stop_when is not None and stop_when(self):
                 stopped = True
                 break
@@ -427,28 +448,6 @@ class Kernel:
     # Clock and dispatch machinery
     # ------------------------------------------------------------------
 
-    def _next_time(self) -> int | None:
-        """The next instant at which anything can happen.
-
-        Runs once per kernel-loop iteration, so it tracks the minimum
-        directly instead of building a candidate list each time.
-        """
-        t_next = self.events.next_time()
-        for cpu in self.scheduler.cpus:
-            busy_until = cpu.busy_until
-            if busy_until is not None and (t_next is None or busy_until < t_next):
-                t_next = busy_until
-        if self._tick_needed():
-            tick = self._next_boundary()
-            if t_next is None or tick < t_next:
-                t_next = tick
-        return t_next
-
-    def _next_boundary(self) -> int:
-        """The first quantum boundary after now."""
-        quantum = self.config.quantum
-        return (self.now // quantum + 1) * quantum
-
     def _tick_needed(self) -> bool:
         """Ticks matter only when a timeout can fire or rotation/donation
         expiry can change a scheduling decision.  Skipping irrelevant
@@ -462,14 +461,9 @@ class Kernel:
             self.faults.plan.wants_ticks or self._fork_waiters
         ):
             return True
-        if self.scheduler.ready_count() == 0:
+        if not self.scheduler.best_ready:
             return False
         return any(cpu.current is not None for cpu in self.scheduler.cpus)
-
-    def _on_tick_boundary(self) -> bool:
-        """The clock sits on a quantum boundary that has not ticked yet."""
-        now = self.now
-        return now != self._last_tick and now % self.config.quantum == 0
 
     def _on_tick(self) -> None:
         """Scheduler tick: expire donations, fire timeouts, round-robin."""
@@ -544,16 +538,23 @@ class Kernel:
             )
 
     def _dispatch_idle_cpus(self) -> None:
+        """Give each idle CPU the thread ``take_next`` picks, skipping one
+        with no donee while nothing is ready: there ``take_next`` returns
+        None and changes nothing (the empty lottery numbers no decision).
+        A CPU with a donee still asks, which clears a spent donation."""
         if self.now != self._instant:
             self._instant = self.now
             self._dispatches_this_instant = 0
+        scheduler = self.scheduler
         progress = True
         while progress:
             progress = False
-            for cpu in self.scheduler.cpus:
-                if cpu.current is not None:
+            for cpu in scheduler.cpus:
+                if cpu.current is not None or (
+                    not scheduler.best_ready and cpu.donee is None
+                ):
                     continue
-                thread = self.scheduler.take_next(cpu)
+                thread = scheduler.take_next(cpu)
                 if thread is None:
                     continue
                 self._dispatches_this_instant += 1
@@ -594,7 +595,7 @@ class Kernel:
 
     def _complete_due_bursts(self, horizon: int | None) -> None:
         for cpu in self.scheduler.cpus:
-            if cpu.current is not None and cpu.busy_until == self.now:
+            if cpu.busy_until == self.now:  # None on an idle CPU
                 thread = cpu.current
                 thread.pending_compute = 0
                 cpu.busy_until = None
@@ -737,15 +738,21 @@ class Kernel:
         burst may end on a bound but the next one cannot, so a limit
         kept across bursts stops there too.  A limit earlier than needed
         is safe: the loop completes the burst on the same schedule.
+        Terms are read directly; ``best_ready`` is nonzero exactly when
+        something is ready, and fair share never preempts on priority.
         """
-        if self._on_tick_boundary():
+        now = self.now
+        quantum = self.config.quantum
+        if now % quantum == 0 and now != self._last_tick:
             return None
-        limit = min(horizon, self._next_boundary())
-        if self.watchdog is not None:
-            limit = min(limit, self.watchdog.next_sweep)
-        t_event = self.events.next_time()
-        if t_event is not None and t_event < limit:
-            limit = t_event
+        limit = (now // quantum + 1) * quantum
+        if horizon < limit:
+            limit = horizon
+        if self.watchdog is not None and self.watchdog.next_sweep < limit:
+            limit = self.watchdog.next_sweep
+        heap = self.events._heap
+        if heap and heap[0][0] < limit:
+            limit = heap[0][0]
         scheduler = self.scheduler
         if len(scheduler.cpus) > 1:
             for other in scheduler.cpus:
@@ -753,28 +760,28 @@ class Kernel:
                     continue
                 running = other.current
                 if running is None:
-                    if scheduler.ready_count() or other.donee is not None:
+                    if scheduler.best_ready or other.donee is not None:
                         return None
-                elif other.donee is not running and scheduler.would_preempt(
-                    running.priority
+                elif (
+                    scheduler.best_ready > running.priority
+                    and other.donee is not running
+                    and scheduler.policy != "fair_share"
                 ):
                     return None
-                else:
-                    limit = min(limit, other.busy_until - 1)
+                elif other.busy_until <= limit:
+                    limit = other.busy_until - 1
         return limit
 
     def _maybe_preempt(self, cpu: Cpu, thread: SimThread) -> bool:
-        """Strict-priority preemption, unless a donation pins the thread.
+        """Preempt ``thread``, which a ready thread outranks, unless a
+        donation pins it or the policy is fair share.
 
-        ``_resume`` checks before every trap and every burst, and makes
-        the no-preemption comparison against the scheduler's cached
-        best-ready priority itself before it calls here.  The loop's
-        per-instant ``_check_preemption`` calls it too, for threads in
-        the middle of a burst.
+        Callers compare the scheduler's cached best-ready priority with
+        the thread's before they call here: ``_resume`` before every
+        trap and every burst, and each ``run_until`` pass for every
+        running thread, which also covers threads in mid-burst.
         """
         scheduler = self.scheduler
-        if scheduler.best_ready <= thread.priority:
-            return False
         if cpu.donee is thread or scheduler.policy == "fair_share":
             return False
         self.stats.preemptions += 1
@@ -786,12 +793,6 @@ class Kernel:
         if self._tracing:
             self.tracer.record(self.now, instr.CAT_SWITCH, "preempt", thread.name)
         return True
-
-    def _check_preemption(self) -> None:
-        for cpu in self.scheduler.cpus:
-            thread = cpu.current
-            if thread is not None:
-                self._maybe_preempt(cpu, thread)
 
     def _interrupt_burst(self, cpu: Cpu) -> None:
         """Account a partially-completed compute burst."""

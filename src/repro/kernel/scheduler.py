@@ -194,18 +194,6 @@ class Scheduler:
             mask ^= 1 << prio
         return threads
 
-    def would_preempt(self, running_priority: int) -> bool:
-        """True if a ready thread should preempt a runner at this priority.
-
-        Strict priority: only a *strictly* higher priority preempts.
-        Fair share never preempts on priority — CPU shares are settled at
-        quantum boundaries, which is exactly why the paper judges it
-        ill-suited to "moment-by-moment" near-real-time response.
-        """
-        if self.policy == "fair_share":
-            return False
-        return self.best_ready > running_priority
-
     # -- dispatch ----------------------------------------------------------
 
     def take_next(self, cpu: Cpu) -> SimThread | None:

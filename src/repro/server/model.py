@@ -236,19 +236,25 @@ class ServerStats:
         #: deadline sleeper — queue depth over time for the SLO report.
         self.depth_samples: list[tuple[int, int, int]] = []
         self.batches = 0
+        #: Per-kind sums over the tenant rows, kept by ``bump``, their writer.
+        self._totals = dict.fromkeys(self.KINDS, 0)
 
     def bump(self, tenant: str, kind: str, amount: int = 1) -> None:
-        row = self.per_tenant.setdefault(tenant, dict.fromkeys(self.KINDS, 0))
+        row = self.per_tenant.get(tenant)
+        if row is None:
+            row = self.per_tenant[tenant] = dict.fromkeys(self.KINDS, 0)
         row[kind] += amount
+        self._totals[kind] += amount
 
     def note_latency(self, tenant: str, latency_us: int) -> None:
         self.latency.record(latency_us)
-        self.tenant_latency.setdefault(tenant, LatencyHistogram()).record(
-            latency_us
-        )
+        histogram = self.tenant_latency.get(tenant)
+        if histogram is None:
+            histogram = self.tenant_latency[tenant] = LatencyHistogram()
+        histogram.record(latency_us)
 
     def total(self, kind: str) -> int:
-        return sum(row[kind] for row in self.per_tenant.values())
+        return self._totals[kind]
 
     # -- reporting ---------------------------------------------------------
 

@@ -10,6 +10,10 @@ stop_when=never)`` is the per-instant reference path.  Every case here
 runs both ways and requires equal golden fingerprints (full trace plus
 statistics); each targeted case also checks that the plain run really
 took the inline path, by counting kernel-loop passes.
+
+The loop's own per-pass shortcuts change both paths alike, so the cases
+for them (a stale donation, several preemptions at one instant, ticks
+at boundaries nothing else falls on) also check the schedule itself.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from repro.analysis.golden import fingerprint, load_golden
 from repro.analysis.scenarios import resolve
 from repro.kernel import Kernel, KernelConfig, msec
 from repro.kernel import primitives as p
+from repro.kernel.instrumentation import CAT_SWITCH, CAT_TICK
 from repro.kernel.primitives import Enter, Exit, Notify, Wait
 from repro.sync import ConditionVariable, Monitor
 
@@ -54,14 +59,17 @@ def observe(kernel: Kernel) -> dict:
     return seen
 
 
-def assert_inline_matches_reference(install, horizon, **config):
-    """Run ``install``'s world plain and on the reference path."""
+def assert_inline_matches_reference(install, horizon, check=None, **config):
+    """Run ``install``'s world plain and on the reference path; ``check``,
+    if given, is asserted on the kernel after each run."""
     runs = []
     for stop_when in (None, never):
         kernel = Kernel(KernelConfig(seed=0, trace=True, **config))
         install(kernel)
         passes = count_passes(kernel)
         kernel.run_for(horizon, stop_when=stop_when)
+        if check is not None:
+            check(kernel)
         runs.append((observe(kernel), passes[0]))
         kernel.shutdown()
     (plain, plain_passes), (reference, reference_passes) = runs
@@ -281,3 +289,106 @@ def test_fork_readies_work_for_an_idle_cpu():
         kernel.fork_root(parent, name="parent")
 
     assert_inline_matches_reference(install, msec(100), ncpus=2)
+
+
+def switch_events(kernel: Kernel, kind: str) -> list[tuple]:
+    return [
+        (e.time, e.thread, e.detail)
+        for e in kernel.tracer.by_category(CAT_SWITCH)
+        if e.kind == kind
+    ]
+
+
+def test_stale_donation_on_an_idle_cpu():
+    # ``donor`` gives CPU 0 to ``donee`` (YieldButNotToMe) and moves to
+    # CPU 1 when ``hog`` ends there; the donee runs on CPU 0, then
+    # blocks, so CPU 0 idles with nothing ready and a spent donation.
+    # At 10 ms one event readies the donee and the higher-priority
+    # ``high`` together: the idle CPU must take ``high``, not the donee.
+    def install(kernel):
+        wake, go = kernel.channel("wake"), kernel.channel("go")
+
+        def hog():
+            yield p.Compute(msec(2))
+
+        def donor():
+            yield p.Compute(msec(1))
+            yield p.YieldButNotToMe()
+            yield from cruncher(msec(1))
+
+        def donee():
+            yield p.Compute(msec(2))
+            yield p.Channelreceive(wake)
+            yield from cruncher(msec(1))
+
+        def high():
+            yield p.Channelreceive(go)
+            yield from cruncher(msec(1))
+
+        kernel.fork_root(hog, name="hog", priority=5)
+        kernel.fork_root(donor, name="donor", priority=4)
+        kernel.fork_root(donee, name="donee", priority=3)
+        kernel.fork_root(high, name="high", priority=6)
+        kernel.post_at(msec(10), lambda k: (wake.post(1), go.post(1)))
+
+    def check(kernel):
+        dispatches = switch_events(kernel, "dispatch")
+        assert (msec(1), "donee", 0) in dispatches  # the donation ran
+        assert (msec(2), "donor", 1) in dispatches
+        assert [e for e in dispatches if e[0] == msec(10)][0] == (
+            msec(10), "high", 0
+        )
+
+    assert_inline_matches_reference(
+        install, msec(30), check, ncpus=2, switch_cost=0
+    )
+
+
+def test_two_preemptions_at_one_instant():
+    # Three CPUs run low-priority crunchers; one event readies two
+    # higher-priority threads.  Every runner they outrank is preempted
+    # at that instant, in CPU index order (the preempted thread goes
+    # back to the front of its queue, so CPU 2 takes its own runner back).
+    def install(kernel):
+        def ready_highs(kernel):
+            for name in ("high0", "high1"):
+                kernel.fork_root(cruncher, (msec(3), 2), name=name, priority=5)
+
+        for name, burst in (("low0", 1), ("low1", 7), ("low2", 11)):
+            kernel.fork_root(cruncher, (msec(burst),), name=name, priority=2)
+        kernel.post_at(msec(20) + 500, ready_highs)
+
+    def check(kernel):
+        at = msec(20) + 500
+        preempted = [e for e in switch_events(kernel, "preempt") if e[0] == at]
+        assert preempted == [
+            (at, "low0", None), (at, "low1", None), (at, "low2", None)
+        ]
+        assert [
+            e for e in switch_events(kernel, "dispatch") if e[0] == at
+        ] == [(at, "high0", 0), (at, "high1", 1), (at, "low2", 2)]
+
+    assert_inline_matches_reference(
+        install, msec(60), check, ncpus=3, switch_cost=0
+    )
+
+
+def test_ticks_only_at_boundaries_that_need_them():
+    # The cruncher's 7 ms bursts end on no boundary, so every boundary
+    # here falls before the next event or burst end.  A tick is needed
+    # at 50 ms (the sleeper is ready and rotates in), at 100 ms (its
+    # 70 ms pause is pending) and at 150 ms (it wakes), but not at 200
+    # or 250 ms, where the cruncher runs alone.
+    def install(kernel):
+        def sleeper():
+            yield p.Pause(msec(70))
+            yield p.Annotate("awake")
+
+        kernel.fork_root(cruncher, (msec(7),), name="crunch")
+        kernel.fork_root(sleeper, name="sleeper")
+
+    def check(kernel):
+        ticks = [e.time for e in kernel.tracer.by_category(CAT_TICK)]
+        assert ticks == [msec(50), msec(100), msec(150)]
+
+    assert_inline_matches_reference(install, msec(300), check, switch_cost=0)

@@ -1,15 +1,20 @@
 """Golden-schedule determinism guard.
 
 The kernel hot paths are optimisation targets (O(1) scheduler queries,
-allocation-free ``_next_time``, short-circuited tracing), but the contract
-is that **no optimisation may change a single scheduling decision**.  This
-module enforces that contract: each scenario runs a deterministic
-simulation with full tracing on, fingerprints the entire event stream plus
-the final statistics, and compares the SHA-256 digests against the pinned
-values in ``tests/golden/schedule_hashes.json``.
+a loop pass that does only the work due at its instant, short-circuited
+tracing), but the contract is that **no optimisation may change a single
+scheduling decision**.  This module enforces that contract: each scenario
+runs a deterministic simulation with full tracing on, fingerprints the
+entire event stream plus the final statistics, and compares the SHA-256
+digests against the pinned values in ``tests/golden/schedule_hashes.json``.
 
 If a change perturbs one dispatch, one preemption, one timeout, or one
 counter in any scenario, the digest changes and the test fails loudly.
+
+The fingerprint sees only the kernel, so the server, cluster and
+workload reports of five seeded 500 ms runs (per-tenant counters,
+latency histograms, SLO attainment) are pinned too, by their
+``.digest``, in ``tests/golden/report_digests.json``.
 
 The scenarios are the ``golden``-tagged entries of the scenario
 catalogue (:mod:`repro.analysis.scenarios`); the fingerprint function and
@@ -38,12 +43,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.golden import golden_run, load_golden, regenerate_golden
+from repro.analysis.golden import (
+    golden_run,
+    load_golden,
+    regenerate_golden,
+    report_digests,
+)
 from repro.analysis.scenarios import resolve
 
 GOLDEN = {scenario.name: scenario for scenario in resolve("golden")}
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "schedule_hashes.json"
+REPORTS_PATH = GOLDEN_PATH.with_name("report_digests.json")
 
 _UPDATE = os.environ.get("GOLDEN_UPDATE") == "1"
 
@@ -71,6 +82,15 @@ def test_golden_schedule(name):
     )
 
 
+def test_report_digests():
+    if _UPDATE:
+        pytest.skip("regenerating golden hashes (GOLDEN_UPDATE=1)")
+    assert report_digests() == load_golden(REPORTS_PATH), (
+        "a server, cluster or workload report diverged from its pinned "
+        "digest; regenerate only for an intentional accounting change"
+    )
+
+
 def test_weak_memory_entry_runs_on_store_buffers():
     # The fingerprint cannot tell memory models apart (it hashes the trace
     # and the kernel stats, which are the same under every model), so a
@@ -89,5 +109,5 @@ def test_golden_update_mode():
     """When GOLDEN_UPDATE=1, rewrite the pinned hashes (runs last)."""
     if not _UPDATE:
         pytest.skip("pin-check mode")
-    golden = regenerate_golden(GOLDEN_PATH)
+    golden = regenerate_golden(GOLDEN_PATH)  # and REPORTS_PATH beside it
     assert set(golden) == set(GOLDEN)

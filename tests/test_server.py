@@ -11,9 +11,11 @@ import json
 import pytest
 
 from repro.kernel import KernelConfig, msec, sec, usec
-from repro.server import LatencyHistogram, TenantSpec, run_server
+from repro.cluster.world import run_cluster
+from repro.server import LatencyHistogram, ServerStats, TenantSpec, run_server
 from repro.server.latency import bucket_label
 from repro.server.world import build_server_world
+from repro.workload.world import run_workload
 
 RUN = sec(1)
 
@@ -290,6 +292,39 @@ class TestServerWorld:
         world.shutdown()
         assert deadlocks == []
         assert starvation == []
+
+
+class TestServerStatsTotals:
+    def test_running_totals_match_the_tenant_rows(self):
+        # ``total`` reads per-kind sums that ``bump`` keeps as it writes
+        # rows; they must equal a fresh sum over the rows on the
+        # balancer, every shard and replica, and the cache tier.  Some
+        # kinds (``give_ups``) stay zero in those runs, so a directly
+        # bumped ``ServerStats`` covers every kind too.
+        direct = ServerStats()
+        for amount, kind in enumerate(ServerStats.KINDS, start=1):
+            for tenant in ("a", "b"):
+                direct.bump(tenant, kind, amount)
+        _, world, balancer = run_cluster(
+            replicas=True, duration=msec(500), keep_world=True
+        )
+        stats = [direct, balancer.stats]
+        stats += [shard.stats for shard in balancer.shards]
+        stats += [link.replica.stats for link in balancer.links]
+        world.shutdown()
+        _, cached = run_workload(
+            scenario="cache-stampede", duration=msec(500), keep_world=True
+        )
+        stats += [cached.cache.stats, cached.balancer.stats]
+        stats += [shard.stats for shard in cached.balancer.shards]
+        cached.world.shutdown()
+        for server_stats in stats:
+            rows = server_stats.per_tenant.values()
+            for kind in ServerStats.KINDS:
+                assert server_stats.total(kind) == sum(row[kind] for row in rows)
+        assert cached.cache.stats.total("completed") > 0
+        assert balancer.stats.total("offered") > 0
+        assert balancer.shards[0].stats.total("completed") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,29 @@ class TestSchedulerUnit:
         assert scheduler.take_next(scheduler.cpus[0]) is high
 
     def test_would_preempt_strictness(self):
-        scheduler = _scheduler()
-        peer = _thread(1, priority=4)
-        scheduler.make_ready(peer)
-        assert not scheduler.would_preempt(4)  # equal never preempts
-        assert scheduler.would_preempt(3)
-        assert not scheduler.would_preempt(5)
+        # An event readies a thread while a priority-4 thread burns: only
+        # a strictly higher priority preempts it, and fair share never
+        # preempts on priority.
+        def preemptions(priority, **config):
+            kernel = Kernel(KernelConfig(**config))
+
+            def body():
+                yield p.Compute(msec(10))
+
+            kernel.fork_root(body, name="runner", priority=4)
+            kernel.post_at(
+                msec(1),
+                lambda k: k.fork_root(body, name="readied", priority=priority),
+            )
+            kernel.run_for(msec(30))
+            count = kernel.stats.preemptions
+            kernel.shutdown()
+            return count
+
+        assert preemptions(4) == 0  # equal never preempts
+        assert preemptions(3) == 0
+        assert preemptions(5) == 1
+        assert preemptions(5, scheduler_policy="fair_share") == 0
 
     def test_peek_best_other_excludes(self):
         scheduler = _scheduler()
