@@ -22,6 +22,7 @@ entries under varied configuration:
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -30,7 +31,9 @@ from typing import Any, Callable
 from repro.analysis.scenarios import Scenario, resolve
 from repro.cluster.world import run_cluster
 from repro.kernel import Kernel, KernelConfig, msec
+from repro.server.model import TenantSpec
 from repro.server.world import run_server
+from repro.workload.scenarios import workload_spec
 from repro.workload.world import run_workload
 
 
@@ -136,15 +139,48 @@ def regenerate_golden(path: Path | None = None) -> dict:
     return golden
 
 
-def report_digests() -> dict[str, str]:
-    """The ``.digest`` of each pinned report run: 500 ms at seed 0."""
+#: The open-loop mix behind the ``cluster-deadlines`` pin: far past
+#: capacity with 30 ms deadlines, so requests expire at the balancer and
+#: at the shards.  ``api`` may retry once; ``batch`` may not, so its
+#: first expiry at the balancer is a FAILED verdict there.
+DEADLINE_TENANTS = (
+    TenantSpec(name="api", mode="open", rate_per_sec=6000.0,
+               deadline=msec(30), max_retries=1),
+    TenantSpec(name="batch", mode="open", rate_per_sec=600.0,
+               deadline=msec(30), max_retries=0),
+)
+
+
+def pinned_reports() -> dict[str, Any]:
+    """Each pinned report run, 500 ms at seed 0, by pin name.
+
+    The last two exist to reach verdict paths no other pin reaches:
+    ``cluster-deadlines`` expires, retries and fails requests at the
+    balancer and at the shards, and ``workload-cache-failed-fills``
+    narrows the unguarded stampede to one single-worker shard behind a
+    two-slot admission queue, so fetches are shed and their parked
+    waiters inherit the verdict.
+    """
     at = dict(seed=0, duration=msec(500))
+    narrow = dataclasses.replace(
+        workload_spec("cache-stampede"),
+        shards=1, workers_per_shard=1, admission_capacity=2,
+    )
     return {
-        "server-overload": run_server(scenario="overload", **at).digest,
-        "cluster-steady": run_cluster(scenario="steady", **at).digest,
-        "cluster-steady-replicas": run_cluster(replicas=True, **at).digest,
-        "workload-diurnal": run_workload(scenario="diurnal", **at).digest,
+        "server-overload": run_server(scenario="overload", **at),
+        "cluster-steady": run_cluster(scenario="steady", **at),
+        "cluster-steady-replicas": run_cluster(replicas=True, **at),
+        "workload-diurnal": run_workload(scenario="diurnal", **at),
         "workload-cache-stampede": run_workload(
             scenario="cache-stampede", **at
-        ).digest,
+        ),
+        "cluster-deadlines": run_cluster(tenants=DEADLINE_TENANTS, **at),
+        "workload-cache-failed-fills": run_workload(
+            spec=narrow, single_flight=False, **at
+        ),
     }
+
+
+def report_digests() -> dict[str, str]:
+    """The ``.digest`` of each :func:`pinned_reports` run."""
+    return {name: report.digest for name, report in pinned_reports().items()}

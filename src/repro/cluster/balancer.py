@@ -28,11 +28,10 @@ stage is one of the paper's paradigms, one layer up:
   the shard's counters *advance*, never on depth alone, so a wedged
   shard that merely drained does not win traffic back.
 
-The balancer exposes the same frontend protocol as
-:class:`~repro.server.server.RpcServer` (``net``/``ingress``,
-``make_request``, ``stats``, ``poll``, ``world``/``kernel``, ``name``),
-so the traffic generators in :mod:`repro.server.clients` drive a cluster
-and a single server interchangeably.
+The balancer is a :class:`~repro.server.server.Frontend`, like the
+server it fronts, so the traffic generators drive a cluster and a single
+server interchangeably, and its verdicts, expiries and retries are the
+base's.
 """
 
 from __future__ import annotations
@@ -54,16 +53,8 @@ from repro.kernel.rng import DeterministicRng
 from repro.kernel.simtime import msec, usec
 from repro.paradigms.pump import Pump
 from repro.paradigms.sleeper import Sleeper
-from repro.server.model import (
-    FAILED,
-    PENDING,
-    SHED,
-    Request,
-    RequestFactory,
-    ServerStats,
-    TenantSpec,
-)
-from repro.server.server import RpcServer
+from repro.server.model import FAILED, PENDING, SHED, Request, TenantSpec
+from repro.server.server import PRIO_SLEEPER, Frontend, RpcServer
 from repro.cluster.admission import TokenBucket, WfqQueue
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
@@ -94,15 +85,15 @@ REROUTE_BACKOFF = msec(20)
 RECOVERY_CLEAN_TICKS = 3
 
 #: Same priority bands as the server: ingress above the pool, the
-#: sleeper in between, everything >= 4 for the starvation monitor.
+#: sleeper (PRIO_SLEEPER) in between, everything >= 4 for the
+#: starvation monitor.
 PRIO_FRONT = 6
-PRIO_SLEEPER = 5
 
 BALANCER_POLICIES = ("hash", "rr", "p2c")
 ADMISSION_POLICIES = ("drop_tail", "wfq")
 
 
-class LoadBalancer:
+class LoadBalancer(Frontend):
     """Route requests across ``shards`` with pluggable pick policy and
     per-tenant admission (see module docstring)."""
 
@@ -127,8 +118,7 @@ class LoadBalancer:
             raise ValueError(f"unknown admission policy {admission_policy!r}")
         if links is not None and len(links) != len(shards):
             raise ValueError("need one replication link per shard")
-        self.world = world
-        self.kernel = world.kernel
+        super().__init__(world, tenants, name)
         #: Mutable on purpose: promotion swaps a slot's server in place.
         self.shards = list(shards)
         #: Per-shard replication links (None without ``--replicas``) and
@@ -136,12 +126,8 @@ class LoadBalancer:
         self.links = links
         self.lease = lease
         self.standby: Any = None
-        self.tenants = {t.name: t for t in tenants}
         self.policy = policy
         self.admission_policy = admission_policy
-        self.name = name
-        self.stats = ServerStats()
-        self.poll = self.kernel.config.quantum
 
         #: Per-stage custody ledgers: each records the request a pipeline
         #: thread is holding between its get and its put (the listener
@@ -181,8 +167,6 @@ class LoadBalancer:
             if t.rate_limit_per_sec > 0
         }
 
-        self.factory = RequestFactory(self.kernel.config.seed, name)
-        self.retry_rng = self.factory.retry_rng
         self.pick_rng = DeterministicRng(self.kernel.config.seed).fork(
             f"{name}:pick"
         )
@@ -205,9 +189,6 @@ class LoadBalancer:
         self.outstanding: list[dict[str, Request]] = [
             {} for _ in range(nshards)
         ]
-        #: Requests parked in detached retry/reroute one-shots — custody
-        #: no queue scan can see (see repro.cluster.replication).
-        self.limbo: dict[str, Request] = {}
         self._strikes = [0] * nshards
         self._clean = [0] * nshards
         self._last_done = [0] * nshards
@@ -229,10 +210,10 @@ class LoadBalancer:
         self.quarantined = 0
         self.promoted_at: list[int] = []
         #: Demoted primaries, kept so merged cluster stats stay
-        #: conservation-complete after a promotion.
+        #: conservation-complete after a promotion.  They hold nothing:
+        #: the custody audit skips them (promotion must replay, not
+        #: leave work behind in a dead primary's queues).
         self.retired: list[RpcServer] = []
-        #: Threads forked by :meth:`start` (fault injection targets).
-        self.threads: list[Any] = []
 
         #: Credit wakeup: every shard terminal outcome (complete, shed,
         #: fail) notifies here, so the dispatcher blocks *on an event*
@@ -278,20 +259,6 @@ class LoadBalancer:
             self.health.proc, name=self.health.name, priority=PRIO_SLEEPER
         ))
 
-    # -- the frontend protocol ---------------------------------------------
-
-    def make_request(
-        self,
-        tenant: TenantSpec,
-        now: int,
-        *,
-        reply_to: Any = None,
-        intended: int | None = None,
-    ) -> Request:
-        return self.factory.make(
-            tenant, now, reply_to=reply_to, intended=intended
-        )
-
     # -- shard accounting ---------------------------------------------------
 
     def shard_done(self, sid: int) -> int:
@@ -334,7 +301,7 @@ class LoadBalancer:
             if bucket is not None:
                 now = yield GetTime()
                 if not bucket.take(now):
-                    yield from self._shed(req)
+                    yield from self._finish(req, SHED)
                     continue
             ok = yield from self.admission.put(
                 req, timeout=tenant.admission_timeout
@@ -342,7 +309,7 @@ class LoadBalancer:
             if ok:
                 self.carry_ledgers["ingress"].pop(req.rid, None)
             else:
-                yield from self._shed(req)
+                yield from self._finish(req, SHED)
 
     def _dispatch_proc(self):
         """Drain admission in policy order; route to an eligible shard."""
@@ -527,7 +494,7 @@ class LoadBalancer:
             self.rerouted_away[sid] += 1
             req.reroutes += 1
             if req.reroutes > MAX_REROUTES:
-                yield from self._fail(req)
+                yield from self._finish(req, FAILED)
                 continue
             self.reroutes += 1
             # "rerouted", not "retries": a reroute is the cluster's doing
@@ -535,7 +502,7 @@ class LoadBalancer:
             self.stats.bump(req.tenant.name, "rerouted")
             delay = REROUTE_BACKOFF * req.reroutes
             delay += self.retry_rng.randint(0, REROUTE_BACKOFF)
-            self.limbo[req.rid] = req
+            self.held[req.rid] = req
             yield Fork(
                 self._reroute_proc,
                 (req, delay),
@@ -556,7 +523,7 @@ class LoadBalancer:
                 self.outstanding[sid].pop(req.rid, None)
                 self.rerouted_away[sid] += 1  # release the slot's credit
                 self.quarantined += 1
-                yield from self._fail(req)
+                yield from self._finish(req, FAILED)
         else:
             self.lost_inflight[sid] += self.inflight(sid)
 
@@ -572,52 +539,4 @@ class LoadBalancer:
         now = yield GetTime()
         req.renew(now)
         yield from self.ingress.put(req)
-        self.limbo.pop(req.rid, None)
-
-    def _retry_proc(self, req: Request, delay: int):
-        """One-shot: back off, rearm (a real retry — budget charged),
-        rejoin at the front."""
-        yield Pause(delay)
-        now = yield GetTime()
-        req.rearm(now)
-        yield from self.ingress.put(req)
-        self.limbo.pop(req.rid, None)
-
-    # -- outcomes ----------------------------------------------------------
-
-    def _shed(self, req: Request):
-        """Cluster admission refused (bucket dry or queue full)."""
-        req.status = SHED
-        for ledger in self.carry_ledgers.values():
-            ledger.pop(req.rid, None)
-        self.stats.bump(req.tenant.name, "shed")
-        if req.reply_to is not None:
-            yield from req.reply_to.put((SHED, req))
-
-    def _fail(self, req: Request):
-        """Reroute budget exhausted: the cluster gives up on it."""
-        req.status = FAILED
-        for ledger in self.carry_ledgers.values():
-            ledger.pop(req.rid, None)
-        self.stats.bump(req.tenant.name, "failed")
-        if req.reply_to is not None:
-            yield from req.reply_to.put((FAILED, req))
-
-    def _expire(self, req: Request):
-        """Deadline passed while waiting for credit: bounded retry."""
-        tenant = req.tenant
-        self.stats.bump(tenant.name, "timeouts")
-        if req.attempt < tenant.max_retries:
-            self.stats.bump(tenant.name, "retries")
-            delay = tenant.backoff * (2 ** req.attempt)
-            delay += self.retry_rng.randint(0, tenant.backoff)
-            self.limbo[req.rid] = req
-            yield Fork(
-                self._retry_proc,
-                (req, delay),
-                name=f"{self.name}.retry.{req.rid}.{req.attempt}",
-                priority=PRIO_SLEEPER,
-                detached=True,
-            )
-        else:
-            yield from self._fail(req)
+        self.held.pop(req.rid, None)

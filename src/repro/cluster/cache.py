@@ -1,16 +1,13 @@
 """The cache tier: a cache process in front of the cluster front door.
 
-:class:`CacheTier` speaks the same frontend protocol as
-:class:`~repro.server.server.RpcServer` and the cluster
-:class:`~repro.cluster.balancer.LoadBalancer` (``net``/``ingress``,
-``make_request``, ``stats``, ``poll``, ``world``/``kernel``, ``name``),
-so every traffic generator — the closed-loop client threads, the
-open-loop Poisson events, the workload compiler's aggregate pumps —
-drives it unchanged.  Internally it is the paper's paradigms once more:
-a listener pump drains the device channel, a small worker pool probes
-the entry map, a fill pump completes parked waiters, an invalidation
-pump drains a device channel of invalidation messages, and a TTL
-sleeper sweeps stale entries.
+:class:`CacheTier` is a :class:`~repro.server.server.Frontend`, like the
+server and the cluster balancer, so every traffic generator — the
+closed-loop client threads, the open-loop Poisson events, the workload
+compiler's aggregate pumps — drives it unchanged.  Internally it is the
+paper's paradigms once more: a listener pump drains the device channel,
+a small worker pool probes the entry map, a fill pump completes parked
+waiters, an invalidation pump drains a device channel of invalidation
+messages, and a TTL sleeper sweeps stale entries.
 
 **Hit/miss service-time split.**  A hit pays ``HIT_COST`` and completes
 at the cache; a miss mints a *separate* backend fetch request (its own
@@ -39,14 +36,8 @@ from typing import Any
 from repro.kernel.primitives import Channelreceive, Compute, GetTime, Pause
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.simtime import usec
-from repro.server.model import (
-    DONE,
-    FAILED,
-    Request,
-    RequestFactory,
-    ServerStats,
-    TenantSpec,
-)
+from repro.server.model import DONE, Request, TenantSpec
+from repro.server.server import Frontend
 from repro.sync.queues import UnboundedQueue
 
 #: Map probe paid by every request through the cache.
@@ -69,9 +60,9 @@ PRIO_WORKER = 4
 PRIO_PUMP = 5
 
 
-class CacheTier:
-    """A read cache fronting any backend that speaks the frontend
-    protocol (a single :class:`RpcServer` or a cluster balancer)."""
+class CacheTier(Frontend):
+    """A read cache fronting any backend frontend (a single
+    :class:`RpcServer` or a cluster balancer)."""
 
     def __init__(
         self,
@@ -84,18 +75,13 @@ class CacheTier:
         single_flight: bool = True,
         capacity: "int | None" = None,
     ) -> None:
-        self.world = world
-        self.kernel = world.kernel
+        super().__init__(world, tenants, name)
         self.backend = backend
-        self.name = name
         self.workers = workers
         self.single_flight = single_flight
-        self.tenants = {tenant.name: tenant for tenant in tenants}
-        self.stats = ServerStats()
-        self.poll = self.kernel.config.quantum
-        seed = self.kernel.config.seed
-        self.factory = RequestFactory(seed, name)
-        self.key_rng = DeterministicRng(seed).fork(f"{name}:keys")
+        self.key_rng = DeterministicRng(self.kernel.config.seed).fork(
+            f"{name}:keys"
+        )
         self.net = world.add_device(f"{name}.net")
         #: Channel-driven invalidation: external events post keys (or
         #: :data:`INVALIDATE_ALL`) here; the invalidation pump applies
@@ -146,29 +132,30 @@ class CacheTier:
     # -- construction -------------------------------------------------------
 
     def start(self) -> None:
-        self.world.add_eternal(
+        add = self.threads.append
+        add(self.world.add_eternal(
             self._listener_proc, (), name=f"{self.name}.listener",
             priority=PRIO_LISTENER,
-        )
+        ))
         for wid in range(self.workers):
-            self.world.add_eternal(
+            add(self.world.add_eternal(
                 self._worker_proc, (wid,), name=f"{self.name}.worker.{wid}",
                 priority=PRIO_WORKER,
-            )
-        self.world.add_eternal(
+            ))
+        add(self.world.add_eternal(
             self._fill_proc, (), name=f"{self.name}.fill",
             priority=PRIO_PUMP,
-        )
-        self.world.add_eternal(
+        ))
+        add(self.world.add_eternal(
             self._invalidation_proc, (), name=f"{self.name}.invalidation",
             priority=PRIO_PUMP,
-        )
-        self.world.add_eternal(
+        ))
+        add(self.world.add_eternal(
             self._ttl_sweep_proc, (), name=f"{self.name}.ttl",
             priority=PRIO_PUMP,
-        )
+        ))
 
-    # -- the frontend protocol ----------------------------------------------
+    # -- request minting ------------------------------------------------------
 
     def make_request(
         self,
@@ -200,6 +187,8 @@ class CacheTier:
     # -- threads -------------------------------------------------------------
 
     def _listener_proc(self):
+        """Channel -> ingress.  Hand-written rather than a Pump: a Pump's
+        untimed receive would change the schedule."""
         while True:
             req = yield Channelreceive(self.net, timeout=self.poll)
             if req is None:
@@ -229,7 +218,7 @@ class CacheTier:
                     # LRU touch: reinsert at the back of the dict order.
                     self.entries[req.key] = self.entries.pop(req.key)
                 yield Compute(HIT_COST)
-                yield from self._complete(req)
+                yield from self._finish(req, DONE)
                 continue
             if expiry is not None:
                 del self.entries[req.key]
@@ -302,7 +291,7 @@ class CacheTier:
                     self.stale_fills += 1
                 for waiter in parked:
                     yield Compute(WAITER_COST)
-                    yield from self._complete(waiter)
+                    yield from self._finish(waiter, DONE)
             else:
                 # The fetch was shed or failed by the backend: every
                 # parked waiter inherits the verdict (and a resubmit
@@ -310,7 +299,7 @@ class CacheTier:
                 self.failed_fills += 1
                 for waiter in parked:
                     yield Compute(WAITER_COST)
-                    yield from self._reject(waiter, verdict)
+                    yield from self._finish(waiter, verdict)
 
     def _invalidation_proc(self):
         while True:
@@ -340,24 +329,6 @@ class CacheTier:
             if stale:
                 self.expired_entries += len(stale)
                 yield Compute(usec(5) * len(stale))
-
-    # -- outcomes ------------------------------------------------------------
-
-    def _complete(self, req: Request):
-        now = yield GetTime()
-        req.completed_at = now
-        req.status = DONE
-        self.stats.bump(req.tenant.name, "completed")
-        self.stats.note_latency(req.tenant.name, now - req.intended)
-        if req.reply_to is not None:
-            yield from req.reply_to.put((DONE, req))
-
-    def _reject(self, req: Request, verdict: str):
-        req.status = verdict
-        kind = "failed" if verdict == FAILED else "shed"
-        self.stats.bump(req.tenant.name, kind)
-        if req.reply_to is not None:
-            yield from req.reply_to.put((verdict, req))
 
     # -- reporting -----------------------------------------------------------
 

@@ -303,14 +303,18 @@ def _queue_items(queue: Any) -> list:
 
 
 def live_requests(balancer: Any) -> dict[str, Request]:
-    """Every request some cluster component still has custody of.
+    """Every request some live cluster component still has custody of.
 
-    Scans the balancer's queues and one-shot limbo, every shard's queues
-    and ``executing`` dict (workers, serializers, batcher, retry
-    one-shots), the retired primaries, and the un-promoted replicas.
-    Bookkeeping mirrors (the balancer's retransmit buffer, the replica's
-    replay state) are deliberately *excluded* — they are claims about
-    custody, not custody, and counting them would mask real loss.
+    Scans every live frontend — the balancer, the shards in its routing
+    table and the un-promoted replicas — the same way: its queues, its
+    ``held`` dict (workers, serializers, batcher, retry and reroute
+    one-shots) and its carry ledgers; then each server's serial queues,
+    batch queue and batcher merge list.  Retired primaries hold nothing:
+    promotion must replay what they had, and counting their queues
+    would hide a request it left behind.  Bookkeeping mirrors (the
+    balancer's retransmit buffer, the replica's replay state) are
+    excluded too — they are claims about custody, not custody, and
+    counting them would mask real loss.
     """
     held: dict[str, Request] = {}
 
@@ -322,27 +326,23 @@ def live_requests(balancer: Any) -> dict[str, Request]:
         for item in _queue_items(queue):
             note(item)
 
-    scan_queue(balancer.net)
-    scan_queue(balancer.ingress)
-    scan_queue(balancer.admission)
-    for req in balancer.limbo.values():
-        note(req)
-    for ledger in balancer.carry_ledgers.values():
-        for req in ledger.values():
-            note(req)
-    servers = list(balancer.shards) + list(balancer.retired)
+    servers = list(balancer.shards)
     for link in balancer.links or ():
         if not link.promoted:
             servers.append(link.replica)
+    for frontend in [balancer, *servers]:
+        scan_queue(frontend.net)
+        scan_queue(frontend.ingress)
+        scan_queue(frontend.admission)
+        for req in frontend.held.values():
+            note(req)
+        for ledger in frontend.carry_ledgers.values():
+            for req in ledger.values():
+                note(req)
     for server in servers:
-        scan_queue(server.net)
-        scan_queue(server.ingress)
-        scan_queue(server.admission)
         for queue in server.serial_queues.values():
             scan_queue(queue)
         scan_queue(server.batch_queue)
-        for req in server.executing.values():
-            note(req)
         for req in server._superseded:
             note(req)
     return held

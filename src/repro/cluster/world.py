@@ -14,9 +14,9 @@ the single-server world is capacity, not accounting.
 The :class:`ClusterReport` folds the run down: per-shard statistics,
 the balancer's admission/health story, *merged* per-tenant counters
 (balancer + every shard, no double counting — the balancer never bumps
-``admitted``) and latency histograms folded together with
-:meth:`~repro.server.latency.LatencyHistogram.merge`.  Its ``digest``
-is the cluster-level determinism witness.
+``admitted``) and latency histograms, folded together with
+:meth:`~repro.server.model.ServerStats.merge`.  Its ``digest`` is the
+cluster-level determinism witness.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.cluster.balancer import LoadBalancer
 from repro.cluster.model import cluster_tenants
@@ -38,7 +37,6 @@ from repro.kernel.config import KernelConfig
 from repro.kernel.simtime import sec
 from repro.runtime.pcr import World
 from repro.server.clients import install_closed_loop, install_open_loop
-from repro.server.latency import LatencyHistogram
 from repro.server.model import ServerStats, TenantSpec
 from repro.server.server import RpcServer
 
@@ -127,10 +125,6 @@ def merge_cluster_stats(
     contributes everything downstream of dispatch, so summing the layers
     counts each event exactly once.
     """
-    latency = LatencyHistogram()
-    tenant_latency: dict[str, LatencyHistogram] = {}
-    counters: dict[str, dict[str, int]] = {}
-    batches = 0
     sources = [balancer.stats]
     sources += [s.stats for s in shards]
     # After a promotion the demoted primary leaves the routing table but
@@ -141,34 +135,12 @@ def merge_cluster_stats(
     for link in getattr(balancer, "links", None) or ():
         if not link.promoted:
             sources.append(link.replica.stats)
+    merged = ServerStats()
     for stats in sources:
-        latency.merge(stats.latency)
-        for name, hist in stats.tenant_latency.items():
-            tenant_latency.setdefault(name, LatencyHistogram()).merge(hist)
-        for name, row in stats.per_tenant.items():
-            out = counters.setdefault(
-                name, dict.fromkeys(ServerStats.KINDS, 0)
-            )
-            for kind, value in row.items():
-                out[kind] += value
-        batches += stats.batches
-    totals = {
-        kind: sum(row[kind] for row in counters.values())
-        for kind in ServerStats.KINDS
-    }
+        merged.merge(stats)
+    rollup = merged.to_dict()
     return {
-        "latency": latency.to_dict(),
-        "tenants": {
-            name: {
-                **row,
-                "latency": tenant_latency[name].to_dict()
-                if name in tenant_latency
-                else None,
-            }
-            for name, row in sorted(counters.items())
-        },
-        "totals": totals,
-        "batches": batches,
+        key: rollup[key] for key in ("latency", "tenants", "totals", "batches")
     }
 
 

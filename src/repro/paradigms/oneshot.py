@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.kernel.primitives import Compute, Enter, Exit, GetTime, Pause
+from repro.kernel.primitives import Compute, Enter, Exit, Pause
 from repro.kernel.simtime import msec, usec
 from repro.sync.monitor import Monitor
 
@@ -124,19 +124,3 @@ class GuardedButton:
                 self.repaints += 1
         finally:
             yield Exit(self.monitor)
-
-
-class TimestampedClick:
-    """A click with its arrival time, for tests that drive buttons."""
-
-    __slots__ = ("at",)
-
-    def __init__(self, at: int) -> None:
-        self.at = at
-
-
-def click_recorder():
-    """Helper generator: returns the current time (for action callbacks
-    that want to log when they fired)."""
-    now = yield GetTime()
-    return now

@@ -18,16 +18,12 @@ from typing import Any, Callable
 from repro.kernel.channel import Channel
 from repro.kernel.primitives import Channelreceive, Compute
 from repro.kernel.simtime import usec
-from repro.sync.queues import BoundedBuffer, UnboundedQueue
 
 
 def read_endpoint(endpoint: Any):
     """Blocking-get from any supported pipeline endpoint (generator)."""
     if isinstance(endpoint, Channel):
         item = yield Channelreceive(endpoint)
-        return item
-    if isinstance(endpoint, (BoundedBuffer, UnboundedQueue)):
-        item = yield from endpoint.get()
         return item
     getter = getattr(endpoint, "get", None)
     if getter is not None:
@@ -38,9 +34,6 @@ def read_endpoint(endpoint: Any):
 
 def write_endpoint(endpoint: Any, item: Any):
     """Blocking-put to any supported pipeline endpoint (generator)."""
-    if isinstance(endpoint, (BoundedBuffer, UnboundedQueue)):
-        yield from endpoint.put(item)
-        return
     putter = getattr(endpoint, "put", None)
     if putter is not None:
         yield from putter(item)

@@ -25,10 +25,9 @@ successful attempt covers the whole stall.  This is an accounting-only
 change: the schedule of kernel events is identical either way, only the
 timestamps folded into the histogram differ.
 
-Both generators target any *frontend* exposing the small ingress
-protocol (``net``/``ingress``, ``make_request``, ``stats``, ``poll``,
-``world``/``kernel``, ``name``): a single :class:`RpcServer` or a
-cluster :class:`~repro.cluster.balancer.LoadBalancer`.
+Both generators target any :class:`~repro.server.server.Frontend` —
+a single server, a cluster balancer or a cache tier; the frontend
+protocol they use is described there, once.
 """
 
 from __future__ import annotations

@@ -145,14 +145,6 @@ class LatencyHistogram:
             json.dumps(self.to_dict(), sort_keys=True).encode()
         ).hexdigest()
 
-    def bucket_rows(self) -> list[tuple[str, int]]:
-        """(label, count) per non-empty bucket, for rendering."""
-        return [
-            (bucket_label(index), count)
-            for index, count in enumerate(self.counts)
-            if count
-        ]
-
     def __repr__(self) -> str:
         qs = self.quantiles()
         return (

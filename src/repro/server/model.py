@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.kernel.simtime import msec, usec
 from repro.server.latency import LatencyHistogram
@@ -23,6 +23,9 @@ DONE = "done"
 SHED = "shed"
 FAILED = "failed"
 PENDING = "pending"
+
+#: The stats row each verdict is booked under.
+VERDICT_ROWS = {DONE: "completed", SHED: "shed", FAILED: "failed"}
 
 
 @dataclass(frozen=True)
@@ -255,6 +258,20 @@ class ServerStats:
 
     def total(self, kind: str) -> int:
         return self._totals[kind]
+
+    def merge(self, other: "ServerStats") -> None:
+        """Fold another frontend's rows, histograms and batch count in
+        (the cluster rollup); depth samples stay with their owner."""
+        self.latency.merge(other.latency)
+        for name, histogram in other.tenant_latency.items():
+            mine = self.tenant_latency.get(name)
+            if mine is None:
+                mine = self.tenant_latency[name] = LatencyHistogram()
+            mine.merge(histogram)
+        for name, row in other.per_tenant.items():
+            for kind, value in row.items():
+                self.bump(name, kind, value)
+        self.batches += other.batches
 
     # -- reporting ---------------------------------------------------------
 

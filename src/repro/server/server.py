@@ -1,6 +1,13 @@
-"""The RPC server proper: pump -> admission queue -> worker pool.
+"""The request frontend, and the RPC server built on it.
 
-Every moving part is one of the paper's paradigms doing its day job:
+:class:`Frontend` is what every layer that takes requests shares: the
+server below, the cluster's :class:`~repro.cluster.balancer.LoadBalancer`
+and the :class:`~repro.cluster.cache.CacheTier`.  It owns the ingress
+fields, request minting, custody, and the one method where a request
+reaches its verdict.
+
+The RPC server proper is pump -> admission queue -> worker pool.  Every
+moving part is one of the paper's paradigms doing its day job:
 
 * a listener :class:`~repro.paradigms.pump.Pump` moves arrivals from the
   network channel into the ingress queue (devices feed channels, threads
@@ -36,6 +43,7 @@ from repro.server.model import (
     FAILED,
     PENDING,
     SHED,
+    VERDICT_ROWS,
     Request,
     RequestFactory,
     ServerStats,
@@ -61,7 +69,135 @@ PRIO_SLEEPER = 5
 PRIO_POOL = 4
 
 
-class RpcServer:
+class Frontend:
+    """What every request frontend shares: ingress, custody, verdicts.
+
+    A *frontend* is anything the traffic generators in
+    :mod:`repro.server.clients` drive.  Its protocol is ``net`` (a
+    device channel open-loop arrivals post into), ``ingress`` (a queue
+    closed-loop clients put into), :meth:`make_request`, ``stats``,
+    ``poll``, ``world``/``kernel`` and ``name``.  :class:`RpcServer`,
+    the cluster :class:`~repro.cluster.balancer.LoadBalancer` and the
+    :class:`~repro.cluster.cache.CacheTier` are the three; a subclass
+    builds ``net`` and ``ingress`` and forks its own threads.
+
+    **Custody** is the set of requests a frontend holds that no queue
+    scan can see: requests in a thread's hands (``held``, keyed by rid)
+    or between a pipeline stage's get and put (``carry_ledgers``, one
+    dict per stage; only the balancer has stages that need one).  The
+    custody audit (:func:`repro.cluster.replication.live_requests`)
+    reads both, and the queues, on every live frontend.  A retired
+    primary holds nothing: promotion must replay its work, so the audit
+    does not count what is left in a dead primary's queues.
+
+    **Verdicts.**  A request reaches ``DONE``, ``SHED`` or ``FAILED`` in
+    exactly one place, :meth:`_finish`: custody is released, the
+    verdict's row is booked, the caller hears ``(verdict, req)`` on
+    ``reply_to``, and the ``on_oplog``/``on_outcome`` hooks run.
+    """
+
+    def __init__(
+        self, world: Any, tenants: tuple[TenantSpec, ...], name: str
+    ) -> None:
+        self.world = world
+        self.kernel = world.kernel
+        self.name = name
+        self.tenants = {t.name: t for t in tenants}
+        self.stats = ServerStats()
+        #: Timed-get interval: one scheduler quantum, the kernel's
+        #: timeout granularity — anything shorter rounds up to it anyway.
+        self.poll = self.kernel.config.quantum
+        #: Derived RNG streams: request jitter and retry backoff jitter
+        #: are forked per concern so neither perturbs arrival sequences.
+        self.factory = RequestFactory(self.kernel.config.seed, name)
+        self.retry_rng = self.factory.retry_rng
+        #: Requests in a thread's hands or parked in a retry one-shot.
+        #: Keyed by rid; a verdict or a retry's re-queue releases.
+        #: Pure-dict bookkeeping: never yields, never perturbs schedules.
+        self.held: dict[str, Request] = {}
+        #: Per-stage carry ledgers (see :class:`UnboundedQueue`'s
+        #: ``carry``); a verdict releases the rid from every one.
+        self.carry_ledgers: dict[str, dict[str, Request]] = {}
+        #: Optional generator-function hook ``(kind, req)`` shipping op-log
+        #: records ("admit" / "dispatch" / "complete") to a replica — see
+        #: :mod:`repro.cluster.replication`.  None costs nothing.
+        self.on_oplog: Any = None
+        #: Optional generator-function hook run after every verdict,
+        #: passed the request.  The cluster balancer installs its
+        #: credit-release notification on its shards; None costs nothing.
+        self.on_outcome: Any = None
+        #: Threads forked by ``start`` (fault injection targets).
+        self.threads: list[Any] = []
+
+    def make_request(
+        self,
+        tenant: TenantSpec,
+        now: int,
+        *,
+        reply_to: Any = None,
+        intended: int | None = None,
+    ) -> Request:
+        """Mint a request: deterministic rid, jittered cost, write key."""
+        return self.factory.make(
+            tenant, now, reply_to=reply_to, intended=intended
+        )
+
+    def _finish(self, req: Request, verdict: str):
+        """Give ``req`` its verdict (generator).
+
+        Every trap here is a preemption point, so the sequence is fixed:
+        ``GetTime`` for ``DONE`` only, the reply's put, then the hooks.
+        """
+        if verdict == DONE:
+            now = yield GetTime()
+            req.completed_at = now
+            # Latency runs from the *intended* send time (== submitted
+            # unless a CO-aware client carried an earlier intent through
+            # resubmits).
+            self.stats.note_latency(req.tenant.name, now - req.intended)
+        req.status = verdict
+        self.held.pop(req.rid, None)
+        for ledger in self.carry_ledgers.values():
+            ledger.pop(req.rid, None)
+        self.stats.bump(req.tenant.name, VERDICT_ROWS[verdict])
+        if req.reply_to is not None:
+            yield from req.reply_to.put((verdict, req))
+        if self.on_oplog is not None:
+            yield from self.on_oplog("complete", req)
+        if self.on_outcome is not None:
+            yield from self.on_outcome(req)
+
+    def _expire(self, req: Request):
+        """Deadline passed before service: retry with jittered backoff
+        (a one-shot thread) until the tenant's budget runs out."""
+        tenant = req.tenant
+        self.stats.bump(tenant.name, "timeouts")
+        if req.attempt < tenant.max_retries:
+            self.stats.bump(tenant.name, "retries")
+            self.held[req.rid] = req
+            delay = tenant.backoff * (2 ** req.attempt)
+            delay += self.retry_rng.randint(0, tenant.backoff)
+            yield Fork(
+                self._retry_proc,
+                (req, delay),
+                name=f"{self.name}.retry.{req.rid}.{req.attempt}",
+                priority=PRIO_SLEEPER,
+                detached=True,
+            )
+        else:
+            yield from self._finish(req, FAILED)
+
+    def _retry_proc(self, req: Request, delay: int):
+        """One-shot: back off, rearm (a real retry — budget charged),
+        rejoin at the front; the ingress queue has custody from there."""
+        yield Pause(delay)
+        now = yield GetTime()
+        req.rearm(now)
+        yield from self.ingress.put(req)
+        self.held.pop(req.rid, None)
+
+
+class RpcServer(Frontend):
     """A multi-tenant RPC server wired onto a :class:`~repro.runtime.pcr.World`.
 
     Construction builds the queues; :meth:`start` forks the thread
@@ -80,15 +216,8 @@ class RpcServer:
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.world = world
-        self.kernel = world.kernel
-        self.tenants = {t.name: t for t in tenants}
+        super().__init__(world, tenants, name)
         self.workers = workers
-        self.name = name
-        self.stats = ServerStats()
-        #: Timed-get interval: one scheduler quantum, the kernel's
-        #: timeout granularity — anything shorter rounds up to it anyway.
-        self.poll = self.kernel.config.quantum
 
         self.net = world.add_device(f"{name}.net")
         self.ingress = UnboundedQueue(f"{name}.ingress")
@@ -109,27 +238,6 @@ class RpcServer:
         self.table: dict[str, int] = {}
         #: Requests merged away by the batcher, drained per delivery.
         self._superseded: list[Request] = []
-        #: Optional generator-function hook run after every terminal
-        #: outcome (complete/shed/fail), passed the request.  The cluster
-        #: balancer installs its credit-release notification here; None
-        #: costs nothing and leaves the single-server schedule untouched.
-        self.on_outcome: Any = None
-        #: Optional generator-function hook ``(kind, req)`` shipping op-log
-        #: records ("admit" / "dispatch" / "complete") to a replica — see
-        #: :mod:`repro.cluster.replication`.  None costs nothing.
-        self.on_oplog: Any = None
-        #: Requests currently in a worker/serializer/batcher's hands or
-        #: parked in a retry one-shot — custody that no queue scan can
-        #: see.  Keyed by rid; terminal outcomes remove.  Pure-dict
-        #: bookkeeping: never yields, never perturbs schedules.
-        self.executing: dict[str, Request] = {}
-        #: Threads forked by :meth:`start` (fault injection targets).
-        self.threads: list[Any] = []
-
-        #: Derived RNG streams: request jitter and retry backoff jitter
-        #: are forked per concern so neither perturbs arrival sequences.
-        self.factory = RequestFactory(self.kernel.config.seed, name)
-        self.retry_rng = self.factory.retry_rng
 
         self.listener = Pump(
             f"{name}.listener",
@@ -168,36 +276,21 @@ class RpcServer:
         ))
         for wid in range(self.workers):
             add(self.world.add_eternal(
-                self._worker_proc,
-                (wid,),
+                self._drain_proc,
+                (self.admission,),
                 name=f"{self.name}.worker.{wid}",
                 priority=PRIO_POOL,
             ))
-        for name in self.serial_queues:
+        for name, queue in self.serial_queues.items():
             add(self.world.add_eternal(
-                self._serializer_proc,
-                (name,),
+                self._drain_proc,
+                (queue,),
                 name=f"{self.name}.serial.{name}",
                 priority=PRIO_POOL,
             ))
         add(self.world.add_eternal(
             self.batcher.proc, name=self.batcher.name, priority=PRIO_POOL
         ))
-
-    # -- request fabrication ----------------------------------------------
-
-    def make_request(
-        self,
-        tenant: TenantSpec,
-        now: int,
-        *,
-        reply_to: Any = None,
-        intended: int | None = None,
-    ) -> Request:
-        """Mint a request: deterministic rid, jittered cost, write key."""
-        return self.factory.make(
-            tenant, now, reply_to=reply_to, intended=intended
-        )
 
     # -- thread bodies -----------------------------------------------------
 
@@ -220,21 +313,12 @@ class RpcServer:
                 if self.on_oplog is not None:
                     yield from self.on_oplog("admit", req)
             else:
-                yield from self._shed(req)
+                yield from self._finish(req, SHED)
 
-    def _worker_proc(self, wid: int):
-        """Pool worker: timed get, deadline check, execute, complete."""
-        del wid  # identity lives in the thread name
-        while True:
-            req = yield from self.admission.get(timeout=self.poll)
-            if req is None:
-                continue
-            yield from self._dispatch(req)
-
-    def _serializer_proc(self, tenant_name: str):
-        """Ordered tenant's serializer: same loop, private queue, so the
-        tenant's requests complete in submission order."""
-        queue = self.serial_queues[tenant_name]
+    def _drain_proc(self, queue: BoundedQueue):
+        """A pool worker on the admission queue, or an ordered tenant's
+        serializer on its private queue (one thread, so the tenant's
+        requests complete in submission order): timed get, dispatch."""
         while True:
             req = yield from queue.get(timeout=self.poll)
             if req is None:
@@ -243,7 +327,7 @@ class RpcServer:
 
     def _dispatch(self, req: Request):
         """Run one admitted request on the calling thread."""
-        self.executing[req.rid] = req
+        self.held[req.rid] = req
         now = yield GetTime()
         if now >= req.expires_at:
             yield from self._expire(req)
@@ -263,7 +347,7 @@ class RpcServer:
         finally:
             yield Exit(self.table_mon)
         yield Compute(req.cost)
-        yield from self._complete(req)
+        yield from self._finish(req, DONE)
 
     # -- batching ----------------------------------------------------------
 
@@ -288,76 +372,10 @@ class RpcServer:
             if now >= req.expires_at:
                 yield from self._expire(req)
             else:
-                yield from self._complete(req)
+                yield from self._finish(req, DONE)
         for req in superseded:
             self.stats.bump(req.tenant.name, "coalesced")
-            yield from self._complete(req)
-
-    # -- outcomes ----------------------------------------------------------
-
-    def _complete(self, req: Request):
-        now = yield GetTime()
-        req.completed_at = now
-        req.status = DONE
-        self.executing.pop(req.rid, None)
-        self.stats.bump(req.tenant.name, "completed")
-        # Latency runs from the *intended* send time (== submitted unless
-        # a CO-aware client carried an earlier intent through resubmits).
-        self.stats.note_latency(req.tenant.name, now - req.intended)
-        if req.reply_to is not None:
-            yield from req.reply_to.put((DONE, req))
-        if self.on_oplog is not None:
-            yield from self.on_oplog("complete", req)
-        if self.on_outcome is not None:
-            yield from self.on_outcome(req)
-
-    def _shed(self, req: Request):
-        """Admission refused: final for open-loop, a retryable verdict
-        for closed-loop clients."""
-        req.status = SHED
-        self.executing.pop(req.rid, None)
-        self.stats.bump(req.tenant.name, "shed")
-        if req.reply_to is not None:
-            yield from req.reply_to.put((SHED, req))
-        if self.on_oplog is not None:
-            yield from self.on_oplog("complete", req)
-        if self.on_outcome is not None:
-            yield from self.on_outcome(req)
-
-    def _expire(self, req: Request):
-        """Deadline passed before service: retry with jittered backoff
-        (a one-shot thread) until the tenant's budget runs out."""
-        tenant = req.tenant
-        self.stats.bump(tenant.name, "timeouts")
-        if req.attempt < tenant.max_retries:
-            self.stats.bump(tenant.name, "retries")
-            self.executing[req.rid] = req
-            delay = tenant.backoff * (2 ** req.attempt)
-            delay += self.retry_rng.randint(0, tenant.backoff)
-            yield Fork(
-                self._retry_proc,
-                (req, delay),
-                name=f"{self.name}.retry.{req.rid}.{req.attempt}",
-                priority=PRIO_SLEEPER,
-                detached=True,
-            )
-        else:
-            req.status = FAILED
-            self.executing.pop(req.rid, None)
-            self.stats.bump(tenant.name, "failed")
-            if req.reply_to is not None:
-                yield from req.reply_to.put((FAILED, req))
-            if self.on_oplog is not None:
-                yield from self.on_oplog("complete", req)
-            if self.on_outcome is not None:
-                yield from self.on_outcome(req)
-
-    def _retry_proc(self, req: Request, delay: int):
-        """One-shot: sleep out the backoff, then resubmit via ingress."""
-        yield Pause(delay)
-        now = yield GetTime()
-        req.rearm(now)
-        yield from self.ingress.put(req)
+            yield from self._finish(req, DONE)
 
     # -- the deadline sleeper ---------------------------------------------
 

@@ -9,11 +9,10 @@ from repro.sync.condition import ConditionVariable, await_condition
 from repro.sync.latch import Latch, TimeoutExpired
 from repro.sync.monitor import Monitor, entered, monitored
 from repro.sync.once import Once, RacyOnce
-from repro.sync.queues import BoundedBuffer, BoundedQueue, UnboundedQueue
+from repro.sync.queues import BoundedQueue, UnboundedQueue
 from repro.sync.rwlock import ReadWriteLock
 
 __all__ = [
-    "BoundedBuffer",
     "BoundedQueue",
     "ConditionVariable",
     "Latch",

@@ -9,8 +9,10 @@ Two variants:
   a plain read and skip the lock on the fast path.  Correct under strong
   ordering; under weak ordering "a thread can both believe that the
   initializer has already been called and not yet be able to see the
-  initialized data."  Kept so the weak-memory case study can demonstrate
-  the failure; never use it on a weakly-ordered kernel.
+  initialized data."  Kept to demonstrate that failure; never use it on
+  a weakly-ordered kernel.  (The §5.5 case study,
+  :func:`repro.casestudies.weakmem.run_init_once`, writes its own
+  two-variable init-once inline rather than using either class.)
 
 Both variants store their state in :class:`SimVar` cells so the kernel's
 memory model (not Python's) governs visibility.

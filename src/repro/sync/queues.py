@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.kernel.primitives import Broadcast, Enter, Exit, Notify, Wait
+from repro.kernel.primitives import Enter, Exit, Notify, Wait
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
 
@@ -109,14 +109,15 @@ class UnboundedQueue:
 
 
 class BoundedQueue:
-    """A bounded FIFO with *rejecting* and *timed* puts: an admission queue.
+    """A bounded FIFO: the classic bounded buffer, and an admission queue.
 
-    Where :class:`BoundedBuffer` models a pipeline stage that applies
-    backpressure by blocking forever, a server's admission queue must be
-    able to say **no**: ``try_put`` rejects immediately when full, and
-    ``put(timeout=...)`` gives up after bounded backpressure.  Timed
-    ``get`` lets a pool of consumer threads poll without parking forever
-    on a NOTIFY that a fault (or a bug) might lose.
+    With its default timeouts it is the pipeline stage that applies
+    backpressure by blocking: ``put`` waits while full, ``get`` while
+    empty.  A server's admission queue must also be able to say **no**:
+    ``try_put`` rejects immediately when full, and ``put(timeout=...)``
+    gives up after bounded backpressure.  Timed ``get`` lets a pool of
+    consumer threads poll without parking forever on a NOTIFY that a
+    fault (or a bug) might lose.
 
     All methods are generators run on the calling thread, following the
     canonical Mesa pattern: one monitor, one CV per waited-for condition,
@@ -226,64 +227,6 @@ class BoundedQueue:
         self.puts += 1
         if len(self.items) > self.max_depth:
             self.max_depth = len(self.items)
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-class BoundedBuffer:
-    """Classic bounded buffer: put blocks when full, get blocks when empty."""
-
-    def __init__(self, name: str, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.name = name
-        self.capacity = capacity
-        self.monitor = Monitor(f"{name}.lock")
-        self.nonempty = ConditionVariable(self.monitor, f"{name}.nonempty")
-        self.nonfull = ConditionVariable(self.monitor, f"{name}.nonfull")
-        self.items: deque[Any] = deque()
-        self.puts = 0
-        self.gets = 0
-        #: Custody ledger hook (unused here; see :class:`UnboundedQueue`).
-        self.carry: dict | None = None
-        #: High-water mark, for pipeline diagnostics.
-        self.max_depth = 0
-
-    def put(self, item: Any):
-        yield Enter(self.monitor)
-        try:
-            while len(self.items) >= self.capacity:
-                yield Wait(self.nonfull)
-            self.items.append(item)
-            self.puts += 1
-            self.max_depth = max(self.max_depth, len(self.items))
-            yield Notify(self.nonempty)
-        finally:
-            yield Exit(self.monitor)
-
-    def get(self):
-        yield Enter(self.monitor)
-        try:
-            while not self.items:
-                yield Wait(self.nonempty)
-            item = self.items.popleft()
-            self.gets += 1
-            if self.carry is not None:
-                self.carry[item.rid] = item
-            yield Notify(self.nonfull)
-            return item
-        finally:
-            yield Exit(self.monitor)
-
-    def close_broadcast(self):
-        """Wake everyone (used by shutdown paths in tests)."""
-        yield Enter(self.monitor)
-        try:
-            yield Broadcast(self.nonempty)
-            yield Broadcast(self.nonfull)
-        finally:
-            yield Exit(self.monitor)
 
     def __len__(self) -> int:
         return len(self.items)

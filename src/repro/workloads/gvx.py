@@ -305,9 +305,6 @@ def install_keyboard(world: World, context: GvxContext, *, keys_per_sec: float =
         yield from context.worker_pools["layout"].post(("reflow", event))
         yield from context.worker_pools["io"].post(("typescript", event))
 
-    def work_touch_text():
-        return context.pools["text"]
-
     # Typed keys go straight at the pools' text machinery.
     for wp in context.worker_pools.values():
         wp.pool = context.pools["text"]

@@ -12,13 +12,17 @@ Covers the failover PR end to end:
   dripped completion (the flapping regression);
 * the op log ships and applies deterministically;
 * the directed kill-primary and partition-balancer chaos scenarios
-  pass their post-checks (zero lost acknowledged requests);
+  pass their post-checks (zero lost acknowledged requests), and a
+  promotion that drops an un-acked replay fails the kill-primary check
+  by rid (a retired primary holds nothing);
 * the custody property: under sampled chaos plans — random kills
   included — every minted request is either terminal (DONE / SHED /
-  FAILED) or still held by some component.  Nothing vanishes.
+  FAILED) or still held by some component.  Nothing vanishes, and no
+  frontend's custody keeps a request that already has its verdict.
 """
 
 from repro.analysis.faults import FaultPlan
+from repro.cluster.balancer import LoadBalancer
 from repro.cluster.replication import lost_requests
 from repro.cluster.world import build_cluster_world
 from repro.kernel import KernelConfig, msec, sec, usec
@@ -280,7 +284,73 @@ class TestDirectedFailover:
         assert record.deadlocks == 0
 
 
+    def test_dropped_replay_is_named(self, monkeypatch):
+        """A promotion that skips one un-acked request must fail the
+        custody audit by that rid.  The dead primary still lists the
+        request in its queues, so the audit must not count what a
+        retired primary holds."""
+        from repro.analysis.scenarios import SCENARIOS
+        from repro.cluster.replication import ReplicationLink
+
+        dropped = []
+        is_acked = ReplicationLink.is_acked
+
+        def acks_the_first_pending(link, rid):
+            if is_acked(link, rid):
+                return True
+            req = link.pending.get(rid)
+            if dropped or req is None or req.status != PENDING:
+                return False
+            dropped.append(rid)
+            return True
+
+        monkeypatch.setattr(ReplicationLink, "is_acked", acks_the_first_pending)
+        scenario = SCENARIOS["cluster-kill-primary"]
+        kernel, shutdown = scenario.build(KernelConfig(seed=0))
+        try:
+            kernel.run_for(scenario.horizon)
+            failures = scenario.check(kernel)
+        finally:
+            shutdown()
+        assert len(dropped) == 1
+        assert failures == [
+            f"kill-primary: 1 acknowledged requests vanished ({dropped[0]})"
+        ]
+
+
 class TestCustodyProperty:
+    def test_custody_releases_every_verdict(self, monkeypatch):
+        """No frontend's custody lists a request that already has its
+        verdict.  In the wedged-shard run the demoted primary's sweeper
+        keeps retrying requests that promotion replayed elsewhere; a
+        retry releases custody once it has re-queued the request."""
+        from repro.analysis.scenarios import SCENARIOS
+
+        built = []
+        start = LoadBalancer.start
+
+        def record_start(balancer):
+            built.append(balancer)
+            start(balancer)
+
+        monkeypatch.setattr(LoadBalancer, "start", record_start)
+        scenario = SCENARIOS["cluster-wedged-shard"]
+        kernel, shutdown = scenario.build(KernelConfig(seed=0))
+        try:
+            kernel.run_for(scenario.horizon)
+            (balancer,) = built
+            assert balancer.promotions == 1
+            frontends = [balancer, *balancer.shards, *balancer.retired]
+            held = [
+                req
+                for frontend in frontends
+                for req in frontend.held.values()
+            ]
+            assert held, "the wedge should leave requests in custody"
+            assert [r.rid for r in held if r.status != PENDING] == []
+        finally:
+            shutdown()
+
     def test_no_request_vanishes_under_chaos(self):
         """The property behind every other assertion here: under
         sampled fault plans (random kills included), every request the

@@ -12,9 +12,11 @@ If a change perturbs one dispatch, one preemption, one timeout, or one
 counter in any scenario, the digest changes and the test fails loudly.
 
 The fingerprint sees only the kernel, so the server, cluster and
-workload reports of five seeded 500 ms runs (per-tenant counters,
+workload reports of seven seeded 500 ms runs (per-tenant counters,
 latency histograms, SLO attainment) are pinned too, by their
-``.digest``, in ``tests/golden/report_digests.json``.
+``.digest``, in ``tests/golden/report_digests.json``.  Two of those runs
+exist to reach the timeout, retry, FAILED and failed-fill verdict
+paths, and a check here keeps them reaching those paths.
 
 The scenarios are the ``golden``-tagged entries of the scenario
 catalogue (:mod:`repro.analysis.scenarios`); the fingerprint function and
@@ -46,8 +48,8 @@ import pytest
 from repro.analysis.golden import (
     golden_run,
     load_golden,
+    pinned_reports,
     regenerate_golden,
-    report_digests,
 )
 from repro.analysis.scenarios import resolve
 
@@ -82,13 +84,30 @@ def test_golden_schedule(name):
     )
 
 
-def test_report_digests():
+@pytest.fixture(scope="module")
+def reports():
     if _UPDATE:
         pytest.skip("regenerating golden hashes (GOLDEN_UPDATE=1)")
-    assert report_digests() == load_golden(REPORTS_PATH), (
+    return pinned_reports()
+
+
+def test_report_digests(reports):
+    digests = {name: report.digest for name, report in reports.items()}
+    assert digests == load_golden(REPORTS_PATH), (
         "a server, cluster or workload report diverged from its pinned "
         "digest; regenerate only for an intentional accounting change"
     )
+
+
+def test_verdict_pins_reach_their_paths(reports):
+    """A pin that stops reaching its verdict path would stay green while
+    covering nothing, so the counts that path books must stay nonzero."""
+    deadlines = reports["cluster-deadlines"]
+    balancer = deadlines.balancer["totals"]
+    assert all(balancer[kind] > 0 for kind in ("timeouts", "retries", "failed"))
+    for kind in ("timeouts", "retries", "failed"):
+        assert sum(shard["totals"][kind] for shard in deadlines.per_shard) > 0
+    assert reports["workload-cache-failed-fills"].cache["failed_fills"] > 0
 
 
 def test_weak_memory_entry_runs_on_store_buffers():

@@ -23,7 +23,7 @@ from repro.paradigms.rejuvenate import RejuvenatingDispatcher, rejuvenating
 from repro.paradigms.serializer import CoalescingSerializer, MBQueue
 from repro.paradigms.slack import SlackProcess
 from repro.paradigms.sleeper import PeriodicalProcess, Sleeper
-from repro.sync.queues import BoundedBuffer, UnboundedQueue
+from repro.sync.queues import BoundedQueue, UnboundedQueue
 
 
 def make_kernel(**overrides):
@@ -112,7 +112,7 @@ class TestPumps:
     def test_pipeline_preserves_order(self):
         kernel = make_kernel()
         source = UnboundedQueue("src")
-        middle = BoundedBuffer("mid", capacity=4)
+        middle = BoundedQueue("mid", capacity=4)
         sink = UnboundedQueue("dst")
         received = []
 

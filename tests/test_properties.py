@@ -7,7 +7,7 @@ from repro.kernel import primitives as p
 from repro.kernel.events import EventHeap
 from repro.kernel.rng import DeterministicRng
 from repro.paradigms.slack import merge_keep_latest
-from repro.sync import BoundedBuffer, ConditionVariable, Monitor, await_condition
+from repro.sync import BoundedQueue, ConditionVariable, Monitor, await_condition
 from repro.kernel.primitives import Enter, Exit, Notify
 
 # Simulations are deterministic, so a modest example budget suffices and
@@ -128,6 +128,9 @@ class TestNotifySemanticsInsensitivity:
 
 
 class TestBoundedBufferInvariants:
+    """A BoundedQueue with its default (blocking) timeouts, used as the
+    classic bounded buffer."""
+
     @SLOWER
     @given(
         capacity=st.integers(min_value=1, max_value=6),
@@ -137,7 +140,7 @@ class TestBoundedBufferInvariants:
     )
     def test_fifo_and_capacity(self, capacity, items, producer_cost, consumer_cost):
         kernel = make_kernel()
-        buffer = BoundedBuffer("buf", capacity=capacity)
+        buffer = BoundedQueue("buf", capacity=capacity)
         received = []
 
         def producer():

@@ -14,6 +14,7 @@ from repro.kernel import KernelConfig, msec, sec, usec
 from repro.cluster.world import run_cluster
 from repro.server import LatencyHistogram, ServerStats, TenantSpec, run_server
 from repro.server.latency import bucket_label
+from repro.server.model import DONE
 from repro.server.world import build_server_world
 from repro.workload.world import run_workload
 
@@ -167,13 +168,14 @@ class TestServerWorld:
             KernelConfig(seed=0), tenants=(tenant,)
         )
         completed = []
-        original = server._complete
+        original = server._finish
 
-        def spy(req):
-            completed.append(req.rid)
-            yield from original(req)
+        def spy(req, verdict):
+            if verdict == DONE:
+                completed.append(req.rid)
+            yield from original(req, verdict)
 
-        server._complete = spy
+        server._finish = spy
         world.run_for(RUN)
         world.shutdown()
         assert len(completed) > 100

@@ -14,7 +14,6 @@ from repro.kernel import (
 from repro.kernel import primitives as p
 from repro.kernel.primitives import Broadcast, Enter, Exit, Notify, Wait
 from repro.sync import (
-    BoundedBuffer,
     BoundedQueue,
     ConditionVariable,
     Monitor,
@@ -486,8 +485,10 @@ class TestSpuriousLockConflicts:
 
 class TestQueues:
     def test_bounded_buffer_producer_consumer(self):
+        """With its default timeouts a BoundedQueue is the classic
+        bounded buffer: put blocks while full, get while empty."""
         kernel = make_kernel()
-        buffer = BoundedBuffer("buf", capacity=3)
+        buffer = BoundedQueue("buf", capacity=3)
         received = []
 
         def producer():
@@ -509,7 +510,7 @@ class TestQueues:
 
     def test_bounded_buffer_put_blocks_when_full(self):
         kernel = make_kernel()
-        buffer = BoundedBuffer("buf", capacity=2)
+        buffer = BoundedQueue("buf", capacity=2)
         stamps = []
 
         def producer():
