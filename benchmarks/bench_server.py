@@ -76,7 +76,7 @@ def run_quantum_sweep(duration: int = FULL_RUN, *, progress=None) -> list[dict]:
             scenario="steady",
             admission_capacity=ADMISSION_CAPACITY,
             duration=duration,
-            config_overrides={"quantum": quantum},
+            quantum=quantum,
         )
         latency = report.to_dict()["stats"]["latency"]
         point = {

@@ -52,9 +52,6 @@ PAPER_ROWS: dict[tuple[str, str], PaperRow] = {
     ]
 }
 
-CEDAR_ACTIVITY_ORDER = list(CEDAR_ACTIVITIES)
-GVX_ACTIVITY_ORDER = list(GVX_ACTIVITIES)
-
 _BUILDERS: dict[str, Callable] = {
     "Cedar": build_cedar_world,
     "GVX": build_gvx_world,

@@ -63,14 +63,6 @@ KIND_FORK_FAIL = "fork_fail"
 KIND_KILL = "kill"
 KIND_TIMER_JITTER = "timer_jitter"
 
-ALL_KINDS = (
-    KIND_DROP_NOTIFY,
-    KIND_SPURIOUS_WAKEUP,
-    KIND_FORK_FAIL,
-    KIND_KILL,
-    KIND_TIMER_JITTER,
-)
-
 
 @dataclass(frozen=True)
 class FaultPlan:

@@ -32,7 +32,8 @@ queue without a kernel block event, so stored edges would go stale.
 dispatched (which bumps ``stats.dispatches``), so "continuously ready
 since t" is provable from two facts at sweep time: still READY, and
 dispatch count unchanged since the sweep that first saw it.  A thread
-ready longer than ``starvation_budget`` is reported once per episode.
+ready longer than :data:`STARVATION_BUDGET` is reported once per
+episode.
 
 The watchdog is strictly passive: it draws no randomness and mutates no
 kernel state, so a watchdog-on run reproduces the golden schedule hashes
@@ -45,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro.kernel.errors import Deadlock
+from repro.kernel.simtime import sec
 from repro.kernel.thread import SimThread, ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,6 +55,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Row layout shared by the watchdog, the kernel's global deadlock
 #: report, and the CLI's ``--no-raise-on-deadlock`` table.
 ROW_HEADER = ("thread", "state", "waits on", "held by")
+
+#: A READY thread continuously undispatched for this long is starving.
+STARVATION_BUDGET = sec(1)
 
 
 @dataclass(frozen=True)
@@ -183,18 +187,12 @@ def format_rows(rows: list[tuple[str, str, str, str]]) -> str:
 
 
 class Watchdog:
-    """Periodic waits-for and starvation sweeps over a live kernel."""
+    """Waits-for and starvation sweeps over a live kernel, once per
+    quantum."""
 
     def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
-        config = kernel.config
-        self.interval = (
-            config.watchdog_interval
-            if config.watchdog_interval is not None
-            else config.quantum
-        )
-        self.starvation_budget = config.starvation_budget
-        self.raise_on_cycle = config.watchdog_raise
+        self.interval = kernel.config.quantum
         #: Sim time of the next sweep: ``maybe_check`` sweeps at the first
         #: instant the kernel loop visits at or after it.
         self.next_sweep = self.interval
@@ -291,12 +289,6 @@ class Watchdog:
                 now, CAT_WATCHDOG, "deadlock", ordered[0].name,
                 "->".join(report.cycle),
             )
-        if self.raise_on_cycle:
-            rows = list(report.rows)
-            raise Deadlock(
-                f"watchdog: partial deadlock at {now}us:\n{format_rows(rows)}",
-                rows=rows,
-            )
 
     def _scan_starvation(self, now: int) -> None:
         ready_now: set[int] = set()
@@ -313,7 +305,7 @@ class Watchdog:
                 self._flagged_starving.discard(tid)
                 continue
             ready_since = seen[1]
-            if now - ready_since < self.starvation_budget:
+            if now - ready_since < STARVATION_BUDGET:
                 continue
             if tid in self._flagged_starving:
                 continue

@@ -27,9 +27,10 @@ per tenant plus virtual-finish-time weighted fair queueing across them:
 
 Everything is integer arithmetic on a monitor-protected structure using
 the same Mesa pattern as :class:`~repro.sync.queues.BoundedQueue`, and
-the class speaks the same protocol (``try_put``/``put``/``get``/
+the class speaks the admission half of its protocol (``try_put``/``get``/
 ``prune``/``len``/``rejects``/``max_depth``), so the cluster balancer
-takes it and drop-tail interchangeably.
+takes it and drop-tail interchangeably.  Admission never parks a putter,
+so there is no blocking ``put``.
 
 :class:`TokenBucket` is the classic leaky-meter companion: a deterministic
 integer bucket refilled lazily from simulated time, used by the balancer
@@ -41,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.kernel.primitives import Broadcast, Enter, Exit, Notify, Wait
+from repro.kernel.primitives import Enter, Exit, Notify, Wait
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
 
@@ -136,6 +137,10 @@ class WfqQueue:
         self.nonempty = ConditionVariable(
             self.monitor, f"{name}.nonempty", timeout=get_timeout
         )
+        #: No thread waits here: admission only calls ``try_put``.  Yet
+        #: ``get`` and ``prune`` still NOTIFY it once per freed slot, as
+        #: :class:`~repro.sync.queues.BoundedQueue` does, because those
+        #: traps are part of every pinned cluster and workload schedule.
         self.nonfull = ConditionVariable(self.monitor, f"{name}.nonfull")
         #: tenant -> deque of (finish_tag, seq, item).
         self.queues: dict[str, deque[tuple[int, int, Any]]] = {
@@ -147,14 +152,13 @@ class WfqQueue:
         self.last_finish: dict[str, int] = dict.fromkeys(weights, 0)
         self._seq = 0
         self._size = 0
-        #: Putters waiting on ``nonfull``, of any tenant.
-        self._parked = 0
         self.puts = 0
         self.gets = 0
         #: Optional custody ledger (see
         #: :class:`repro.sync.queues.UnboundedQueue`).
         self.carry = carry
-        #: Puts refused because the tenant's sub-queue stayed full.
+        #: ``try_put`` calls refused because the tenant's sub-queue was
+        #: full.
         self.rejects = 0
         #: Aggregate high-water mark, for SLO diagnostics.
         self.max_depth = 0
@@ -200,19 +204,6 @@ class WfqQueue:
         self.served[best] += 1
         return item
 
-    def _wake_putters(self, freed: int):
-        """Tell parked putters that ``freed`` slots opened (generator).
-
-        Putters of every tenant wait on the one ``nonfull`` CV, and a
-        NOTIFY may wake one whose own sub-queue is still full.  So when
-        more than one is parked, BROADCAST: each re-tests its own
-        sub-queue in its WHILE loop."""
-        if self._parked > 1:
-            yield Broadcast(self.nonfull)
-            return
-        for _ in range(freed):
-            yield Notify(self.nonfull)
-
     # -- the BoundedQueue protocol ------------------------------------------
 
     def try_put(self, item: Any):
@@ -224,34 +215,6 @@ class WfqQueue:
             if len(self.queues[tenant]) >= self.capacity:
                 self.rejects += 1
                 return False
-            self._enqueue(tenant, item)
-            yield Notify(self.nonempty)
-            return True
-        finally:
-            yield Exit(self.monitor)
-
-    def put(self, item: Any, timeout: int | None = None):
-        """Put with bounded per-tenant backpressure (generator).
-
-        Blocks while the tenant's own sub-queue is full, up to
-        ``timeout`` µs (None blocks forever, <= 0 behaves like
-        :meth:`try_put`).  Returns True if enqueued.
-        """
-        if timeout is not None and timeout <= 0:
-            result = yield from self.try_put(item)
-            return result
-        yield Enter(self.monitor)
-        try:
-            tenant = self._tenant_of(item)
-            while len(self.queues[tenant]) >= self.capacity:
-                self._parked += 1
-                try:
-                    notified = yield Wait(self.nonfull, timeout)
-                finally:
-                    self._parked -= 1
-                if not notified and len(self.queues[tenant]) >= self.capacity:
-                    self.rejects += 1
-                    return False
             self._enqueue(tenant, item)
             yield Notify(self.nonempty)
             return True
@@ -270,7 +233,7 @@ class WfqQueue:
             item = self._dequeue()
             if self.carry is not None:
                 self.carry[item.rid] = item
-            yield from self._wake_putters(1)
+            yield Notify(self.nonfull)
             return item
         finally:
             yield Exit(self.monitor)
@@ -290,8 +253,8 @@ class WfqQueue:
                         kept.append(entry)
                 self.queues[tenant] = kept
             self._size -= len(removed)
-            if removed:
-                yield from self._wake_putters(len(removed))
+            for _ in removed:
+                yield Notify(self.nonfull)
             return removed
         finally:
             yield Exit(self.monitor)

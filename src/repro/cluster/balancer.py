@@ -303,9 +303,7 @@ class LoadBalancer(Frontend):
                 if not bucket.take(now):
                     yield from self._finish(req, SHED)
                     continue
-            ok = yield from self.admission.put(
-                req, timeout=tenant.admission_timeout
-            )
+            ok = yield from self.admission.try_put(req)
             if ok:
                 self.carry_ledgers["ingress"].pop(req.rid, None)
             else:

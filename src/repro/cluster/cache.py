@@ -59,6 +59,9 @@ PRIO_LISTENER = 6
 PRIO_WORKER = 4
 PRIO_PUMP = 5
 
+#: Cache worker threads: lookups, hits and fetch minting.
+WORKERS = 2
+
 
 class CacheTier(Frontend):
     """A read cache fronting any backend frontend (a single
@@ -71,13 +74,11 @@ class CacheTier(Frontend):
         tenants: tuple[TenantSpec, ...],
         *,
         name: str = "cache",
-        workers: int = 2,
         single_flight: bool = True,
         capacity: "int | None" = None,
     ) -> None:
         super().__init__(world, tenants, name)
         self.backend = backend
-        self.workers = workers
         self.single_flight = single_flight
         self.key_rng = DeterministicRng(self.kernel.config.seed).fork(
             f"{name}:keys"
@@ -137,7 +138,7 @@ class CacheTier(Frontend):
             self._listener_proc, (), name=f"{self.name}.listener",
             priority=PRIO_LISTENER,
         ))
-        for wid in range(self.workers):
+        for wid in range(WORKERS):
             add(self.world.add_eternal(
                 self._worker_proc, (wid,), name=f"{self.name}.worker.{wid}",
                 priority=PRIO_WORKER,

@@ -137,11 +137,12 @@ class BalancerLease:
     sleeper polls :meth:`expired` and calls :meth:`seize` exactly once.
     """
 
-    def __init__(self, ttl: int, holder: str = "lb") -> None:
+    def __init__(self, ttl: int) -> None:
         if ttl <= 0:
             raise ValueError("lease ttl must be > 0")
         self.ttl = ttl
-        self.holder = holder
+        #: The primary balancer holds the lease until a standby seizes it.
+        self.holder = "lb"
         self.expires_at = ttl
         self.renewals = 0
         self.takeovers = 0
@@ -178,22 +179,21 @@ class StandbyBalancer:
     """
 
     def __init__(
-        self, world: Any, balancer: Any, lease: BalancerLease,
-        name: str = "lb.standby",
+        self, world: Any, balancer: Any, lease: BalancerLease
     ) -> None:
         from repro.paradigms.sleeper import Sleeper
 
         self.world = world
         self.balancer = balancer
         self.lease = lease
-        self.name = name
+        self.name = "lb.standby"
         self.active = False
         self.took_over_at: int | None = None
         #: Cluster-wide terminal outcomes at the instant of takeover —
         #: lets a post-check prove the cluster made progress *after*.
         self.completed_at_takeover = 0
         self.watch = Sleeper(
-            f"{name}.watch", 2 * balancer.poll, self._watch,
+            f"{self.name}.watch", 2 * balancer.poll, self._watch,
             work_cost=usec(20),
         )
         self.thread: Any = None

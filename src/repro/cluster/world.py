@@ -6,10 +6,11 @@ shards plus a :class:`~repro.cluster.balancer.LoadBalancer` onto one
 entry point used by the CLI, the benchmarks, the golden scenarios and
 the chaos sweep.
 
-By default the world gets ``ncpus == shards`` — each shard is "its own
-machine", which is the point of sharding: the steady mix overloads one
-simulated processor but fits two, so the cluster's throughput win over
-the single-server world is capacity, not accounting.
+The world :func:`run_cluster` builds gets ``ncpus == shards`` — each
+shard is "its own machine", which is the point of sharding: the steady
+mix overloads one simulated processor but fits two, so the cluster's
+throughput win over the single-server world is capacity, not
+accounting.
 
 The :class:`ClusterReport` folds the run down: per-shard statistics,
 the balancer's admission/health story, *merged* per-tenant counters
@@ -313,27 +314,18 @@ def run_cluster(
     admission: str = "wfq",
     admission_capacity: int = DEFAULT_ADMISSION_CAPACITY,
     duration: int = DEFAULT_DURATION,
-    ncpus: int | None = None,
-    config_overrides: dict | None = None,
-    raise_on_deadlock: bool = True,
-    keep_world: bool = False,
     replicas: bool = False,
-    standby: bool | None = None,
     tenants: tuple[TenantSpec, ...] | None = None,
-) -> ClusterReport | tuple[ClusterReport, World, LoadBalancer]:
+) -> ClusterReport:
     """Run one cluster experiment and fold it into a report.
 
-    ``ncpus`` defaults to ``shards`` (each shard is its own machine; a
-    replicated cluster gets one more per replica machine);
-    ``keep_world`` hands back the live world and balancer (caller owns
-    shutdown) for tests that inspect queues and health state directly.
+    Each shard is its own machine, so the world gets one CPU per shard,
+    and one more per replica when ``replicas`` is set; a replicated
+    cluster also parks a standby balancer on the lease.
     """
-    if ncpus is None:
-        ncpus = shards * 2 if replicas else shards
-    base = dict(seed=seed, ncpus=ncpus)
-    if config_overrides:
-        base.update(config_overrides)
-    config = KernelConfig(**base)
+    config = KernelConfig(
+        seed=seed, ncpus=shards * 2 if replicas else shards
+    )
     world, balancer = build_cluster_world(
         config,
         scenario=scenario,
@@ -344,13 +336,10 @@ def run_cluster(
         admission_capacity=admission_capacity,
         tenants=tenants,
         replicas=replicas,
-        standby=standby,
     )
-    world.run_for(duration, raise_on_deadlock=raise_on_deadlock)
+    world.run_for(duration)
     report = summarize_cluster(
         balancer, scenario=scenario, seed=seed, duration=duration
     )
-    if keep_world:
-        return report, world, balancer
     world.shutdown()
     return report

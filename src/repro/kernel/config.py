@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.kernel.simtime import msec, sec, usec
+from repro.kernel.simtime import msec, usec
 
-PRIORITY_LEVELS = 7
 MIN_PRIORITY = 1
 MAX_PRIORITY = 7
 #: Paper: "There are 7 priorities in all, with the default being the middle
@@ -123,18 +122,12 @@ class KernelConfig:
     #: guard pins that).  Typed loosely for the same layering reason as
     #: ``fault_plan``.
     schedule_controller: Any = None
-    #: Run the waits-for watchdog (:mod:`repro.analysis.watchdog`):
-    #: partial-deadlock cycles among monitor/JOIN/untimed-CV waiters and
-    #: a starvation monitor for ready-but-never-dispatched threads.
-    #: Purely observational unless ``watchdog_raise`` is set.
+    #: Run the waits-for watchdog (:mod:`repro.analysis.watchdog`) once
+    #: per quantum: partial-deadlock cycles among monitor/JOIN/untimed-CV
+    #: waiters and a starvation monitor for ready-but-never-dispatched
+    #: threads.  Purely observational: it records what it finds and lets
+    #: the run continue.
     watchdog: bool = False
-    #: Sim-time between watchdog sweeps; None means one quantum.
-    watchdog_interval: int | None = None
-    #: A READY thread continuously undispatched for this long is starving.
-    starvation_budget: int = sec(1)
-    #: Raise :class:`Deadlock` as soon as the watchdog confirms a cycle
-    #: (instead of recording it and letting the run continue).
-    watchdog_raise: bool = False
     #: Re-raise a thread's uncaught exception at end of run.
     propagate_thread_errors: bool = True
     #: Record a full event trace (costs memory; stats are always kept).
@@ -161,7 +154,3 @@ class KernelConfig:
             raise ValueError("at_least_one_extra_prob must be in [0, 1]")
         if self.fault_plan is not None:
             self.fault_plan.validate()
-        if self.watchdog_interval is not None and self.watchdog_interval <= 0:
-            raise ValueError("watchdog_interval must be positive")
-        if self.starvation_budget <= 0:
-            raise ValueError("starvation_budget must be positive")

@@ -57,12 +57,13 @@ class Deadlock(KernelError):
     """The simulation cannot make progress.
 
     Raised by ``Kernel.run`` when threads exist but none are runnable and no
-    timed event will ever wake one, and by the waits-for watchdog
-    (:mod:`repro.analysis.watchdog`, when ``watchdog_raise`` is set) on a
-    *partial* deadlock among a subset of live threads.  The message carries
-    a per-thread diagnosis; ``rows`` carries the same diagnosis as
-    structured ``(thread, state, waits_on, held_by)`` tuples so callers
-    (the CLI's ``--no-raise-on-deadlock`` path) can render a table.
+    timed event will ever wake one.  (A *partial* deadlock among a subset
+    of live threads is not raised: the waits-for watchdog,
+    :mod:`repro.analysis.watchdog`, records it and the run goes on.)  The
+    message carries a per-thread diagnosis; ``rows`` carries the same
+    diagnosis as structured ``(thread, state, waits_on, held_by)`` tuples
+    so callers (the CLI's ``--no-raise-on-deadlock`` path) can render a
+    table.
     """
 
     def __init__(self, message: str, rows: "list[tuple] | None" = None) -> None:

@@ -18,12 +18,10 @@ tenant's arrival sequence.
 **Coordinated omission.**  A closed-loop client that is stalled by the
 server (shed, backing off, resubmitting) is *not sending* — naive
 accounting measures each attempt from its own submission time and so
-silently omits exactly the waits the server caused.  With
-``TenantSpec.co_aware`` (the default) every resubmission carries the
-original *intended* send time, so the recorded latency of the eventually
-successful attempt covers the whole stall.  This is an accounting-only
-change: the schedule of kernel events is identical either way, only the
-timestamps folded into the histogram differ.
+silently omits exactly the waits the server caused.  So every
+resubmission carries the original *intended* send time, and the
+recorded latency of the eventually successful attempt covers the whole
+stall.
 
 Both generators target any :class:`~repro.server.server.Frontend` —
 a single server, a cluster balancer or a cache tier; the frontend
@@ -99,8 +97,8 @@ def client_proc(
         yield Pause(rng.expovariate(think_rate))
         now = yield GetTime()
         req = server.make_request(tenant, now, reply_to=reply_q)
-        #: The operation's intended send time.  CO-aware resubmits carry
-        #: it forward so the stall the server caused stays on the books.
+        #: The operation's intended send time.  Resubmits carry it
+        #: forward so the stall the server caused stays on the books.
         intended = req.intended
         shed_count = 0
         while True:
@@ -117,7 +115,7 @@ def client_proc(
                     tenant,
                     now,
                     reply_to=reply_q,
-                    intended=intended if tenant.co_aware else None,
+                    intended=intended,
                 )
                 continue
             if verdict is None or verdict == SHED:

@@ -52,8 +52,6 @@ class TenantSpec:
     #: Write tenants' requests carry coalesce keys and ride the batcher.
     writes: bool = False
     write_keys: int = 8
-    #: Admission patience: 0 sheds immediately, >0 waits (backpressure).
-    admission_timeout: int = 0
     #: Priority of this tenant's closed-loop client threads.
     priority: int = 5
     #: Weighted-fair-queueing weight (WFQ admission serves tenants in
@@ -64,12 +62,6 @@ class TenantSpec:
     rate_limit_per_sec: float = 0.0
     #: Token-bucket burst allowance (ignored when the bucket is off).
     burst: int = 16
-    #: Coordinated-omission-aware accounting: resubmitted requests keep
-    #: the original intended send time, so the latency a closed-loop
-    #: client recorded includes every shed-backoff wait before the
-    #: request finally got in.  Off reproduces the PR-4 accounting that
-    #: silently omitted those waits.
-    co_aware: bool = True
     #: SLO latency target in µs for attainment reporting; 0 means "use
     #: the per-attempt deadline as the target".
     slo: int = 0
@@ -353,6 +345,3 @@ def scenario_tenants(scenario: str) -> tuple[TenantSpec, ...]:
     else:
         raise ValueError(f"unknown server scenario {scenario!r}")
     return (api, *base)
-
-
-SCENARIO_NAMES = ("steady", "overload")

@@ -152,7 +152,7 @@ class Frontend:
             now = yield GetTime()
             req.completed_at = now
             # Latency runs from the *intended* send time (== submitted
-            # unless a CO-aware client carried an earlier intent through
+            # unless a client carried an earlier intent through
             # resubmits).
             self.stats.note_latency(req.tenant.name, now - req.intended)
         req.status = verdict
@@ -302,12 +302,12 @@ class RpcServer(Frontend):
                 continue
             yield Compute(ROUTE_COST)
             tenant = req.tenant
-            if tenant.ordered:
-                ok = yield from self.serial_queues[tenant.name].try_put(req)
-            else:
-                ok = yield from self.admission.put(
-                    req, timeout=tenant.admission_timeout
-                )
+            queue = (
+                self.serial_queues[tenant.name]
+                if tenant.ordered
+                else self.admission
+            )
+            ok = yield from queue.try_put(req)
             if ok:
                 self.stats.bump(tenant.name, "admitted")
                 if self.on_oplog is not None:

@@ -103,26 +103,23 @@ def run_server(
     policy: str = "strict",
     admission_capacity: int = 32,
     duration: int = DEFAULT_DURATION,
-    config_overrides: dict | None = None,
-    raise_on_deadlock: bool = True,
-    keep_world: bool = False,
-) -> ServerReport | tuple[ServerReport, World, RpcServer]:
+    quantum: int = KernelConfig.quantum,
+) -> ServerReport:
     """Run one server experiment and fold it into a report.
 
-    ``keep_world`` hands back the live world and server (caller owns
-    shutdown) — tests use it to inspect queues and histograms directly.
+    ``quantum`` is the kernel's scheduler quantum, which the quantum
+    sweep in ``benchmarks/bench_server.py`` varies.
     """
-    base = dict(seed=seed, scheduler_policy=policy)
-    if config_overrides:
-        base.update(config_overrides)
-    config = KernelConfig(**base)
+    config = KernelConfig(
+        seed=seed, scheduler_policy=policy, quantum=quantum
+    )
     world, server = build_server_world(
         config,
         scenario=scenario,
         workers=workers,
         admission_capacity=admission_capacity,
     )
-    world.run_for(duration, raise_on_deadlock=raise_on_deadlock)
+    world.run_for(duration)
     report = ServerReport(
         scenario=scenario,
         seed=seed,
@@ -133,7 +130,5 @@ def run_server(
         stats=server.stats.to_dict(),
         digest=server.stats.digest(),
     )
-    if keep_world:
-        return report, world, server
     world.shutdown()
     return report

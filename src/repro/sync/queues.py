@@ -111,11 +111,10 @@ class UnboundedQueue:
 class BoundedQueue:
     """A bounded FIFO: the classic bounded buffer, and an admission queue.
 
-    With its default timeouts it is the pipeline stage that applies
-    backpressure by blocking: ``put`` waits while full, ``get`` while
-    empty.  A server's admission queue must also be able to say **no**:
-    ``try_put`` rejects immediately when full, and ``put(timeout=...)``
-    gives up after bounded backpressure.  Timed ``get`` lets a pool of
+    As a pipeline stage it applies backpressure by blocking: ``put``
+    waits while full, ``get`` while empty.  A server's admission queue
+    must say **no** instead: ``try_put`` rejects immediately when full,
+    and admission never parks a putter.  Timed ``get`` lets a pool of
     consumer threads poll without parking forever on a NOTIFY that a
     fault (or a bug) might lose.
 
@@ -146,7 +145,8 @@ class BoundedQueue:
         self.gets = 0
         #: Optional custody ledger (see :class:`UnboundedQueue`).
         self.carry = carry
-        #: Puts refused because the queue stayed full (load shed upstream).
+        #: ``try_put`` calls refused because the queue was full (load
+        #: shed upstream).
         self.rejects = 0
         #: High-water mark, for SLO diagnostics.
         self.max_depth = 0
@@ -164,26 +164,14 @@ class BoundedQueue:
         finally:
             yield Exit(self.monitor)
 
-    def put(self, item: Any, timeout: int | None = None):
-        """Put with bounded backpressure (generator).
-
-        Blocks while full, up to ``timeout`` µs (None blocks forever, 0
-        behaves like :meth:`try_put`).  Returns True if enqueued, False
-        if the queue was still full when patience ran out.
-        """
-        if timeout is not None and timeout <= 0:
-            result = yield from self.try_put(item)
-            return result
+    def put(self, item: Any):
+        """Enqueue, blocking while full (generator)."""
         yield Enter(self.monitor)
         try:
             while len(self.items) >= self.capacity:
-                notified = yield Wait(self.nonfull, timeout)
-                if not notified and len(self.items) >= self.capacity:
-                    self.rejects += 1
-                    return False
+                yield Wait(self.nonfull)
             self._append(item)
             yield Notify(self.nonempty)
-            return True
         finally:
             yield Exit(self.monitor)
 

@@ -169,7 +169,7 @@ class ResubmitSink:
                 tenant,
                 k.now,
                 reply_to=self,
-                intended=intended if tenant.co_aware else None,
+                intended=intended,
             )
             self.attempts[fresh.rid] = spent + 1
             frontend.stats.bump(tenant.name, "client_retries")

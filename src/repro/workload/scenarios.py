@@ -65,8 +65,6 @@ class WorkloadSpec:
     policy: str = "p2c"
     admission: str = "wfq"
     admission_capacity: int = 64
-    #: Extra cache worker threads (only used when ``cache`` is on).
-    cache_workers: int = 2
     #: LRU entry capacity of the cache tier; None means unbounded.
     cache_capacity: "int | None" = None
     notes: str = ""

@@ -145,7 +145,6 @@ def build_workload_world(
             world,
             balancer,
             spec.tenants,
-            workers=spec.cache_workers,
             single_flight=single_flight,
             capacity=spec.cache_capacity,
         )
@@ -291,31 +290,21 @@ def run_workload(
     spec: WorkloadSpec | None = None,
     single_flight: bool | None = None,
     duration: int = DEFAULT_DURATION,
-    ncpus: int | None = None,
-    config_overrides: dict | None = None,
-    raise_on_deadlock: bool = True,
-    keep_world: bool = False,
-) -> WorkloadReport | tuple[WorkloadReport, WorkloadWorld]:
+) -> WorkloadReport:
     """Run one compiled scenario and fold it into a report.
 
-    ``ncpus`` defaults to one CPU per shard plus one for the cache tier
-    when the scenario has one; ``keep_world`` hands back the live
-    :class:`WorkloadWorld` (caller owns shutdown).
+    The world gets one CPU per shard, plus one for the cache tier when
+    the scenario has one.
     """
     if spec is None:
         spec = workload_spec(scenario)
-    if ncpus is None:
-        ncpus = spec.shards + (1 if spec.cache else 0)
-    base = dict(seed=seed, ncpus=ncpus)
-    if config_overrides:
-        base.update(config_overrides)
-    config = KernelConfig(**base)
+    config = KernelConfig(
+        seed=seed, ncpus=spec.shards + (1 if spec.cache else 0)
+    )
     ww = build_workload_world(
         config, spec=spec, single_flight=single_flight
     )
-    ww.world.run_for(duration, raise_on_deadlock=raise_on_deadlock)
+    ww.world.run_for(duration)
     report = summarize_workload(ww, seed=seed, duration=duration)
-    if keep_world:
-        return report, ww
     ww.world.shutdown()
     return report

@@ -41,7 +41,7 @@ from repro.kernel.simtime import msec, sec, usec
 from repro.runtime.pcr import World
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
-from repro.workloads.base import LibraryPool, StageSet
+from repro.workloads.base import CvSleeper, LibraryPool, StageSet
 
 
 #: Table 3 GVX idle: 48 distinct MLs.
@@ -184,7 +184,10 @@ def build_gvx_world(config: KernelConfig) -> tuple[World, GvxContext]:
 
     # Two private CV sleepers (cursor blink, cache ager).
     for index, period in enumerate((msec(400), msec(600))):
-        sleeper = _PrivateSleeper(f"gvx-sleeper-{index}", period, core)
+        sleeper = CvSleeper(
+            f"gvx-sleeper-{index}", period=period, pool=core, touches=2,
+            work=usec(80),
+        )
         world.add_eternal(sleeper.proc, name=sleeper.name, priority=3)
 
     # The input watcher at priority 5 ("GVX does the opposite" of Cedar's
@@ -210,26 +213,6 @@ def build_gvx_world(config: KernelConfig) -> tuple[World, GvxContext]:
     # The system daemon at level 6 — thread #22.
     world.install_daemon(period=msec(500))
     return world, context
-
-
-class _PrivateSleeper:
-    """A GVX eternal with its own CV (cursor blinker style)."""
-
-    def __init__(self, name: str, period: int, pool: LibraryPool) -> None:
-        self.name = name
-        self.monitor = Monitor(f"{name}.lock")
-        self.cv = ConditionVariable(self.monitor, f"{name}.cv", timeout=period)
-        self.pool = pool
-
-    def proc(self):
-        while True:
-            yield Enter(self.monitor)
-            try:
-                yield Wait(self.cv)
-            finally:
-                yield Exit(self.monitor)
-            yield Compute(usec(80))
-            yield from self.pool.touch(2)
 
 
 def _background_helper(pool: LibraryPool, period: int):

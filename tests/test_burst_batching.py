@@ -198,15 +198,25 @@ def test_two_cpus_finishing_at_the_same_instant():
 
 
 def test_watchdog_sweep_due_inside_a_burst():
-    # Sweeps every 10 ms fall inside the 3 ms bursts; the starved
-    # low-priority thread is reported at the sweep's instant.
+    # A sweep runs at the first loop pass at or after it is due.  While
+    # the 7 ms bursts run alone no tick is needed, so those passes fall
+    # on burst ends and each next sweep comes due strictly inside a
+    # burst.  The thread forked at 200 ms never runs and is reported
+    # starving at a sweep's instant.
     def install(kernel):
-        kernel.fork_root(cruncher, (msec(3),), name="hog", priority=5)
-        kernel.fork_root(cruncher, (msec(1),), name="starved", priority=2)
+        kernel.fork_root(cruncher, (msec(7),), name="hog", priority=5)
+        kernel.post_at(msec(200), lambda k: k.fork_root(
+            cruncher, (msec(1),), name="starved", priority=2
+        ))
+
+    def reported_once(kernel):
+        reports = kernel.watchdog.starvation
+        assert [(r.thread, r.time) for r in reports] == [
+            ("starved", msec(1250))
+        ]
 
     assert_inline_matches_reference(
-        install, msec(300), watchdog=True, watchdog_interval=msec(10),
-        starvation_budget=msec(25),
+        install, msec(1400), reported_once, watchdog=True
     )
 
 

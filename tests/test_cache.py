@@ -3,8 +3,8 @@ single-flight guard's stampede contrast.
 
 Each test compiles a small purpose-built :class:`WorkloadSpec` (tiny
 populations, short runs) so the counter it pins is the dominant effect,
-then reads the :class:`~repro.cluster.cache.CacheTier`'s books via
-``run_workload(..., keep_world=True)``.
+then reads the :class:`~repro.cluster.cache.CacheTier`'s books from the
+report's ``cache`` counters.
 """
 
 from repro.kernel.simtime import msec, sec, usec
@@ -30,14 +30,10 @@ def _reads(tenant, clients=30_000, rate=0.01) -> ClientClass:
 
 
 def _run(spec, *, duration=msec(500), single_flight=None):
-    report, ww = run_workload(
-        spec=spec, duration=duration, single_flight=single_flight,
-        keep_world=True,
+    report = run_workload(
+        spec=spec, duration=duration, single_flight=single_flight
     )
-    cache = ww.cache
-    counters = cache.cache_counters()
-    ww.world.shutdown()
-    return report, counters
+    return report, report.cache
 
 
 # -- steady state ------------------------------------------------------------

@@ -13,8 +13,12 @@ import pytest
 
 from repro.cluster import TokenBucket, WfqQueue, run_cluster
 from repro.cluster.admission import SCALE
+from repro.cluster.world import build_cluster_world
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
+from repro.server.world import build_server_world
+from repro.workload import workload_spec
+from repro.workload.world import build_workload_world
 
 RUN = msec(600)
 
@@ -163,67 +167,6 @@ class TestWfqQueue:
         assert drive(scenario) == "stranger"
         assert q.weights["stranger"] == 1
 
-    def test_blocking_put_applies_backpressure(self):
-        """put() with a full sub-queue parks until get() frees a slot —
-        nothing is dropped, rejects stays zero."""
-        q = WfqQueue("q", capacity=2, weights={"t": 1})
-        landed = []
-
-        def producer():
-            for i in range(5):
-                assert (yield from q.put(item("t", i)))
-                landed.append(i)
-
-        def consumer():
-            taken = []
-            while len(taken) < 5:
-                got = yield from q.get(timeout=msec(200))
-                if got is not None:
-                    taken.append(got.value)
-                yield p.Compute(usec(100))
-            return taken
-
-        kernel = Kernel(KernelConfig(switch_cost=0, monitor_overhead=0))
-        out = {}
-
-        def consume():
-            out["taken"] = yield from consumer()
-
-        kernel.fork_root(producer)
-        kernel.fork_root(consume)
-        kernel.run_for(sec(2))
-        assert landed == [0, 1, 2, 3, 4]
-        assert out["taken"] == [0, 1, 2, 3, 4]
-        assert q.rejects == 0
-
-    def test_get_wakes_the_putter_whose_sub_queue_has_room(self):
-        """Putters of every tenant park on one CV.  With ``a`` and ``b``
-        both full, ``a``'s putter parks first; a get that frees a slot
-        in ``b``'s sub-queue must still reach ``b``'s putter, not only
-        wake ``a``'s, which finds no room and waits again."""
-        q = WfqQueue("q", capacity=1, weights={"a": 1, "b": 4})
-        kernel = Kernel(KernelConfig(switch_cost=0, monitor_overhead=0))
-        landed = []
-
-        def putter(tenant):
-            assert (yield from q.put(item(tenant, 1)))
-            landed.append(tenant)
-
-        def scenario():
-            assert (yield from q.try_put(item("a", 0)))
-            assert (yield from q.try_put(item("b", 0)))
-            yield p.Fork(putter, ("a",), name="put-a", detached=True)
-            yield p.Yield()
-            yield p.Fork(putter, ("b",), name="put-b", detached=True)
-            yield p.Yield()
-            got = yield from q.get()
-            assert (got.tenant.name, got.value) == ("b", 0)
-
-        kernel.fork_root(scenario)
-        kernel.run_for(sec(1))
-        assert landed == ["b"]
-        assert q.depth_of("a") == 1 and q.depth_of("b") == 1
-
     def test_get_timeout_returns_none(self):
         q = WfqQueue("q", capacity=2, weights={"t": 1})
 
@@ -261,7 +204,7 @@ class TestWfqQueue:
                 rng = kernel.rng.fork(f"prod.{tenant}")
                 for i in range(count):
                     yield p.Compute(rng.randint(10, 200))
-                    yield from q.put(item(tenant, i))
+                    assert (yield from q.try_put(item(tenant, i)))
 
             def consumer():
                 while len(order) < 12:
@@ -283,6 +226,49 @@ class TestWfqQueue:
 # ---------------------------------------------------------------------------
 # The cluster world
 # ---------------------------------------------------------------------------
+
+class TestAdmissionTraffic:
+    def test_admission_never_parks_a_putter(self):
+        """Admission only calls ``try_put``: in every request world no
+        thread waits on an admission or serializer queue's ``nonfull``
+        CV.  ``get`` and ``prune`` still NOTIFY it (those traps are in
+        the pinned schedules), and on WFQ admission they are reached."""
+        stampede = workload_spec("cache-stampede")
+
+        def worlds():
+            world, server = build_server_world(
+                KernelConfig(seed=0), scenario="overload"
+            )
+            yield world, [server], []
+            for scenario, admission in (("steady", "wfq"),
+                                        ("skewed", "drop_tail")):
+                world, balancer = build_cluster_world(
+                    KernelConfig(seed=0, ncpus=2), scenario=scenario,
+                    admission=admission,
+                )
+                yield world, list(balancer.shards), [balancer]
+            ww = build_workload_world(
+                KernelConfig(seed=0, ncpus=stampede.shards + 1),
+                spec=stampede,
+            )
+            yield ww.world, list(ww.balancer.shards), [ww.balancer]
+
+        wfq_worlds = 0
+        for world, servers, balancers in worlds():
+            world.run_for(msec(500))
+            world.shutdown()
+            queues = [b.admission for b in balancers]
+            for server in servers:
+                queues.append(server.admission)
+                queues.extend(server.serial_queues.values())
+            assert queues
+            for queue in queues:
+                assert queue.nonfull.waits == 0, queue.name
+                if isinstance(queue, WfqQueue):
+                    wfq_worlds += 1
+                    assert queue.nonfull.notifies > 0, queue.name
+        assert wfq_worlds == 2
+
 
 class TestClusterWorld:
     def test_same_seed_same_digest(self):

@@ -11,12 +11,14 @@ import json
 import pytest
 
 from repro.kernel import KernelConfig, msec, sec, usec
-from repro.cluster.world import run_cluster
+from repro.cluster.world import build_cluster_world
 from repro.server import LatencyHistogram, ServerStats, TenantSpec, run_server
 from repro.server.latency import bucket_label
 from repro.server.model import DONE
+from repro.server.server import Frontend
 from repro.server.world import build_server_world
-from repro.workload.world import run_workload
+from repro.workload import workload_spec
+from repro.workload.world import build_workload_world
 
 RUN = sec(1)
 
@@ -129,21 +131,22 @@ class TestServerWorld:
             assert row["completed"] > 0
 
     def test_overload_sheds_instead_of_queueing(self):
-        report, world, server = run_server(
-            scenario="overload", duration=RUN, keep_world=True
+        world, server = build_server_world(
+            KernelConfig(seed=0), scenario="overload"
         )
-        try:
-            totals = report.stats["totals"]
-            assert totals["shed"] > 0.10 * totals["offered"]
-            # Bounded admission: depth never exceeded capacity, either in
-            # the sleeper's samples or the queue's own high-water mark.
-            assert report.stats["max_depth_sampled"] <= server.admission.capacity
-            assert server.admission.max_depth <= server.admission.capacity
-            # Shedding happened at admission, and the server still served.
-            assert server.admission.rejects > 0
-            assert totals["completed"] > 0
-        finally:
-            world.shutdown()
+        world.run_for(RUN)
+        stats = server.stats.to_dict()
+        admission = server.admission
+        world.shutdown()
+        totals = stats["totals"]
+        assert totals["shed"] > 0.10 * totals["offered"]
+        # Bounded admission: depth never exceeded capacity, either in
+        # the sleeper's samples or the queue's own high-water mark.
+        assert stats["max_depth_sampled"] <= admission.capacity
+        assert admission.max_depth <= admission.capacity
+        # Shedding happened at admission, and the server still served.
+        assert admission.rejects > 0
+        assert totals["completed"] > 0
 
     def test_policy_and_pool_size_change_the_story(self):
         strict = run_server(scenario="overload", policy="strict", duration=RUN)
@@ -237,46 +240,51 @@ class TestServerWorld:
         assert row["completed"] > 20
         assert row["give_ups"] == 0
 
-    def test_co_aware_accounting_raises_recorded_p99(self):
+    def test_resubmit_latency_counts_from_the_intended_send(self, monkeypatch):
         """Coordinated-omission regression: a stalled server forces the
-        closed-loop client into shed/backoff/resubmit cycles.  CO-naive
-        accounting restarts the latency clock at each resubmit and
-        reports a flattering tail; CO-aware accounting keeps the
-        original intended send time, so the recorded p99 rises to tell
-        the truth about the stall."""
+        closed-loop client into shed/backoff/resubmit cycles.  Timing
+        each attempt from its own submission would restart the clock at
+        every resubmit and report a flattering tail; the recorded
+        latency runs from the original intended send time instead, so
+        its p99 tells the truth about the stall."""
+        hog = TenantSpec(
+            name="hog", mode="open", rate_per_sec=600.0, cost=usec(8000),
+            deadline=msec(400), max_retries=0,
+        )
+        victim = TenantSpec(
+            name="victim", mode="closed", clients=4,
+            think_time=msec(5), cost=usec(1000), deadline=msec(80),
+            max_retries=0, backoff=msec(30),
+        )
+        done = []
+        finish = Frontend._finish
 
-        def mix(co_aware):
-            hog = TenantSpec(
-                name="hog", mode="open", rate_per_sec=600.0, cost=usec(8000),
-                deadline=msec(400), max_retries=0,
-            )
-            victim = TenantSpec(
-                name="victim", mode="closed", clients=4,
-                think_time=msec(5), cost=usec(1000), deadline=msec(80),
-                max_retries=0, backoff=msec(30), co_aware=co_aware,
-            )
-            return (hog, victim)
+        def spy(self, req, verdict):
+            if verdict == DONE and req.tenant.name == "victim":
+                done.append(req)
+            yield from finish(self, req, verdict)
 
-        results = {}
-        for co_aware in (False, True):
-            world, server = build_server_world(
-                KernelConfig(seed=0), tenants=mix(co_aware), workers=2,
-                admission_capacity=8,
-            )
-            world.run_for(RUN)
-            row = dict(server.stats.per_tenant["victim"])
-            latency = server.stats.tenant_latency["victim"]
-            results[co_aware] = (row, latency.percentile(0.99))
-            world.shutdown()
+        monkeypatch.setattr(Frontend, "_finish", spy)
+        world, server = build_server_world(
+            KernelConfig(seed=0), tenants=(hog, victim), workers=2,
+            admission_capacity=8,
+        )
+        world.run_for(RUN)
+        row = dict(server.stats.per_tenant["victim"])
+        recorded_p99 = server.stats.tenant_latency["victim"].percentile(0.99)
+        world.shutdown()
 
-        naive_row, naive_p99 = results[False]
-        aware_row, aware_p99 = results[True]
-        # Both runs really exercised the retry path.
-        assert naive_row["client_retries"] > 0
-        assert aware_row["client_retries"] > 0
-        # The accounting is the only difference — and the tail moves.
-        assert aware_p99 > naive_p99, (
-            f"CO-aware p99 {aware_p99} should exceed naive {naive_p99}"
+        # The run really exercised the retry path, and some request got
+        # in on a resubmit that carried an earlier intended send time.
+        assert row["client_retries"] > 0
+        assert row["completed"] == len(done)
+        assert any(req.intended < req.submitted for req in done)
+        per_attempt = LatencyHistogram()
+        for req in done:
+            per_attempt.record(req.completed_at - req.submitted)
+        assert recorded_p99 > per_attempt.percentile(0.99), (
+            f"recorded p99 {recorded_p99} should exceed the per-attempt "
+            f"p99 {per_attempt.percentile(0.99)}"
         )
 
     def test_unknown_scenario_rejected(self):
@@ -307,16 +315,19 @@ class TestServerStatsTotals:
         for amount, kind in enumerate(ServerStats.KINDS, start=1):
             for tenant in ("a", "b"):
                 direct.bump(tenant, kind, amount)
-        _, world, balancer = run_cluster(
-            replicas=True, duration=msec(500), keep_world=True
+        world, balancer = build_cluster_world(
+            KernelConfig(seed=0, ncpus=4), replicas=True
         )
+        world.run_for(msec(500))
         stats = [direct, balancer.stats]
         stats += [shard.stats for shard in balancer.shards]
         stats += [link.replica.stats for link in balancer.links]
         world.shutdown()
-        _, cached = run_workload(
-            scenario="cache-stampede", duration=msec(500), keep_world=True
+        spec = workload_spec("cache-stampede")
+        cached = build_workload_world(
+            KernelConfig(seed=0, ncpus=spec.shards + 1), spec=spec
         )
+        cached.world.run_for(msec(500))
         stats += [cached.cache.stats, cached.balancer.stats]
         stats += [shard.stats for shard in cached.balancer.shards]
         cached.world.shutdown()

@@ -15,7 +15,7 @@ import pytest
 from repro.analysis.golden import golden_run, load_golden
 from repro.analysis.scenarios import SCENARIOS, resolve
 from repro.analysis.watchdog import (
-    ROW_HEADER,
+    STARVATION_BUDGET,
     deadlock_rows,
     format_rows,
     waits_on,
@@ -85,16 +85,6 @@ class TestPartialDeadlock:
         # The bystander was never implicated and kept running.
         assert all("daemon" not in row[0] for row in report.rows)
         assert kernel.stats.fault_counts == {}
-
-    def test_watchdog_raise_raises_deadlock_with_rows(self):
-        kernel = make_kernel(watchdog=True, watchdog_raise=True)
-        abba(kernel)
-        kernel.fork_root(daemon_body, name="daemon")
-        with pytest.raises(Deadlock) as excinfo:
-            kernel.run_for(sec(1))
-        assert "partial deadlock" in str(excinfo.value)
-        rows = excinfo.value.rows
-        assert rows and all(len(row) == len(ROW_HEADER) for row in rows)
 
     def test_three_thread_cycle_reported_canonically(self):
         kernel = make_kernel(watchdog=True)
@@ -204,9 +194,7 @@ class TestNoFalsePositives:
 
 class TestStarvation:
     def test_ready_but_never_dispatched_is_flagged_once(self):
-        kernel = make_kernel(
-            watchdog=True, starvation_budget=msec(100), quantum=msec(10)
-        )
+        kernel = make_kernel(watchdog=True, quantum=msec(10))
 
         def hog():
             while True:
@@ -217,20 +205,18 @@ class TestStarvation:
 
         kernel.fork_root(hog, name="hog", priority=5)
         thread = kernel.fork_root(meek, name="meek", priority=1)
-        kernel.run_for(sec(1))
+        kernel.run_for(3 * STARVATION_BUDGET)
 
         assert thread.state is ThreadState.READY  # truly starved
         reports = kernel.watchdog.starvation
         assert len(reports) == 1  # one episode -> one report
         report = reports[0]
         assert report.thread == "meek"
-        assert report.starved_for >= msec(100)
+        assert report.starved_for >= STARVATION_BUDGET
         assert kernel.watchdog.deadlocks == []
 
     def test_round_robin_peers_are_not_starving(self):
-        kernel = make_kernel(
-            watchdog=True, starvation_budget=msec(100), quantum=msec(10)
-        )
+        kernel = make_kernel(watchdog=True, quantum=msec(10))
 
         def worker():
             for _ in range(200):
@@ -238,15 +224,13 @@ class TestStarvation:
 
         kernel.fork_root(worker, name="w1", priority=3)
         kernel.fork_root(worker, name="w2", priority=3)
-        kernel.run_for(sec(2))
+        kernel.run_for(3 * STARVATION_BUDGET)
         assert kernel.watchdog.starvation == []
 
     def test_dispatch_resets_the_clock(self):
         """A thread that runs, even briefly, is not starving; the episode
         clock restarts from its next READY stint."""
-        kernel = make_kernel(
-            watchdog=True, starvation_budget=msec(300), quantum=msec(10)
-        )
+        kernel = make_kernel(watchdog=True, quantum=msec(10))
 
         def sometimes():
             while True:
@@ -255,7 +239,7 @@ class TestStarvation:
 
         kernel.fork_root(sometimes, name="sometimes", priority=3)
         kernel.fork_root(daemon_body, name="daemon", priority=3)
-        kernel.run_for(sec(2))
+        kernel.run_for(3 * STARVATION_BUDGET)
         assert kernel.watchdog.starvation == []
 
 
