@@ -48,9 +48,10 @@ races:
 	PYTHONPATH=src python -m repro races
 
 # Seeded fault-injection sweep with the waits-for watchdog and invariant
-# checks; writes the JSON report (see docs/ROBUSTNESS.md).
+# checks; the default 14 sampled runs visit every sweep entry.  Writes
+# the JSON report (see docs/ROBUSTNESS.md).
 chaos:
-	PYTHONPATH=src python -m repro --seed 0 chaos --smoke --output chaos-report.json
+	PYTHONPATH=src python -m repro --seed 0 chaos --output chaos-report.json
 
 # Systematic schedule exploration: find the directed scenarios' bugs,
 # shrink each to a minimal replayable trace, write the JSON report (see

@@ -11,7 +11,7 @@ regression fails in CI rather than drifting silently.
 
 import time
 
-from repro.kernel import Kernel, KernelConfig, sec
+from repro.kernel import KernelConfig, sec
 from repro.workloads import build_cedar_world
 from repro.workloads.cedar import CEDAR_ACTIVITIES
 

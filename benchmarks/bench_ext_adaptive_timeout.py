@@ -10,7 +10,6 @@ generations and measures both failure modes.
 
 from repro.analysis.report import format_table
 from repro.extensions.adaptive_timeout import run_generations
-from repro.kernel.simtime import msec
 
 
 def test_adaptive_timeout_generations(benchmark):

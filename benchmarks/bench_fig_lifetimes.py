@@ -6,7 +6,7 @@ lifetime for non-eternal threads that is well under 1 second."
 
 from repro.analysis.lifetimes import analyse, is_well_under_a_second
 from repro.analysis.report import format_table
-from repro.kernel.simtime import msec, sec
+from repro.kernel.simtime import msec
 
 
 def test_transient_lifetimes_cedar(benchmark, cedar_results):

@@ -7,7 +7,7 @@ a kernel that predates the knob, and a detector-on run executes the
 exact same schedule.
 """
 
-from repro.kernel import Kernel, KernelConfig, SimVar, msec, usec
+from repro.kernel import Kernel, KernelConfig, SimVar, msec
 from repro.kernel import primitives as p
 from repro.kernel.instrumentation import CAT_RACE
 from repro.sync.monitor import Monitor

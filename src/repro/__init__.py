@@ -7,7 +7,7 @@ The package simulates the Mesa/PCR thread world the paper measured:
   the PCR scheduler (strict priorities, 50 ms quantum, tick-granular
   timeouts, YieldButNotToMe, SystemDaemon donations);
 * :mod:`repro.sync` — Mesa monitors, condition variables and the CV-based
-  building blocks (bounded buffers, queues, latches, init-once);
+  building blocks (bounded and unbounded queues);
 * :mod:`repro.paradigms` — the ten thread-usage paradigms of Section 4 as
   reusable components;
 * :mod:`repro.workloads` — synthetic Cedar and GVX worlds whose dynamic

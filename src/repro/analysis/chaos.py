@@ -171,15 +171,13 @@ def run_one(
     return record
 
 
-def verify_golden(*, with_watchdog: bool = True) -> dict:
-    """Faults-off chaos mode: a zero-rate plan (and the watchdog) must
+def verify_golden() -> dict:
+    """Faults-off chaos mode: a zero-rate plan and the watchdog must
     reproduce the pinned golden schedule hashes bit-for-bit."""
     from repro.analysis.golden import golden_run, load_golden
 
     golden = load_golden()
-    overrides: dict[str, Any] = {"fault_plan": FaultPlan()}
-    if with_watchdog:
-        overrides["watchdog"] = True
+    overrides = {"fault_plan": FaultPlan(), "watchdog": True}
     entries = resolve("golden")
     mismatches = [
         scenario.name for scenario in entries

@@ -124,12 +124,3 @@ def accuracy(fragments: Iterable[CodeFragment]) -> float:
         if classify(fragment) == fragment.label:
             correct += 1
     return correct / total if total else 0.0
-
-
-def confusion(fragments: Iterable[CodeFragment]) -> dict[tuple[str, str], int]:
-    """(truth, predicted) -> count, for classifier diagnostics."""
-    table: dict[tuple[str, str], int] = {}
-    for fragment in fragments:
-        key = (fragment.label, classify(fragment))
-        table[key] = table.get(key, 0) + 1
-    return table

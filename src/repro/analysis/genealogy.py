@@ -42,10 +42,3 @@ def analyse(thread_log: list[ThreadRecord]) -> GenealogyReport:
         transient_count=len(transients),
         grandchild_kinds=grandchildren,
     )
-
-
-def forked_during_window(
-    thread_log: list[ThreadRecord], start: int, end: int
-) -> list[ThreadRecord]:
-    """Records of threads created inside a measurement window."""
-    return [r for r in thread_log if start <= r.created_at < end]

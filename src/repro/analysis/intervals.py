@@ -36,9 +36,8 @@ class IntervalSummary:
     histogram: list[tuple[str, int]]
 
 
-def summarise(intervals: list[int], edges: list[int] | None = None) -> IntervalSummary:
+def summarise(intervals: list[int]) -> IntervalSummary:
     """Compute the F1/F2 statistics for a list of interval durations."""
-    edges = edges if edges is not None else DEFAULT_EDGES
     total_time = sum(intervals)
     count = len(intervals)
     short = sum(1 for d in intervals if d <= msec(5))
@@ -47,7 +46,7 @@ def summarise(intervals: list[int], edges: list[int] | None = None) -> IntervalS
     # quantum-limited interval can be 40-50 ms; we widen the bucket
     # accordingly (recorded as a deviation in EXPERIMENTS.md).
     quantum_time = sum(d for d in intervals if msec(40) <= d <= msec(50))
-    histogram = bucketise(intervals, edges)
+    histogram = bucketise(intervals, DEFAULT_EDGES)
     return IntervalSummary(
         count=count,
         total_time=total_time,

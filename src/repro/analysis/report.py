@@ -270,17 +270,3 @@ def ratio(measured: float, paper: float) -> str:
     if paper == 0:
         return "-" if measured == 0 else "inf"
     return f"{measured / paper:.2f}x"
-
-
-def within_band(measured: float, low: float, high: float) -> bool:
-    return low <= measured <= high
-
-
-def shape_holds(measured: float, paper: float, tolerance: float) -> bool:
-    """True when measured is within ``tolerance`` (relative) of paper.
-
-    Zero targets require zero measurements (the GVX never-forks rows).
-    """
-    if paper == 0:
-        return measured == 0
-    return abs(measured - paper) / paper <= tolerance

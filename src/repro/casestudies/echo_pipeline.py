@@ -62,19 +62,15 @@ def run_echo_pipeline(
     sleep_interval: int = 0,
     keystrokes: int = 40,
     key_interval: int = msec(80),
-    glyph_work: int = usec(300),
-    regions_per_glyph: int = 4,
-    inter_request_work: int = msec(2),
     buffer_priority: int = 5,
     imaging_priority: int = 3,
-    notifier_priority: int = 7,
     seed: int = 0,
 ) -> EchoResult:
     """Type ``keystrokes`` keys and measure how their echoes reach X.
 
     Each keystroke makes the imaging thread render a glyph: a burst of
-    ``regions_per_glyph`` overlapping paint requests (cursor region,
-    glyph cell, status line...), which is the merging opportunity.
+    four overlapping paint requests (cursor region, glyph cell, status
+    line...), which is the merging opportunity.
     """
     config_kwargs = dict(seed=seed, quantum=quantum)
     if switch_cost is not None:
@@ -112,8 +108,8 @@ def run_echo_pipeline(
     def imaging():
         while True:
             key_id = yield from cooked.get()
-            yield Compute(glyph_work)  # render the glyph
-            for region in range(regions_per_glyph):
+            yield Compute(usec(300))  # render the glyph
+            for region in range(4):
                 if key_id not in first_request:
                     first_request[key_id] = yield GetTime()
                 yield from paint_queue.put(
@@ -122,10 +118,9 @@ def run_echo_pipeline(
                 # Real painting work separates the requests — the reason
                 # a too-short donation window (1 ms quantum) cannot
                 # gather a whole burst (Section 6.3).
-                yield Compute(inter_request_work)
+                yield Compute(msec(2))
 
-    kernel.fork_root(notifier, name="Notifier", priority=notifier_priority,
-                     role="eternal")
+    kernel.fork_root(notifier, name="Notifier", priority=7, role="eternal")
     kernel.fork_root(imaging, name="imaging", priority=imaging_priority,
                      role="eternal")
     kernel.fork_root(slack.proc, name="buffer", priority=buffer_priority,

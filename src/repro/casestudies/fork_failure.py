@@ -47,7 +47,6 @@ def run_fork_storm(
     policy: str,
     requests: int = 30,
     max_threads: int = 8,
-    job_duration: int = msec(20),
     seed: int = 0,
 ) -> ForkFailureResult:
     """Fire a burst of fork-per-request work at a saturated thread table."""
@@ -58,7 +57,7 @@ def run_fork_storm(
     failures = [0]
 
     def job(issued_at: int):
-        yield Compute(job_duration)
+        yield Compute(msec(20))
         now = yield GetTime()
         done.append(now - issued_at)
 

@@ -36,12 +36,6 @@ class QuantumSweep:
     strategy: str
     results: dict[int, EchoResult] = field(default_factory=dict)
 
-    def latency(self, quantum: int) -> float:
-        return self.results[quantum].mean_latency
-
-    def merge_ratio(self, quantum: int) -> float:
-        return self.results[quantum].merge_ratio
-
 
 def sweep_quantum(
     strategy: str,

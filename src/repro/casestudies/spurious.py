@@ -39,7 +39,6 @@ def run_producer_consumer(
     items: int = 50,
     consumer_priority: int = 5,
     producer_priority: int = 3,
-    in_monitor_work: int = usec(100),
     seed: int = 0,
     race_detection: bool = False,
 ) -> SpuriousResult:
@@ -80,7 +79,7 @@ def run_producer_consumer(
                 state["available"] += 1
                 yield Notify(nonempty)
                 # Still holding the monitor: the spurious-conflict window.
-                yield Compute(in_monitor_work)
+                yield Compute(usec(100))
             finally:
                 yield Exit(lock)
             yield Compute(usec(50))

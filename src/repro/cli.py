@@ -229,10 +229,9 @@ def _cmd_chaos(args: argparse.Namespace) -> None:
 
     from repro.analysis.chaos import run_sweep, write_report
 
-    runs = 4 if args.smoke else args.runs
     report = run_sweep(
         seed=args.seed,
-        runs=runs,
+        runs=args.runs,
         check_golden=not args.skip_golden,
         progress=print,
         # With an output path, failing runs save their decision traces
@@ -774,8 +773,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="comma list of catalogue names and tags "
                                   "to run as directed runs (default: the "
                                   "chaos tag)")
-            sub.add_argument("--smoke", action="store_true",
-                             help="quick fixed-size sweep for CI")
             sub.add_argument("--skip-golden", action="store_true",
                              help="skip the faults-off golden-hash check")
             sub.add_argument("--output", default=None,

@@ -1,7 +1,7 @@
 """The sharded cluster world: balancer, admission policy, SLO rollups.
 
 One layer up from :mod:`repro.server`: N RPC-server shards on one
-simulated kernel (``ncpus == shards`` by default — a shard per machine)
+simulated kernel (a CPU per shard, and one per replica — a machine each)
 behind a load-balancer thread pipeline with pluggable routing (static
 hash / round robin / power of two choices), per-tenant weighted-fair
 or drop-tail admission with optional token-bucket rate limits, and a

@@ -259,9 +259,5 @@ class WfqQueue:
         finally:
             yield Exit(self.monitor)
 
-    def depth_of(self, tenant: str) -> int:
-        queue = self.queues.get(tenant)
-        return len(queue) if queue is not None else 0
-
     def __len__(self) -> int:
         return self._size

@@ -422,7 +422,10 @@ class LoadBalancer(Frontend):
                     yield from self._promote(sid)
                 else:
                     yield from self._evacuate(sid)
-        cut = lambda r: r.expires_at <= now and r.status == PENDING
+
+        def cut(r):
+            return r.expires_at <= now and r.status == PENDING
+
         expired = yield from self.admission.prune(cut)
         for req in expired:
             yield from self._expire(req)
@@ -481,7 +484,10 @@ class LoadBalancer(Frontend):
         ``lost_inflight``.
         """
         shard = self.shards[sid]
-        queued = lambda r: r.status == PENDING
+
+        def queued(r):
+            return r.status == PENDING
+
         moved = yield from shard.ingress.prune(queued)
         moved += yield from shard.admission.prune(queued)
         for queue in shard.serial_queues.values():

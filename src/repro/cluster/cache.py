@@ -368,6 +368,3 @@ class CacheTier(Frontend):
             "single_flight": self.single_flight,
             "live_entries": len(self.entries),
         }
-
-    def to_dict(self) -> dict:
-        return {**self.stats.to_dict(), "cache": self.cache_counters()}

@@ -68,14 +68,13 @@ def next_weights(
     *,
     target: float = TARGET,
     deadband: float = DEADBAND,
-    max_weight: int = MAX_WEIGHT,
 ) -> dict[str, int]:
     """One deterministic hill-climb step (see module docstring)."""
     out: dict[str, int] = {}
     for name, weight in weights.items():
         att = attainment.get(name, 1.0)
         if att < target - deadband:
-            out[name] = min(max_weight, weight + 1)
+            out[name] = min(MAX_WEIGHT, weight + 1)
         elif att > target + deadband:
             out[name] = max(MIN_WEIGHT, weight - 1)
         else:

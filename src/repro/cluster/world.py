@@ -6,11 +6,11 @@ shards plus a :class:`~repro.cluster.balancer.LoadBalancer` onto one
 entry point used by the CLI, the benchmarks, the golden scenarios and
 the chaos sweep.
 
-The world :func:`run_cluster` builds gets ``ncpus == shards`` — each
-shard is "its own machine", which is the point of sharding: the steady
-mix overloads one simulated processor but fits two, so the cluster's
-throughput win over the single-server world is capacity, not
-accounting.
+The world :func:`run_cluster` builds gets ``ncpus == shards``, doubled
+with replicas — each shard (and replica) is "its own machine", which is
+the point of sharding: the steady mix overloads one simulated processor
+but fits two, so the cluster's throughput win over the single-server
+world is capacity, not accounting.
 
 The :class:`ClusterReport` folds the run down: per-shard statistics,
 the balancer's admission/health story, *merged* per-tenant counters
@@ -80,11 +80,6 @@ class ClusterReport:
     def throughput_per_sec(self) -> float:
         seconds = self.duration / 1_000_000
         return self.completed / seconds if seconds else 0.0
-
-    @property
-    def quantiles(self) -> dict[str, int]:
-        latency = self.merged["latency"]
-        return {name: latency[name] for name in ("p50", "p95", "p99", "p999")}
 
     @property
     def shed_fraction(self) -> float:

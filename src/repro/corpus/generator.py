@@ -198,14 +198,14 @@ class CorpusGenerator:
 
     def _t_oneshot_guard(self, verb: str, noun: str) -> str:
         return (
-            f"-- guarded button: must be pressed twice, in close but not\n"
-            f"-- too close succession\n"
-            f"ArmGuard: PROC = {{\n"
-            f"  Process.Pause[armTicks];\n"
-            f"  SetLabel[button, \"Button\"];\n"
-            f"  Process.Pause[windowTicks];\n"
-            f"  IF NOT invoked THEN SetLabel[button, \"Butten\"];\n"
-            f"}};"
+            "-- guarded button: must be pressed twice, in close but not\n"
+            "-- too close succession\n"
+            "ArmGuard: PROC = {\n"
+            "  Process.Pause[armTicks];\n"
+            "  SetLabel[button, \"Button\"];\n"
+            "  Process.Pause[windowTicks];\n"
+            "  IF NOT invoked THEN SetLabel[button, \"Butten\"];\n"
+            "};"
         )
 
     # -- deadlock avoiders ----------------------------------------------------
@@ -223,11 +223,11 @@ class CorpusGenerator:
 
     def _t_deadlock_callback(self, verb: str, noun: str) -> str:
         return (
-            f"-- forked so the service can release its locks and is\n"
-            f"-- insulated from errors in the client callback\n"
-            f"FOR each: Finalizable IN finalizeList DO\n"
-            f"  Process.Detach[FORK each.finalize[each.data]];\n"
-            f"ENDLOOP;"
+            "-- forked so the service can release its locks and is\n"
+            "-- insulated from errors in the client callback\n"
+            "FOR each: Finalizable IN finalizeList DO\n"
+            "  Process.Detach[FORK each.finalize[each.data]];\n"
+            "ENDLOOP;"
         )
 
     # -- task rejuvenation ----------------------------------------------------

@@ -84,7 +84,6 @@ def minimize(
     scenario: Scenario,
     failing: ScheduleOutcome,
     *,
-    max_replays: int = 500,
     progress: "Callable[[str], None] | None" = None,
 ) -> "MinimizedCounterexample | None":
     """Shrink ``failing``'s trace to a minimal forced schedule.
@@ -99,7 +98,7 @@ def minimize(
 
     def fails(choices) -> "ScheduleOutcome | None":
         nonlocal replays
-        if replays >= max_replays:
+        if replays >= 500:  # the shrinking budget
             return None
         replays += 1
         outcome = replay(scenario, choices, seed=seed)

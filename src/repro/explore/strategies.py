@@ -13,16 +13,18 @@ as a single schedule.
 * :class:`PctStrategy` — probabilistic concurrency testing (Burckhardt
   et al.): each schedule assigns random exploration priorities to
   threads, always picks the highest-priority candidate at scheduler
-  sites, and demotes the running choice at ``d`` random change points.
-  Bugs of "depth" d are found with probability >= 1/(n * k^d).  Fault
-  sites fall through to the plan's own (per-decision-forked) sampling.
+  sites, and demotes the running choice at ``PCT_DEPTH`` random change
+  points.  Bugs of "depth" d are found with probability >= 1/(n * k^d).
+  Fault sites fall through to the plan's own (per-decision-forked)
+  sampling.
 * :class:`SeedSweepStrategy` — the pre-exploration baseline: default
   decisions, a different kernel seed per schedule.
 * :class:`ExhaustivePrefixStrategy` — complete lexicographic DFS over
-  the decision tree up to ``horizon`` decisions: run the all-baseline
-  schedule, then repeatedly increment the deepest incrementable
-  decision and reset the tail to baseline.  Visits every schedule of
-  the bounded tree exactly once; ``exhausted`` flips when done.
+  the decision tree up to ``EXHAUSTIVE_HORIZON`` decisions: run the
+  all-baseline schedule, then repeatedly increment the deepest
+  incrementable decision and reset the tail to baseline.  Visits every
+  schedule of the bounded tree exactly once; ``exhausted`` flips when
+  done.
 """
 
 from __future__ import annotations
@@ -37,6 +39,12 @@ from repro.explore.trace import (
     DecisionTrace,
     ScheduleController,
 )
+
+#: PCT's bug depth ``d``: change points per schedule.
+PCT_DEPTH = 3
+#: Decisions deep the exhaustive enumerator varies; later ones stay at
+#: their baseline.
+EXHAUSTIVE_HORIZON = 64
 
 
 class Strategy:
@@ -75,9 +83,8 @@ class RandomWalkStrategy(Strategy):
 class PctStrategy(Strategy):
     name = "pct"
 
-    def __init__(self, seed: int = 0, depth: int = 3) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._seed = seed
-        self.depth = depth
         #: Rolling estimate of schedule length (decision count) used to
         #: place change points; refined from each observed trace.
         self._length_estimate = 32
@@ -85,8 +92,8 @@ class PctStrategy(Strategy):
     def controller(self, index: int) -> ScheduleController:
         rng = DeterministicRng(self._seed).fork(f"pct:{index}")
         priorities: dict[str, float] = {}
-        span = max(self._length_estimate, self.depth, 1)
-        change_points = {rng.randint(0, span - 1) for _ in range(self.depth)}
+        span = max(self._length_estimate, PCT_DEPTH, 1)
+        change_points = {rng.randint(0, span - 1) for _ in range(PCT_DEPTH)}
         state = {"sched_decisions": 0, "demotions": 0}
 
         def priority_of(label: str) -> float:
@@ -131,8 +138,7 @@ class SeedSweepStrategy(Strategy):
 class ExhaustivePrefixStrategy(Strategy):
     name = "exhaustive"
 
-    def __init__(self, horizon: int = 64) -> None:
-        self.horizon = horizon
+    def __init__(self) -> None:
         self._next_prefix: "list[int] | None" = []
 
     def controller(self, index: int) -> ScheduleController:
@@ -147,7 +153,7 @@ class ExhaustivePrefixStrategy(Strategy):
         # incrementable decision (within the horizon), drop everything
         # after it.  When nothing can be bumped, the bounded tree is
         # fully visited.
-        for j in range(min(len(choices), self.horizon) - 1, -1, -1):
+        for j in range(min(len(choices), EXHAUSTIVE_HORIZON) - 1, -1, -1):
             if choices[j] + 1 < ns[j]:
                 self._next_prefix = choices[:j] + [choices[j] + 1]
                 return
@@ -164,14 +170,14 @@ STRATEGIES: dict[str, Any] = {
 }
 
 
-def make_strategy(name: str, *, seed: int = 0, **kwargs: Any) -> Strategy:
+def make_strategy(name: str, *, seed: int = 0) -> Strategy:
     """Instantiate a strategy by CLI name (seed passed where taken)."""
     if name == "random":
         return RandomWalkStrategy(seed=seed)
     if name == "pct":
-        return PctStrategy(seed=seed, **kwargs)
+        return PctStrategy(seed=seed)
     if name == "seeds":
         return SeedSweepStrategy()
     if name == "exhaustive":
-        return ExhaustivePrefixStrategy(**kwargs)
+        return ExhaustivePrefixStrategy()
     raise ValueError(f"unknown strategy: {name!r}")

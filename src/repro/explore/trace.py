@@ -120,11 +120,6 @@ class DecisionTrace:
         """The positional choice list — all a replay needs to force."""
         return [d.choice for d in self.decisions]
 
-    def non_baseline(self) -> list[Decision]:
-        """The decisions that differ from the all-zero baseline — the
-        essence of a minimized counterexample."""
-        return [d for d in self.decisions if d.choice != 0]
-
     def divergence(self, replayed: "DecisionTrace") -> "str | None":
         """Where ``replayed`` stops matching this trace — the first
         decision whose site, alternative count or choice differs, or a
@@ -140,14 +135,9 @@ class DecisionTrace:
             return f"saved {len(self)} decisions, replayed {len(replayed)}"
         return None
 
-    def render(self, *, only_non_baseline: bool = False) -> str:
+    def render(self) -> str:
         """Human-readable interleaving, one line per decision."""
-        shown = self.non_baseline() if only_non_baseline else self.decisions
-        lines = [d.describe() for d in shown]
-        if only_non_baseline:
-            quiet = len(self.decisions) - len(shown)
-            if quiet:
-                lines.append(f"({quiet} baseline decisions elided)")
+        lines = [d.describe() for d in self.decisions]
         return "\n".join(lines) if lines else "(no decisions)"
 
     def to_dict(self) -> dict:

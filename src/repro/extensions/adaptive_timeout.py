@@ -10,7 +10,7 @@ a workable solution."
 retransmission timer: it tracks the smoothed response time (SRTT) and
 variance (RTTVAR) of observed completions and proposes
 
-    timeout = srtt + k * rttvar     (clamped to [floor, ceiling])
+    timeout = srtt + K * rttvar     (clamped to [floor, ceiling])
 
 :func:`run_rpc_experiment` quantifies the §5.5 failure mode.  A client
 calls a server and treats a timeout as failure-detection.  The timeout
@@ -33,6 +33,10 @@ from repro.kernel import Kernel, KernelConfig
 from repro.kernel.primitives import Channelreceive, Compute, GetTime
 from repro.kernel.simtime import msec, sec
 
+#: RFC 6298's gains: ALPHA smooths SRTT, BETA smooths RTTVAR, and K
+#: scales RTTVAR into the timeout's safety margin.
+ALPHA, BETA, K = 0.125, 0.25, 4.0
+
 
 class AdaptiveTimeout:
     """An RTO-style timeout estimator over observed response times."""
@@ -41,17 +45,11 @@ class AdaptiveTimeout:
         self,
         *,
         initial: int = msec(500),
-        k: float = 4.0,
-        alpha: float = 0.125,
-        beta: float = 0.25,
         floor: int = msec(50),
         ceiling: int = sec(30),
     ) -> None:
         if floor <= 0 or ceiling < floor:
             raise ValueError("need 0 < floor <= ceiling")
-        self.k = k
-        self.alpha = alpha
-        self.beta = beta
         self.floor = floor
         self.ceiling = ceiling
         self._srtt: float | None = None
@@ -69,15 +67,15 @@ class AdaptiveTimeout:
             self._rttvar = response_time / 2
             return
         deviation = abs(self._srtt - response_time)
-        self._rttvar = (1 - self.beta) * self._rttvar + self.beta * deviation
-        self._srtt = (1 - self.alpha) * self._srtt + self.alpha * response_time
+        self._rttvar = (1 - BETA) * self._rttvar + BETA * deviation
+        self._srtt = (1 - ALPHA) * self._srtt + ALPHA * response_time
 
     @property
     def timeout(self) -> int:
         """The currently recommended timeout."""
         if self._srtt is None:
             return self._initial
-        raw = self._srtt + self.k * max(self._rttvar, 1.0)
+        raw = self._srtt + K * max(self._rttvar, 1.0)
         return max(self.floor, min(self.ceiling, round(raw)))
 
 
@@ -165,27 +163,23 @@ def run_rpc_experiment(
     return result
 
 
-def run_generations(
-    *,
-    tuned_for: int = msec(400),
-    speeds: dict[str, int] | None = None,
-) -> dict[str, dict[str, RpcResult]]:
+def run_generations() -> dict[str, dict[str, RpcResult]]:
     """Run fixed (tuned for one generation) vs adaptive across hardware
     generations — the §5.5 "now-obsolete processor speed" scenario.
 
     ``tuned_for`` is the fixed timeout someone once calibrated for the
     slow machine (10x its typical response).
     """
-    if speeds is None:
-        speeds = {
-            "old-slow": msec(40),    # the machine the constant was tuned on
-            "new-fast": msec(4),     # a decade of hardware later
-            "loaded": msec(160),     # same machine under heavy load
-            # A remote server behind a congested link: tail responses
-            # exceed the old constant, so the fixed timer misfires on
-            # perfectly healthy calls.
-            "degraded": msec(320),
-        }
+    tuned_for = msec(400)
+    speeds = {
+        "old-slow": msec(40),    # the machine the constant was tuned on
+        "new-fast": msec(4),     # a decade of hardware later
+        "loaded": msec(160),     # same machine under heavy load
+        # A remote server behind a congested link: tail responses exceed
+        # the old constant, so the fixed timer misfires on perfectly
+        # healthy calls.
+        "degraded": msec(320),
+    }
     results: dict[str, dict[str, RpcResult]] = {}
     for label, response in speeds.items():
         results[label] = {

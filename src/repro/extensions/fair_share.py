@@ -53,16 +53,14 @@ def run_reactivity(
     *,
     policy: str,
     keystrokes: int = 30,
-    key_interval: int = msec(100),
-    background_threads: int = 3,
     seed: int = 0,
 ) -> ReactivityResult:
     """Keystroke handling latency under CPU-bound background load.
 
-    The Notifier (priority 7) handles each key with 200 µs of work; the
-    background threads (priority 2) grind continuously.  Strict priority
-    preempts for the Notifier immediately; fair share makes it win a
-    lottery first.
+    A key arrives every 100 ms.  The Notifier (priority 7) handles each
+    with 200 µs of work; three background threads (priority 2) grind
+    continuously.  Strict priority preempts for the Notifier immediately;
+    fair share makes it win a lottery first.
     """
     kernel = Kernel(KernelConfig(seed=seed, scheduler_policy=policy))
     keyboard = kernel.channel("keyboard")
@@ -80,7 +78,7 @@ def run_reactivity(
             yield Compute(msec(10))
 
     kernel.fork_root(notifier, name="Notifier", priority=7, role="eternal")
-    for index in range(background_threads):
+    for index in range(3):
         kernel.fork_root(background, name=f"bg{index}", priority=2,
                          role="eternal")
 
@@ -88,8 +86,8 @@ def run_reactivity(
         keyboard.post(k.now)
 
     for i in range(keystrokes):
-        kernel.post_at((i + 1) * key_interval + usec(137), post_key)
-    kernel.run_for((keystrokes + 5) * key_interval)
+        kernel.post_at((i + 1) * msec(100) + usec(137), post_key)
+    kernel.run_for((keystrokes + 5) * msec(100))
     kernel.shutdown()
     return result
 

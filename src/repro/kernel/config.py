@@ -128,8 +128,6 @@ class KernelConfig:
     #: threads.  Purely observational: it records what it finds and lets
     #: the run continue.
     watchdog: bool = False
-    #: Re-raise a thread's uncaught exception at end of run.
-    propagate_thread_errors: bool = True
     #: Record a full event trace (costs memory; stats are always kept).
     trace: bool = False
 

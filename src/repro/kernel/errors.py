@@ -74,8 +74,9 @@ class Deadlock(KernelError):
 class UncaughtThreadError(KernelError):
     """A simulated thread died from an exception and was not rejuvenated.
 
-    Stored on the thread; re-raised at JOIN, or at end-of-run if the kernel
-    is configured with ``propagate_thread_errors=True``.
+    Stored on the thread; re-raised at JOIN, or, for a thread nobody
+    JOINs, at the end of the next ``run_until``/``run_for`` (one error per
+    run, oldest first).
     """
 
     def __init__(self, thread_name: str, original: BaseException) -> None:

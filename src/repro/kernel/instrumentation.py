@@ -67,9 +67,6 @@ class Tracer:
     def events(self) -> list[TraceEvent]:
         return self._events
 
-    def clear(self) -> None:
-        self._events.clear()
-
     def by_category(self, category: str) -> Iterator[TraceEvent]:
         return (e for e in self._events if e.category == category)
 

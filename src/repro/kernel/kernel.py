@@ -278,22 +278,16 @@ class Kernel:
         action: Callable[["Kernel"], None],
         *,
         start: int | None = None,
-        until: int | None = None,
     ) -> None:
-        """Run ``action`` every ``period`` µs, starting at ``start``
-        (default: one period from now), until ``until`` (default: forever).
-        """
+        """Run ``action`` every ``period`` µs, forever, starting at
+        ``start`` (default: one period from now)."""
         if period <= 0:
             raise ValueError("period must be positive")
         first = start if start is not None else self.now + period
-        if until is not None and first > until:
-            return  # ``until`` bounds every firing, including the first
 
         def recur(kernel: "Kernel") -> None:
             action(kernel)
-            next_time = kernel.now + period
-            if until is None or next_time <= until:
-                kernel.events.push(next_time, recur)
+            kernel.events.push(kernel.now + period, recur)
 
         self.post_at(first, recur)  # a ``start`` in the past raises
 
@@ -311,9 +305,9 @@ class Kernel:
         """Advance the simulation to ``t_end`` µs (absolute).
 
         Returns the final clock value.  Raises :class:`Deadlock` if live
-        threads exist but nothing can ever run again.  Re-raises the first
-        uncaught thread error at the end of the run when the config asks
-        for propagation.
+        threads exist but nothing can ever run again.  At the end of the
+        run, raises the oldest pending uncaught error of a thread nobody
+        JOINed (one per run; the next run raises the next).
 
         ``stop_when`` is evaluated after each processed instant (post
         watchdog sweep); returning True ends the run early *without*
@@ -377,10 +371,6 @@ class Kernel:
         self._propagate_errors()
         return self.now
 
-    @property
-    def live_threads(self) -> list[SimThread]:
-        return [t for t in self.threads.values() if t.alive]
-
     def shutdown(self) -> None:
         """Tear the simulation down: force-close every live thread body.
 
@@ -404,12 +394,6 @@ class Kernel:
         self.pending_thread_errors.clear()
         self._finalizer.detach()  # explicit shutdown supersedes GC cleanup
         _LIVE_KERNELS.discard(self)
-
-    def __enter__(self) -> "Kernel":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()
 
     # ------------------------------------------------------------------
     # Decisions
@@ -1017,7 +1001,7 @@ class Kernel:
         return Deadlock(message, rows=rows)
 
     def _propagate_errors(self) -> None:
-        if self.config.propagate_thread_errors and self.pending_thread_errors:
+        if self.pending_thread_errors:
             raise self.pending_thread_errors.pop(0)
 
     # ------------------------------------------------------------------

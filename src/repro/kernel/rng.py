@@ -26,10 +26,6 @@ class DeterministicRng:
         self._seed = seed
         self._random = random.Random(seed)
 
-    @property
-    def seed(self) -> int:
-        return self._seed
-
     def uniform(self) -> float:
         """A float in [0, 1)."""
         return self._random.random()

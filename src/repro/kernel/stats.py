@@ -103,12 +103,6 @@ class GlobalStats:
     def note_fault(self, kind: str) -> None:
         self.fault_counts[kind] = self.fault_counts.get(kind, 0) + 1
 
-    @property
-    def faults_injected(self) -> int:
-        """Total injected faults of every kind (a property, so it stays
-        out of ``vars(stats)`` and cannot perturb stats fingerprints)."""
-        return sum(self.fault_counts.values())
-
     def clear_distinct(self) -> None:
         """Start a fresh Table-3 window."""
         self.monitors_used.clear()

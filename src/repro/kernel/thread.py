@@ -18,7 +18,7 @@ intended class so the two can be compared.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Generator, Iterator
+from typing import TYPE_CHECKING, Any, Generator
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sync.monitor import Monitor
@@ -148,13 +148,6 @@ class SimThread:
         if self.ended_at is None:
             return None
         return self.ended_at - self.created_at
-
-    def ancestry(self) -> Iterator["SimThread"]:
-        """Yield parent, grandparent, ... up to a generation-0 root."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     def __repr__(self) -> str:
         return (

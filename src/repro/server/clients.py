@@ -35,7 +35,7 @@ from typing import Any
 from repro.kernel.primitives import GetTime, Pause
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.simtime import msec
-from repro.server.model import DONE, FAILED, SHED, TenantSpec
+from repro.server.model import SHED, TenantSpec
 from repro.sync.queues import UnboundedQueue
 
 #: How many shed verdicts a closed-loop client absorbs before giving up.

@@ -120,10 +120,6 @@ class LatencyHistogram:
             within += count
         return within / self.total
 
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
     # -- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:

@@ -385,7 +385,10 @@ class RpcServer(Frontend):
         self.stats.depth_samples.append(
             (now, len(self.admission), self.stats.total("shed"))
         )
-        cut = lambda r: r.expires_at <= now and r.status == PENDING
+
+        def cut(r):
+            return r.expires_at <= now and r.status == PENDING
+
         expired = yield from self.admission.prune(cut)
         for queue in self.serial_queues.values():
             expired += yield from queue.prune(cut)

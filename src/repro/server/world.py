@@ -11,7 +11,6 @@ determinism witness (identical seed and knobs => identical digest).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.kernel.config import KernelConfig
 from repro.kernel.simtime import sec

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.kernel.primitives import Wait
 
@@ -67,13 +67,6 @@ class ConditionVariable:
         self.notifies = 0
         self.broadcasts = 0
 
-    @property
-    def timeout_fraction(self) -> float:
-        """Fraction of completed waits that ended by timeout (Table 2)."""
-        if self.waits == 0:
-            return 0.0
-        return self.timeouts / self.waits
-
     def __repr__(self) -> str:
         return f"<CV {self.name!r} waiters={len(self.waiters)}>"
 
@@ -107,8 +100,3 @@ def await_condition_if_broken(
     """
     if not predicate():
         yield Wait(cv, timeout)
-
-
-def drain_waiters(cv: ConditionVariable) -> list[Any]:
-    """Diagnostic helper: names of threads currently waiting on ``cv``."""
-    return [t.name for t in cv.waiters]

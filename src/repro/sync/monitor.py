@@ -64,9 +64,6 @@ class Monitor:
     def held(self) -> bool:
         return self.owner is not None
 
-    def held_by(self, thread: "SimThread") -> bool:
-        return self.owner is thread
-
     @property
     def contention(self) -> float:
         """Fraction of entries that blocked."""

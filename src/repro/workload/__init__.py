@@ -2,11 +2,10 @@
 
 The compiler simulates open-loop client *populations* as aggregate
 non-homogeneous Poisson arrival processes — one timer pump per tenant
-class, thinning against a composable load shape — so a million clients
-cost O(arrival events), not O(clients).  Scenarios add heavy-tailed
-service costs, slow-client stragglers, retry storms, and (with the
-cache tier) reproducible stampedes; every run reports per-tenant SLO
-attainment.  See ``docs/WORKLOAD.md``.
+class, thinning against a load shape — so a million clients cost
+O(arrival events), not O(clients).  Scenarios add heavy-tailed service
+costs, slow-client stragglers, retry storms, and (with the cache tier)
+reproducible stampedes; every run reports per-tenant SLO attainment.  See ``docs/WORKLOAD.md``.
 """
 
 from repro.workload.compiler import (
@@ -25,8 +24,6 @@ from repro.workload.shapes import (
     Diurnal,
     FlashCrowd,
     LoadShape,
-    Product,
-    Ramp,
 )
 from repro.workload.world import (
     WorkloadReport,
@@ -42,8 +39,6 @@ __all__ = [
     "Diurnal",
     "FlashCrowd",
     "LoadShape",
-    "Product",
-    "Ramp",
     "ResubmitSink",
     "WORKLOAD_SCENARIOS",
     "WorkloadReport",

@@ -1,4 +1,4 @@
-"""Composable load shapes: rate multipliers over simulated time.
+"""Load shapes: rate multipliers over simulated time.
 
 A shape maps sim-time to a dimensionless multiplier applied to a client
 class's aggregate base rate.  The scenario compiler turns the shaped
@@ -107,44 +107,3 @@ class FlashCrowd(LoadShape):
     def peak(self) -> float:
         return max(self.base, self.base * self.spike)
 
-
-@dataclass(frozen=True)
-class Ramp(LoadShape):
-    """A one-way linear ramp from ``start_level`` to ``end_level``."""
-
-    start_level: float
-    end_level: float
-    begin: int
-    duration: int
-
-    def value(self, t: int) -> float:
-        if t <= self.begin:
-            return self.start_level
-        if t >= self.begin + self.duration:
-            return self.end_level
-        frac = (t - self.begin) / self.duration
-        return self.start_level + (self.end_level - self.start_level) * frac
-
-    def peak(self) -> float:
-        return max(self.start_level, self.end_level)
-
-
-@dataclass(frozen=True)
-class Product(LoadShape):
-    """Pointwise product of shapes (e.g. a diurnal curve times a flash
-    crowd).  Peak is the product of peaks — an upper bound, which is all
-    thinning needs (over-estimating the peak only wastes candidates)."""
-
-    shapes: tuple[LoadShape, ...]
-
-    def value(self, t: int) -> float:
-        result = 1.0
-        for shape in self.shapes:
-            result *= shape.value(t)
-        return result
-
-    def peak(self) -> float:
-        result = 1.0
-        for shape in self.shapes:
-            result *= shape.peak()
-        return result

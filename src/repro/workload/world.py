@@ -54,11 +54,6 @@ class WorkloadWorld:
     sinks: dict[str, ResubmitSink]
     single_flight: bool | None
 
-    @property
-    def frontend(self) -> Any:
-        """The layer the client populations actually drive."""
-        return self.cache if self.cache is not None else self.balancer
-
 
 @dataclass
 class WorkloadReport:

@@ -30,6 +30,9 @@ from repro.runtime.pcr import World
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
 
+#: Work under the lock for each monitor a ``LibraryPool.touch`` visits.
+TOUCH_WORK = usec(2)
+
 
 class LibraryPool:
     """A population of monitors modelling one subsystem's modules."""
@@ -41,18 +44,17 @@ class LibraryPool:
         self.monitors = [Monitor(f"{name}.m{i}") for i in range(size)]
         self._rng = rng
 
-    def touch(self, count: int, *, work_each: int = usec(2)):
+    def touch(self, count: int):
         """Enter/exit ``count`` randomly chosen monitors (generator).
 
-        Each visit does a tiny amount of work under the lock, like the
-        short monitored procedures the paper saw everywhere.
+        Each visit does ``TOUCH_WORK`` under the lock, like the short
+        monitored procedures the paper saw everywhere.
         """
         for _ in range(count):
             monitor = self._rng.choice(self.monitors)
             yield Enter(monitor)
             try:
-                if work_each:
-                    yield Compute(work_each)
+                yield Compute(TOUCH_WORK)
             finally:
                 yield Exit(monitor)
 
@@ -132,8 +134,8 @@ class StageSet:
     Activities bring their own condition variables with them — formatting
     waits on 46 distinct CVs where idle Cedar waits on 22 (Table 3).  A
     StageSet models those activity-specific CVs: worker code ``visit``\\ s
-    a stage, briefly waiting on its CV (usually timing out, sometimes
-    notified by a peer), which is enough to register the CV as used and
+    a stage, briefly waiting on its CV until the wait times out (nothing
+    notifies a stage), which is enough to register the CV as used and
     contribute its share of wait traffic.
     """
 
@@ -155,15 +157,6 @@ class StageSet:
         yield Enter(monitor)
         try:
             yield Wait(cv)
-        finally:
-            yield Exit(monitor)
-
-    def signal(self, index: int):
-        """Notify one stage (generator) — a peer finished its part."""
-        monitor, cv = self.stages[index % len(self.stages)]
-        yield Enter(monitor)
-        try:
-            yield Notify(cv)
         finally:
             yield Exit(monitor)
 

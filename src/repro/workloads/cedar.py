@@ -302,8 +302,8 @@ def _stimulate_some(context: CedarContext, count: int):
         yield from sleeper.stimulate()
 
 
-def install_keyboard(world: World, context: CedarContext, *, keys_per_sec: float = 4.0) -> None:
-    """Typing: a keystroke every 1/keys_per_sec seconds.
+def install_keyboard(world: World, context: CedarContext) -> None:
+    """Typing: a keystroke every 250 ms (four a second).
 
     Targets (Tables 1-3): 5.0 forks/s, 269 switches/s, 185 waits/s at 48%
     timeouts, 2557 ML-enters/s, 32 CVs, 918 MLs.
@@ -318,14 +318,14 @@ def install_keyboard(world: World, context: CedarContext, *, keys_per_sec: float
 
     context.key_handlers.append(handler)
     context.keystroke_stages = stages
-    period = round(sec(1) / keys_per_sec)
     world.kernel.post_every(
-        period, lambda k: context._merged_channel.post(("key", "keystroke"))
+        msec(250), lambda k: context._merged_channel.post(("key", "keystroke"))
     )
 
 
-def install_mouse(world: World, context: CedarContext, *, moves_per_sec: float = 40.0) -> None:
-    """Mouse motion: no forks, but eternal-thread activity rises.
+def install_mouse(world: World, context: CedarContext) -> None:
+    """Mouse motion, 40 moves a second: no forks, but eternal-thread
+    activity rises.
 
     Targets: 1.0 forks/s (just the idle forker), 191 switches/s, 163
     waits/s at 58% timeouts, 1025 ML-enters/s, 26 CVs, 734 MLs.
@@ -343,17 +343,17 @@ def install_mouse(world: World, context: CedarContext, *, moves_per_sec: float =
             yield from stages.visit_next()
 
     context.mouse_handlers.append(handler)
-    period = round(sec(1) / moves_per_sec)
     world.kernel.post_every(
-        period, lambda k: context._merged_channel.post(("mouse", "motion"))
+        msec(25), lambda k: context._merged_channel.post(("mouse", "motion"))
     )
 
 
-def install_scrolling(world: World, context: CedarContext, *, scrolls_per_sec: float = 2.0) -> None:
-    """Window scrolling: heavy repaint monitor traffic, 0.3 transients
-    per scroll ("Scrolling a text window 10 times causes 3 transient
-    threads to be forked, one of which is the child of one of the other
-    transients").  The user is busy, so idle forking is suppressed.
+def install_scrolling(world: World, context: CedarContext) -> None:
+    """Window scrolling, two scrolls a second: heavy repaint monitor
+    traffic, 0.3 transients per scroll ("Scrolling a text window 10 times
+    causes 3 transient threads to be forked, one of which is the child of
+    one of the other transients").  The user is busy, so idle forking is
+    suppressed.
 
     Targets: 0.7 forks/s, 172 switches/s, 115 waits/s at 69% timeouts,
     2032 ML-enters/s, 30 CVs, 797 MLs.
@@ -379,9 +379,9 @@ def install_scrolling(world: World, context: CedarContext, *, scrolls_per_sec: f
             )
 
     context.mouse_handlers.append(handler)
-    period = round(sec(1) / scrolls_per_sec)
     world.kernel.post_every(
-        period, lambda k: context._merged_channel.post(("mouse", "scroll-click"))
+        msec(500),
+        lambda k: context._merged_channel.post(("mouse", "scroll-click")),
     )
 
 

@@ -37,7 +37,7 @@ from repro.kernel.primitives import (
     Wait,
 )
 from repro.kernel.rng import DeterministicRng
-from repro.kernel.simtime import msec, sec, usec
+from repro.kernel.simtime import msec, usec
 from repro.runtime.pcr import World
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
@@ -53,6 +53,8 @@ DISPLAY_POOL_SIZE = 170
 
 #: The input watcher polls and batch-drains its device (low switch rates).
 INPUT_POLL_PERIOD = msec(250)
+#: A pool worker's work per item it processes outside the display lock.
+ITEM_WORK = usec(300)
 
 
 class WorkerPool:
@@ -72,7 +74,6 @@ class WorkerPool:
         pool: LibraryPool,
         housekeeping_touches: int,
         work_touches: int,
-        work_compute: int = usec(300),
         hold_lock: Monitor | None = None,
         hold_time: int = 0,
     ) -> None:
@@ -83,7 +84,6 @@ class WorkerPool:
         self.pool = pool
         self.housekeeping_touches = housekeeping_touches
         self.work_touches = work_touches
-        self.work_compute = work_compute
         #: Optional long critical section taken while processing marked
         #: items — GVX repaints hold the display lock for tens of
         #: milliseconds, which is where its 0.2-0.4% contention (Table 2
@@ -130,7 +130,7 @@ class WorkerPool:
                     finally:
                         yield Exit(self.hold_lock)
                 else:
-                    yield Compute(self.work_compute)
+                    yield Compute(ITEM_WORK)
                     yield from self.pool.touch(self.work_touches)
                 self.processed += 1
 
@@ -259,8 +259,9 @@ def _input_watcher_proc(context: GvxContext):
 # ---------------------------------------------------------------------------
 
 
-def install_keyboard(world: World, context: GvxContext, *, keys_per_sec: float = 4.0) -> None:
-    """Typing on GVX: handled by eternal threads, zero forks."""
+def install_keyboard(world: World, context: GvxContext) -> None:
+    """Typing on GVX, four keys a second: handled by eternal threads,
+    zero forks."""
 
     context.worker_pools["paint"].hold_lock = context.display_lock
     context.worker_pools["paint"].hold_time = msec(52)
@@ -292,14 +293,14 @@ def install_keyboard(world: World, context: GvxContext, *, keys_per_sec: float =
     for wp in context.worker_pools.values():
         wp.pool = context.pools["text"]
     context.handlers["key"] = handle_key
-    period = round(sec(1) / keys_per_sec)
     world.kernel.post_every(
-        period, lambda k: context.input_channel.post(("key", "keystroke"))
+        msec(250), lambda k: context.input_channel.post(("key", "keystroke"))
     )
 
 
-def install_mouse(world: World, context: GvxContext, *, moves_per_sec: float = 40.0) -> None:
-    """Mouse motion on GVX: polled, coalesced, handled inline."""
+def install_mouse(world: World, context: GvxContext) -> None:
+    """Mouse motion on GVX, 40 moves a second: polled, coalesced, handled
+    inline."""
     moves = [0]
 
     def handle_motion(event):
@@ -311,14 +312,14 @@ def install_mouse(world: World, context: GvxContext, *, moves_per_sec: float = 4
             yield from context.worker_pools["paint"].post(("cursor", event))
 
     context.handlers["mouse"] = handle_motion
-    period = round(sec(1) / moves_per_sec)
     world.kernel.post_every(
-        period, lambda k: context.input_channel.post(("mouse", "motion"))
+        msec(25), lambda k: context.input_channel.post(("mouse", "motion"))
     )
 
 
-def install_scrolling(world: World, context: GvxContext, *, scrolls_per_sec: float = 2.0) -> None:
-    """Scrolling on GVX: long repaints under the display lock."""
+def install_scrolling(world: World, context: GvxContext) -> None:
+    """Scrolling on GVX, two scrolls a second: long repaints under the
+    display lock."""
 
     context.worker_pools["paint"].hold_lock = context.display_lock
     context.worker_pools["paint"].hold_time = msec(52)
@@ -345,9 +346,8 @@ def install_scrolling(world: World, context: GvxContext, *, scrolls_per_sec: flo
         wp.pool = context.pools["display"]
         wp.work_touches = 20
     context.handlers["scroll"] = handle_scroll
-    period = round(sec(1) / scrolls_per_sec)
     world.kernel.post_every(
-        period, lambda k: context.input_channel.post(("scroll", "click"))
+        msec(500), lambda k: context.input_channel.post(("scroll", "click"))
     )
 
 

@@ -7,18 +7,17 @@ only occasionally to the X server.  In the usual producer-consumer style,
 an imaging thread puts paint requests on a queue for the buffer thread and
 issues a NOTIFY to wake it up."
 
-This module just wires :class:`repro.paradigms.slack.SlackProcess` to an
-:class:`repro.xwindows.server.XServer`; the gather *strategy* (plain
-YIELD vs YieldButNotToMe vs sleep) is the experimental variable of case
-studies C1 and C2.
+This module holds the paint request that buffer thread merges.  The
+thread itself is a :class:`repro.paradigms.slack.SlackProcess` that each
+client builds in front of its :class:`repro.xwindows.server.XServer`
+(:mod:`repro.casestudies.echo_pipeline`, :mod:`repro.xwindows.xl`); its
+gather *strategy* (plain YIELD vs YieldButNotToMe vs sleep) is the
+experimental variable of case studies C1 and C2.
 """
 
 from __future__ import annotations
 
 from typing import Any
-
-from repro.paradigms.slack import SlackProcess
-from repro.sync.queues import UnboundedQueue
 
 
 class PaintRequest:
@@ -43,32 +42,3 @@ class PaintRequest:
     def __repr__(self) -> str:
         return f"<Paint {self.region!r}@{self.issued_at}>"
 
-
-def make_buffer_thread(
-    server: Any,
-    *,
-    strategy: str,
-    name: str = "buffer",
-    gather_rounds: int = 1,
-    sleep_interval: int = 0,
-) -> tuple[UnboundedQueue, SlackProcess]:
-    """Build the §5.2 buffer thread.
-
-    Returns ``(queue, slack)``: imaging threads ``yield from
-    queue.put(PaintRequest(...))``; fork ``slack.proc`` (traditionally at
-    high priority — the choice that caused all the trouble).
-    """
-    queue = UnboundedQueue(f"{name}.requests")
-
-    def deliver(batch: list[Any]):
-        yield from server.submit(batch)
-
-    slack = SlackProcess(
-        name,
-        queue,
-        deliver,
-        strategy=strategy,
-        gather_rounds=gather_rounds,
-        sleep_interval=sleep_interval,
-    )
-    return queue, slack

@@ -91,10 +91,6 @@ class XServer:
                 self.replies_sent += 1
                 self.events.post(("reply", request.name, request.token))
 
-    def submit_one(self, request: Any):
-        """Unbatched submission — the baseline the slack process beats."""
-        yield from self.submit([request])
-
     def deliver_event(self, event: Any) -> None:
         """Server-side: push an input event to the client connection.
 

@@ -121,7 +121,3 @@ class XlClient:
 
     def _deliver(self, batch: list[Any]):
         yield from self.server.submit(batch)
-
-    @property
-    def slack(self) -> SlackProcess:
-        return self._slack

@@ -9,7 +9,6 @@ Each test pins one historical bug:
 * a monitor reacquisition after a wake was granted without charging
   ``monitor_overhead``, making contended acquisition cheaper than an
   uncontended Enter;
-* ``post_every(start=s, until=u)`` fired once even when ``s > u``;
 * ``Kernel.shutdown()`` marked live threads DONE without reconciling
   ``live_threads`` / ``stack_bytes`` / ``threads_finished``.
 """
@@ -150,28 +149,6 @@ class TestReacquireChargesOverhead:
         # Handoff happens at t=105; the grant itself costs 5 us.
         assert times["acquired"] == 110
         assert kernel.stats.ml_contended == 1
-
-
-class TestPostEveryBounds:
-    def test_start_beyond_until_never_fires(self):
-        kernel = Kernel(KernelConfig())
-        fired = []
-        kernel.post_every(
-            msec(10), lambda k: fired.append(k.now),
-            start=msec(50), until=msec(20),
-        )
-        kernel.run_for(msec(200))
-        assert fired == []
-
-    def test_until_bounds_later_firings(self):
-        kernel = Kernel(KernelConfig())
-        fired = []
-        kernel.post_every(
-            msec(10), lambda k: fired.append(k.now),
-            start=msec(10), until=msec(35),
-        )
-        kernel.run_for(msec(200))
-        assert fired == [msec(10), msec(20), msec(30)]
 
 
 class TestShutdownReconciliation:

@@ -3,23 +3,22 @@
 import pytest
 
 from repro.analysis.genealogy import analyse as analyse_genealogy
-from repro.analysis.genealogy import forked_during_window
 from repro.analysis.intervals import (
     bucketise,
     has_bimodal_shape,
     summarise,
 )
 from repro.analysis.priorities import analyse as analyse_priorities
-from repro.analysis.report import format_table, ratio, shape_holds, within_band
+from repro.analysis.report import format_table, ratio
 from repro.analysis import dynamic
 from repro.kernel.simtime import msec
 from repro.kernel.stats import ThreadRecord
 
 
-def record(tid, generation, priority=4, name="t", created=0):
+def record(tid, generation, priority=4, name="t"):
     return ThreadRecord(
         tid=tid, name=f"{name}#{tid}", parent_tid=None if generation == 0 else tid - 1,
-        generation=generation, priority=priority, created_at=created, role=None,
+        generation=generation, priority=priority, created_at=0, role=None,
     )
 
 
@@ -72,10 +71,6 @@ class TestGenealogy:
         report = analyse_genealogy(log)
         assert report.grandchild_kinds == ["child"]
 
-    def test_window_filter(self):
-        log = [record(1, 0, created=5), record(2, 0, created=15)]
-        assert [r.tid for r in forked_during_window(log, 0, 10)] == [1]
-
     def test_empty_log(self):
         report = analyse_genealogy([])
         assert report.max_generation == 0
@@ -113,16 +108,6 @@ class TestReportHelpers:
         assert ratio(2.0, 1.0) == "2.00x"
         assert ratio(0.0, 0.0) == "-"
         assert ratio(1.0, 0.0) == "inf"
-
-    def test_within_band(self):
-        assert within_band(0.5, 0.2, 0.6)
-        assert not within_band(0.7, 0.2, 0.6)
-
-    def test_shape_holds(self):
-        assert shape_holds(110, 100, 0.2)
-        assert not shape_holds(130, 100, 0.2)
-        assert shape_holds(0, 0, 0.2)
-        assert not shape_holds(1, 0, 0.2)
 
 
 class TestDynamicRegistry:

@@ -58,13 +58,13 @@ class TestCli:
             main(["chaos", "--help"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for option in ("--runs", "--smoke", "--skip-golden", "--output"):
+        for option in ("--runs", "--skip-golden", "--output"):
             assert option in out
 
     def test_chaos_smoke_runs_and_writes_a_report(self, capsys, tmp_path):
         output = tmp_path / "chaos.json"
         assert main(
-            ["chaos", "--smoke", "--skip-golden", "--output", str(output)]
+            ["chaos", "--runs", "4", "--skip-golden", "--output", str(output)]
         ) == 0
         out = capsys.readouterr().out
         assert "partial deadlocks" in out
@@ -363,8 +363,31 @@ class TestExploreCli:
 
         monkeypatch.setattr(chaos, "run_sweep", failing_sweep)
         with pytest.raises(SystemExit) as excinfo:
-            main(["chaos", "--smoke", "--skip-golden"])
+            main(["chaos", "--runs", "4", "--skip-golden"])
         assert excinfo.value.code == 1
+
+    def test_default_runs_visit_every_sweep_entry(self, monkeypatch):
+        # The sampled runs walk the sweep entries round-robin, so a
+        # default below the entry count would leave some unrun by
+        # ``make chaos``.  The stub sweep runs no simulation.
+        import repro.analysis.chaos as chaos
+        from repro.analysis.scenarios import resolve
+
+        seen = {}
+
+        def recording_sweep(**kwargs):
+            seen.update(kwargs)
+            return {
+                "ok": True,
+                "summary": {
+                    "total": 0, "failed": 0, "faults_injected": 0,
+                    "deadlocks_detected": 0,
+                },
+            }
+
+        monkeypatch.setattr(chaos, "run_sweep", recording_sweep)
+        assert main(["chaos", "--skip-golden"]) == 0
+        assert seen["runs"] >= len(resolve("sweep"))
 
     def test_chaos_report_carries_trace_paths_for_failing_runs(
         self, capsys, tmp_path, monkeypatch

@@ -136,8 +136,8 @@ class TestWfqQueue:
         assert accepted == 4
         assert quiet_ok is True
         assert q.rejects == 6
-        assert q.depth_of("flood") == 4
-        assert q.depth_of("quiet") == 1
+        assert len(q.queues["flood"]) == 4
+        assert len(q.queues["quiet"]) == 1
 
     def test_idle_tenant_does_not_hoard_credit(self):
         """A tenant idle while others drain re-enters at the current

@@ -5,7 +5,7 @@ locks never leaked."""
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from repro.kernel import Kernel, KernelConfig, msec, sec, usec
+from repro.kernel import Kernel, KernelConfig, UncaughtThreadError, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.kernel.primitives import Enter, Exit
 from repro.paradigms.rejuvenate import RejuvenatingDispatcher, rejuvenating
@@ -15,9 +15,7 @@ _PHASES = (Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink)
 
 
 def make_kernel(**overrides):
-    defaults = dict(
-        switch_cost=0, monitor_overhead=0, propagate_thread_errors=False
-    )
+    defaults = dict(switch_cost=0, monitor_overhead=0)
     defaults.update(overrides)
     return Kernel(KernelConfig(**defaults))
 
@@ -48,10 +46,11 @@ class TestCrashContainment:
 
         kernel.fork_root(crasher)
         kernel.fork_root(survivor)
-        kernel.run_for(sec(1))
+        with pytest.raises(UncaughtThreadError):
+            kernel.run_for(sec(1))
         assert completed == ["survivor"]
         assert not lock.held
-        assert len(kernel.pending_thread_errors) == 1
+        assert kernel.pending_thread_errors == []
         kernel.shutdown()
 
     def test_crash_storm_in_forked_callbacks_spares_the_forker(self):
@@ -69,9 +68,11 @@ class TestCrashContainment:
             progressed.append("all-dispatched")
 
         kernel.fork_root(service)
-        kernel.run_for(sec(1))
+        with pytest.raises(UncaughtThreadError):
+            kernel.run_for(sec(1))
         assert progressed == ["all-dispatched"]
-        assert len(kernel.pending_thread_errors) == 10
+        # One error raised, the other nine still pending.
+        assert len(kernel.pending_thread_errors) == 9
         kernel.shutdown()
 
 
@@ -122,9 +123,10 @@ class TestRejuvenationUnderFire:
 
         proc, log = rejuvenating(doomed_factory, max_restarts=4)
         kernel.fork_root(proc, name="doomed")
-        kernel.run_for(sec(1))
+        with pytest.raises(UncaughtThreadError):  # the final give-up
+            kernel.run_for(sec(1))
         assert log.restarts == 5  # original + 4 restarts
-        assert len(kernel.pending_thread_errors) == 1  # the final give-up
+        assert kernel.pending_thread_errors == []
         kernel.shutdown()
 
 
@@ -150,12 +152,13 @@ class TestPipelineFaults:
                 yield from source.put(n)
 
         kernel.fork_root(producer)
-        kernel.run_for(sec(1))
+        with pytest.raises(UncaughtThreadError):
+            kernel.run_for(sec(1))
         # Items before the fault made it; the rest are stranded upstream,
         # in order, not lost or reordered.
         assert list(sink.items) == [0, 1, 2]
         assert list(source.items) == [4, 5]
-        assert len(kernel.pending_thread_errors) == 1
+        assert kernel.pending_thread_errors == []
         kernel.shutdown()
 
     def test_rejuvenated_pump_drains_the_backlog(self):

@@ -1,7 +1,5 @@
 """GVX worker pools and the pipeline builder."""
 
-import pytest
-
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.kernel.config import KernelConfig as KC

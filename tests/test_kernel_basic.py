@@ -143,16 +143,24 @@ class TestForkJoin:
         with pytest.raises(UncaughtThreadError):
             kernel.run_for(msec(1))
 
-    def test_error_propagation_can_be_disabled(self):
-        kernel = make_kernel(propagate_thread_errors=False)
+    def test_each_run_raises_one_pending_error(self):
+        kernel = make_kernel()
 
-        def dies():
+        def dies(tag):
             yield p.Compute(1)
-            raise RuntimeError("unobserved")
+            raise RuntimeError(tag)
 
-        kernel.fork_root(dies)
+        kernel.fork_root(dies, ("first",), name="first")
+        kernel.fork_root(dies, ("second",), name="second")
+        with pytest.raises(UncaughtThreadError) as first:
+            kernel.run_for(msec(1))
+        assert first.value.thread_name == "first"
+        with pytest.raises(UncaughtThreadError) as second:
+            kernel.run_for(msec(1))
+        assert second.value.thread_name == "second"
+        assert str(second.value.original) == "second"
         kernel.run_for(msec(1))
-        assert len(kernel.pending_thread_errors) == 1
+        assert kernel.pending_thread_errors == []
 
     def test_fork_inherits_parent_priority(self):
         kernel = make_kernel()

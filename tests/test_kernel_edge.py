@@ -315,9 +315,7 @@ class TestRunBoundaries:
         kernel = make_kernel()
         kernel.run_until(msec(100))
         with pytest.raises(ValueError, match="past"):
-            kernel.post_every(
-                msec(10), lambda k: None, start=msec(20), until=msec(200)
-            )
+            kernel.post_every(msec(10), lambda k: None, start=msec(20))
         kernel.shutdown()
 
     def test_revisited_boundary_instant_ticks_once(self):
@@ -339,16 +337,6 @@ class TestRunBoundaries:
         kernel.post_at(msec(100), lambda k: k.post_at(k.now, lambda k: None))
         kernel.run_for(msec(200))
         assert kernel.stats.ticks == 4
-        kernel.shutdown()
-
-    def test_post_every_until_bound(self):
-        kernel = make_kernel()
-        fired = []
-        kernel.post_every(
-            msec(100), lambda k: fired.append(k.now), until=msec(350)
-        )
-        kernel.run_for(sec(1))
-        assert fired == [msec(100), msec(200), msec(300)]
         kernel.shutdown()
 
     def test_zero_cost_yield_loop_raises_instead_of_hanging(self):

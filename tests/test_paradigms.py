@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.kernel import Deadlock, Kernel, KernelConfig, msec, sec, usec
+from repro.kernel import (
+    Deadlock,
+    Kernel,
+    KernelConfig,
+    UncaughtThreadError,
+    msec,
+    sec,
+    usec,
+)
 from repro.kernel import primitives as p
 from repro.paradigms.deadlock_avoid import (
     FlakyClientError,
@@ -429,7 +437,7 @@ class TestDeadlockAvoiders:
             kernel.run_for(sec(1))
 
     def test_fork_callback_insulates_service(self):
-        kernel = make_kernel(propagate_thread_errors=False)
+        kernel = make_kernel()
         progressed = []
 
         def bad_client():
@@ -442,9 +450,10 @@ class TestDeadlockAvoiders:
             progressed.append("service-survived")
 
         kernel.fork_root(service)
-        kernel.run_for(msec(10))
+        with pytest.raises(UncaughtThreadError):
+            kernel.run_for(msec(10))
         assert progressed == ["service-survived"]
-        assert len(kernel.pending_thread_errors) == 1
+        assert kernel.pending_thread_errors == []
 
     def test_finalization_service_forked_vs_inline(self):
         def bad_finalizer():
@@ -457,20 +466,22 @@ class TestDeadlockAvoiders:
 
         # Forked: the bad finalizer cannot prevent the good one.
         completed = []
-        kernel = make_kernel(propagate_thread_errors=False)
+        kernel = make_kernel()
         service = finalization_service([bad_finalizer, good_finalizer], forked=True)
         kernel.fork_root(service, name="finalization")
-        kernel.run_for(msec(10))
+        with pytest.raises(UncaughtThreadError):
+            kernel.run_for(msec(10))
         assert completed == ["good"]
 
         # Inline: the service dies at the bad finalizer.
         completed = []
-        kernel = make_kernel(propagate_thread_errors=False)
+        kernel = make_kernel()
         service = finalization_service([bad_finalizer, good_finalizer], forked=False)
         kernel.fork_root(service, name="finalization")
-        kernel.run_for(msec(10))
+        with pytest.raises(UncaughtThreadError):
+            kernel.run_for(msec(10))
         assert completed == []
-        assert len(kernel.pending_thread_errors) == 1
+        assert kernel.pending_thread_errors == []
 
 
 class TestTaskRejuvenation:
@@ -496,7 +507,7 @@ class TestTaskRejuvenation:
         assert log.restarts == 2
 
     def test_rejuvenation_gives_up_after_max_restarts(self):
-        kernel = make_kernel(propagate_thread_errors=False)
+        kernel = make_kernel()
 
         def always_bad_factory():
             def body():
@@ -507,9 +518,10 @@ class TestTaskRejuvenation:
 
         proc, log = rejuvenating(always_bad_factory, max_restarts=3)
         kernel.fork_root(proc, name="hopeless")
-        kernel.run_for(msec(10))
+        with pytest.raises(UncaughtThreadError):
+            kernel.run_for(msec(10))
         assert log.restarts == 4  # 1 original + 3 restarts, last re-raises
-        assert len(kernel.pending_thread_errors) == 1
+        assert kernel.pending_thread_errors == []
 
     def test_dispatcher_survives_bad_callback(self):
         kernel = make_kernel()
@@ -646,7 +658,7 @@ class TestEncapsulatedForks:
         assert order.index("inline") < order.index("service-returned")
 
     def test_unforked_callback_error_kills_caller(self):
-        kernel = make_kernel(propagate_thread_errors=False)
+        kernel = make_kernel()
         registry = CallbackRegistry("risky")
 
         def bad():
@@ -660,9 +672,10 @@ class TestEncapsulatedForks:
             reached.append(True)
 
         kernel.fork_root(service)
-        kernel.run_for(msec(10))
+        with pytest.raises(UncaughtThreadError):
+            kernel.run_for(msec(10))
         assert reached == []
-        assert len(kernel.pending_thread_errors) == 1
+        assert kernel.pending_thread_errors == []
 
 
 class TestConcurrencyExploiters:

@@ -305,85 +305,3 @@ class TestMergeProperties:
         for item in merged:
             assert item.order == last_order[item.key]
 
-
-class TestRwLockProperties:
-    @SLOWER
-    @given(
-        readers=st.integers(min_value=1, max_value=4),
-        writers=st.integers(min_value=1, max_value=3),
-        read_hold=st.integers(min_value=0, max_value=2000),
-        write_hold=st.integers(min_value=0, max_value=2000),
-    )
-    def test_never_reader_and_writer_together(
-        self, readers, writers, read_hold, write_hold
-    ):
-        from repro.sync.rwlock import ReadWriteLock
-
-        kernel = make_kernel()
-        rwlock = ReadWriteLock("shared")
-        state = {"readers": 0, "writers": 0}
-        violations = []
-
-        def check():
-            if state["writers"] > 1 or (state["writers"] and state["readers"]):
-                violations.append(dict(state))
-
-        def reader(priority):
-            for _ in range(3):
-                yield from rwlock.acquire_read()
-                state["readers"] += 1
-                check()
-                yield p.Compute(read_hold)
-                state["readers"] -= 1
-                yield from rwlock.release_read()
-                yield p.Compute(usec(50))
-
-        def writer(priority):
-            for _ in range(2):
-                yield from rwlock.acquire_write()
-                state["writers"] += 1
-                check()
-                yield p.Compute(write_hold)
-                state["writers"] -= 1
-                yield from rwlock.release_write()
-                yield p.Compute(usec(50))
-
-        for index in range(readers):
-            prio = 1 + index % 7
-            kernel.fork_root(reader, (prio,), priority=prio)
-        for index in range(writers):
-            prio = 1 + (index + 3) % 7
-            kernel.fork_root(writer, (prio,), priority=prio)
-        kernel.run_for(sec(30))
-        assert violations == []
-        assert kernel.stats.live_threads == 0  # nobody deadlocked
-        kernel.shutdown()
-
-
-class TestLatchProperties:
-    @FAST
-    @given(
-        waiters=st.integers(min_value=1, max_value=6),
-        fire_delay=st.integers(min_value=0, max_value=200_000),
-    )
-    def test_every_waiter_released_exactly_once(self, waiters, fire_delay):
-        from repro.sync.latch import Latch
-
-        kernel = make_kernel()
-        latch = Latch("gate")
-        released = []
-
-        def waiter(tag):
-            value = yield from latch.await_fired()
-            released.append((tag, value))
-
-        def completer():
-            yield p.Pause(fire_delay)
-            yield from latch.fire("go")
-
-        for tag in range(waiters):
-            kernel.fork_root(waiter, (tag,), priority=1 + tag % 7)
-        kernel.fork_root(completer)
-        kernel.run_for(sec(5))
-        assert sorted(released) == [(tag, "go") for tag in range(waiters)]
-        kernel.shutdown()

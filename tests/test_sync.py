@@ -7,6 +7,7 @@ from repro.kernel import (
     Kernel,
     KernelConfig,
     MonitorProtocolError,
+    UncaughtThreadError,
     msec,
     sec,
     usec,
@@ -153,7 +154,7 @@ class TestMonitorMutualExclusion:
             kernel.run_for(msec(1))
 
     def test_exception_unwinding_releases_via_finally(self):
-        kernel = make_kernel(propagate_thread_errors=False)
+        kernel = make_kernel()
         lock = Monitor("m")
         order = []
 
@@ -172,7 +173,8 @@ class TestMonitorMutualExclusion:
 
         kernel.fork_root(dies)
         kernel.fork_root(survivor)
-        kernel.run_for(msec(10))
+        with pytest.raises(UncaughtThreadError):
+            kernel.run_for(msec(10))
         assert order == ["survivor-acquired"]
         assert not lock.held
 
@@ -696,24 +698,3 @@ class TestBoundedQueue:
         with pytest.raises(ValueError):
             BoundedQueue("q", capacity=0)
 
-
-class TestDiagnostics:
-    def test_drain_waiters_lists_parked_threads(self):
-        from repro.sync.condition import drain_waiters
-
-        kernel = make_kernel()
-        lock = Monitor("m")
-        cv = ConditionVariable(lock, "cond")
-
-        def waiter():
-            yield Enter(lock)
-            try:
-                yield Wait(cv)
-            finally:
-                yield Exit(lock)
-
-        kernel.fork_root(waiter, name="parked-one")
-        kernel.fork_root(waiter, name="parked-two")
-        kernel.run_for(msec(10))
-        assert drain_waiters(cv) == ["parked-one", "parked-two"]
-        kernel.shutdown()

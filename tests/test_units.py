@@ -208,19 +208,6 @@ class TestErrors:
 
 
 class TestThreadUnit:
-    def test_ancestry_walks_to_root(self):
-        root = _thread(1, name="root")
-        child = SimThread(
-            tid=2, name="child", body=root.body, priority=4,
-            created_at=0, parent=root,
-        )
-        grandchild = SimThread(
-            tid=3, name="grandchild", body=root.body, priority=4,
-            created_at=0, parent=child,
-        )
-        assert [t.name for t in grandchild.ancestry()] == ["child", "root"]
-        assert grandchild.generation == 2
-
     def test_lifetime_none_while_alive(self):
         thread = _thread(1)
         assert thread.lifetime is None

@@ -17,8 +17,6 @@ from repro.workload import (
     Constant,
     Diurnal,
     FlashCrowd,
-    Product,
-    Ramp,
     arrival_times,
     run_workload,
     workload_spec,
@@ -63,20 +61,6 @@ def test_flash_crowd_spikes_then_returns_to_base():
     assert shape.value(msec(120)) == 3.0  # mid-hold
     assert shape.value(msec(300)) == 1.0  # long after
     assert shape.peak() == 3.0
-
-
-def test_ramp_interpolates_linearly():
-    shape = Ramp(start_level=1.0, end_level=3.0, begin=msec(100),
-                 duration=msec(100))
-    assert shape.value(0) == 1.0
-    assert shape.value(msec(150)) == 2.0
-    assert shape.value(msec(500)) == 3.0
-
-
-def test_product_multiplies_shapes():
-    shape = Product((Constant(level=2.0), Constant(level=0.5)))
-    assert shape.value(0) == 1.0
-    assert shape.peak() == 1.0
 
 
 # -- arrival_times: determinism and statistics -------------------------------

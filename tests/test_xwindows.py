@@ -5,7 +5,7 @@ import pytest
 
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
-from repro.xwindows.buffer_thread import PaintRequest, make_buffer_thread
+from repro.xwindows.buffer_thread import PaintRequest
 from repro.xwindows.server import XServer
 from repro.xwindows.xl import XlClient
 from repro.xwindows.xlib import ModifiedXlib
@@ -31,7 +31,7 @@ class TestXServerCostModel:
         def one_by_one():
             t0 = yield p.GetTime()
             for i in range(10):
-                yield from server.submit_one(f"r{i}")
+                yield from server.submit([f"r{i}"])
             stamps["one_by_one"] = (yield p.GetTime()) - t0
 
         kernel.fork_root(batched)
@@ -65,24 +65,6 @@ class TestXServerCostModel:
 
 
 class TestBufferThread:
-    def test_merges_overlapping_regions(self):
-        kernel = make_kernel()
-        server = XServer()
-        queue, slack = make_buffer_thread(server, strategy="ybntm")
-
-        def imaging():
-            for i in range(12):
-                yield from queue.put(PaintRequest(region=f"r{i % 3}"))
-                yield p.Compute(usec(30))
-
-        kernel.fork_root(slack.proc, name="buffer", priority=5)
-        kernel.fork_root(imaging, name="imaging", priority=3)
-        kernel.run_for(sec(1))
-        # 12 requests over 3 regions merge down toward 3 per batch.
-        assert server.requests_received < 12
-        assert slack.items_in == 12
-        kernel.shutdown()
-
     def test_paint_request_key_is_region(self):
         request = PaintRequest(region="titlebar", payload=1)
         assert request.key == "titlebar"
