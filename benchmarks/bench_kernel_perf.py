@@ -28,8 +28,10 @@ from pathlib import Path
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.kernel.primitives import Enter, Exit, Notify, Wait
+from repro.kernel.rng import DeterministicRng
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
+from repro.workloads.base import LibraryPool
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +95,25 @@ def scenario_monitor_bursts() -> int:
                 yield p.Compute(usec(2))
             finally:
                 yield Exit(lock)
+
+    kernel.fork_root(worker)
+    kernel.run_for(sec(10))
+    enters = kernel.stats.ml_enters
+    kernel.shutdown()
+    assert enters == 20_000
+    return enters
+
+
+def scenario_pool_touch() -> int:
+    """``LibraryPool.touch`` itself, the paper-table worlds' hottest body,
+    at default costs: each visit yields a monitor's shared Enter and Exit
+    traps and the pool's one ``Compute``, over a 40-monitor pool (the
+    GVX core pool's size)."""
+    kernel = Kernel(KernelConfig())
+    pool = LibraryPool("touched", 40, DeterministicRng(0))
+
+    def worker():
+        yield from pool.touch(20_000)
 
     kernel.fork_root(worker)
     kernel.run_for(sec(10))
@@ -275,6 +296,7 @@ SCENARIOS = {
     "monitor_traffic_tso": scenario_monitor_traffic_tso,
     "monitor_traffic_traced": scenario_monitor_traffic_traced,
     "monitor_bursts": scenario_monitor_bursts,
+    "pool_touch": scenario_pool_touch,
     "context_switching": scenario_context_switching,
     "cv_ping_pong": scenario_cv_ping_pong,
     "timed_waits": scenario_timed_waits,
@@ -298,6 +320,10 @@ def test_perf_monitor_traffic_tso(benchmark):
 
 def test_perf_monitor_bursts(benchmark):
     assert benchmark(scenario_monitor_bursts) == 20_000
+
+
+def test_perf_pool_touch(benchmark):
+    assert benchmark(scenario_pool_touch) == 20_000
 
 
 def test_perf_context_switching(benchmark):

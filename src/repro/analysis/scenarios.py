@@ -40,7 +40,7 @@ from repro.cluster.world import build_cluster_world
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.kernel.config import MODEL_PSO
-from repro.kernel.primitives import Enter, Exit, Notify, Wait
+from repro.kernel.primitives import Notify, Wait
 from repro.kernel.thread import ThreadState
 from repro.memmodel.litmus import LITMUS_TESTS, MODELS, litmus_scenario
 from repro.server.model import TenantSpec
@@ -261,24 +261,24 @@ def _spurious(semantics: str):
 
         def consumer():
             while state["consumed"] < 40:
-                yield Enter(lock)
+                yield lock.enter
                 try:
                     while state["available"] == 0:
                         yield Wait(nonempty, timeout=msec(200))
                     state["available"] -= 1
                     state["consumed"] += 1
                 finally:
-                    yield Exit(lock)
+                    yield lock.exit
 
         def producer():
             for _ in range(40):
-                yield Enter(lock)
+                yield lock.enter
                 try:
                     state["available"] += 1
                     yield Notify(nonempty)
                     yield p.Compute(usec(100))
                 finally:
-                    yield Exit(lock)
+                    yield lock.exit
                 yield p.Compute(usec(50))
 
         kernel.fork_root(consumer, name="consumer", priority=5)
@@ -358,20 +358,20 @@ def _timed_waits(config: KernelConfig):
 
     def cv_waiter():
         for _ in range(15):
-            yield Enter(lock)
+            yield lock.enter
             try:
                 yield Wait(cv)
             finally:
-                yield Exit(lock)
+                yield lock.exit
 
     def stimulator():
         for _ in range(5):
             yield p.Pause(msec(170))
-            yield Enter(lock)
+            yield lock.enter
             try:
                 yield Notify(cv)
             finally:
-                yield Exit(lock)
+                yield lock.exit
 
     def receiver():
         for _ in range(12):
@@ -395,11 +395,11 @@ def _multiprocessor(config: KernelConfig):
     def worker(slice_us):
         for _ in range(30):
             yield p.Compute(slice_us)
-            yield Enter(lock)
+            yield lock.enter
             try:
                 yield p.Compute(usec(20))
             finally:
-                yield Exit(lock)
+                yield lock.exit
 
     def interrupter():
         for _ in range(20):
@@ -449,13 +449,13 @@ def _weak_memory(config: KernelConfig):
 
     def reader():
         for _ in range(40):
-            yield Enter(lock)
+            yield lock.enter
             try:
                 seen = yield p.MemRead(flag)
                 if seen:
                     yield p.MemRead(data)
             finally:
-                yield Exit(lock)
+                yield lock.exit
             yield p.Compute(usec(90))
 
     kernel.fork_root(writer, name="writer", priority=4)
@@ -476,7 +476,7 @@ def _producer_consumer(config: KernelConfig):
 
     def consumer():
         while state["consumed"] < 60:
-            yield Enter(lock)
+            yield lock.enter
             try:
                 # The timeout bounds the damage of a stolen NOTIFY; the
                 # WHILE bounds the damage of a spurious wakeup.
@@ -487,16 +487,16 @@ def _producer_consumer(config: KernelConfig):
                     state["available"] -= 1
                     state["consumed"] += 1
             finally:
-                yield Exit(lock)
+                yield lock.exit
 
     def producer():
         for _ in range(60):
-            yield Enter(lock)
+            yield lock.enter
             try:
                 state["available"] += 1
                 yield Notify(nonempty)
             finally:
-                yield Exit(lock)
+                yield lock.exit
             yield p.Pause(msec(5))
 
     kernel.fork_root(consumer, name="consumer", priority=5)
@@ -559,19 +559,19 @@ def _wait_if_deadlock(config: KernelConfig):
     state = {"ready": False}
 
     def victim():
-        yield Enter(m_inner)
+        yield m_inner.enter
         # Anti-pattern: checks once, waits once, believes the wake.
         yield from await_condition_if_broken(ready_cv, lambda: state["ready"])
-        yield Enter(m_outer)  # holds inner, wants outer -> half the cycle
-        yield Exit(m_outer)
-        yield Exit(m_inner)
+        yield m_outer.enter  # holds inner, wants outer -> half the cycle
+        yield m_outer.exit
+        yield m_inner.exit
 
     def partner():
-        yield Enter(m_outer)
+        yield m_outer.enter
         yield p.Pause(msec(400))  # outlive the spurious wake
-        yield Enter(m_inner)  # holds outer, wants inner -> cycle closed
-        yield Exit(m_inner)
-        yield Exit(m_outer)
+        yield m_inner.enter  # holds outer, wants inner -> cycle closed
+        yield m_inner.exit
+        yield m_outer.exit
 
     kernel.fork_root(victim, name="victim", priority=4)
     kernel.fork_root(partner, name="partner", priority=4)
@@ -586,18 +586,18 @@ def _abba_deadlock(config: KernelConfig):
     m_b = Monitor("chaos.b")
 
     def first():
-        yield Enter(m_a)
+        yield m_a.enter
         yield p.Pause(msec(10))
-        yield Enter(m_b)
-        yield Exit(m_b)
-        yield Exit(m_a)
+        yield m_b.enter
+        yield m_b.exit
+        yield m_a.exit
 
     def second():
-        yield Enter(m_b)
+        yield m_b.enter
         yield p.Pause(msec(10))
-        yield Enter(m_a)
-        yield Exit(m_a)
-        yield Exit(m_b)
+        yield m_a.enter
+        yield m_a.exit
+        yield m_b.exit
 
     kernel.fork_root(first, name="first", priority=4)
     kernel.fork_root(second, name="second", priority=4)
@@ -624,7 +624,7 @@ def _make_stolen_notify():
         ready_cv = ConditionVariable(lock, "explore.ready")
 
         def consumer():
-            yield Enter(lock)
+            yield lock.enter
             try:
                 # Anti-pattern: IF + untimed WAIT; one stolen NOTIFY is fatal.
                 yield from await_condition_if_broken(
@@ -632,16 +632,16 @@ def _make_stolen_notify():
                 )
                 state["consumed"] += 1
             finally:
-                yield Exit(lock)
+                yield lock.exit
 
         def producer():
             yield p.Pause(msec(5))
-            yield Enter(lock)
+            yield lock.enter
             try:
                 state["ready"] += 1
                 yield Notify(ready_cv)
             finally:
-                yield Exit(lock)
+                yield lock.exit
 
         kernel.fork_root(consumer, name="consumer", priority=5)
         kernel.fork_root(producer, name="producer", priority=4)

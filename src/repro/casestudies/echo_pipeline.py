@@ -59,7 +59,6 @@ def run_echo_pipeline(
     strategy: str,
     quantum: int = msec(50),
     switch_cost: int | None = None,
-    sleep_interval: int = 0,
     keystrokes: int = 40,
     key_interval: int = msec(80),
     buffer_priority: int = 5,
@@ -90,13 +89,7 @@ def run_echo_pipeline(
         now = yield GetTime()
         flush_times.append(now)
 
-    slack = SlackProcess(
-        "buffer",
-        paint_queue,
-        deliver,
-        strategy=strategy,
-        sleep_interval=sleep_interval,
-    )
+    slack = SlackProcess("buffer", paint_queue, deliver, strategy=strategy)
 
     def notifier():
         # The critical thread: notice the event, defer the real work.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Compute, Enter, Exit, GetTime, Pause
+from repro.kernel.primitives import Compute, GetTime, Pause
 from repro.kernel.simtime import msec, sec
 from repro.runtime.daemon import install_system_daemon
 from repro.sync.monitor import Monitor
@@ -66,14 +66,14 @@ def run_inversion(
     marks: dict[str, int] = {}
 
     def low():
-        yield Enter(lock)
+        yield lock.enter
         try:
             # Sleep briefly so the hog and the high thread reliably start
             # while we hold the lock, then grind under it.
             yield Pause(msec(50))
             yield Compute(hold_time)
         finally:
-            yield Exit(lock)
+            yield lock.exit
 
     def hog():
         while True:
@@ -81,11 +81,11 @@ def run_inversion(
 
     def high():
         marks["wanted"] = yield GetTime()
-        yield Enter(lock)
+        yield lock.enter
         try:
             marks["acquired"] = yield GetTime()
         finally:
-            yield Exit(lock)
+            yield lock.exit
 
     kernel.fork_root(low, name="low", priority=2)
     kernel.post_at(msec(10), lambda k: k.fork_root(hog, name="hog", priority=4))

@@ -59,7 +59,6 @@ def sweep_quantum(
         sweep.results[quantum] = run_echo_pipeline(
             strategy=strategy,
             quantum=quantum,
-            sleep_interval=0,  # "sleep": wake at the next tick
             **kwargs,
         )
     return sweep

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Compute, Enter, Exit, Notify
+from repro.kernel.primitives import Compute, Notify
 from repro.kernel.simtime import sec, usec
 from repro.sync.condition import ConditionVariable, await_condition
 from repro.sync.monitor import Monitor
@@ -64,24 +64,24 @@ def run_producer_consumer(
 
     def consumer():
         while state["consumed"] < items:
-            yield Enter(lock)
+            yield lock.enter
             try:
                 yield from await_condition(nonempty, lambda: state["available"] > 0)
                 state["available"] -= 1
                 state["consumed"] += 1
             finally:
-                yield Exit(lock)
+                yield lock.exit
 
     def producer():
         for _ in range(items):
-            yield Enter(lock)
+            yield lock.enter
             try:
                 state["available"] += 1
                 yield Notify(nonempty)
                 # Still holding the monitor: the spurious-conflict window.
                 yield Compute(usec(100))
             finally:
-                yield Exit(lock)
+                yield lock.exit
             yield Compute(usec(50))
 
     kernel.fork_root(consumer, name="consumer", priority=consumer_priority)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Broadcast, Compute, Enter, Exit, GetTime, Notify, Pause, Wait
+from repro.kernel.primitives import Broadcast, Compute, GetTime, Notify, Pause, Wait
 from repro.kernel.simtime import msec, sec, usec
 from repro.sync.condition import (
     ConditionVariable,
@@ -55,7 +55,7 @@ def run_if_wait_bug(*, style: str, seed: int = 0) -> IfWaitResult:
     waiter = await_condition if style == "while" else await_condition_if_broken
 
     def consumer(tag):
-        yield Enter(lock)
+        yield lock.enter
         try:
             yield from waiter(nonempty, lambda: state["items"] > 0)
             # An IF-waiter reaches here believing the condition holds.
@@ -65,16 +65,16 @@ def run_if_wait_bug(*, style: str, seed: int = 0) -> IfWaitResult:
             else:
                 state["underflows"] += 1
         finally:
-            yield Exit(lock)
+            yield lock.exit
 
     def producer():
         yield Pause(msec(100))  # let both consumers park on the CV
-        yield Enter(lock)
+        yield lock.enter
         try:
             state["items"] += 1
             yield Broadcast(nonempty)  # wakes *both* waiters
         finally:
-            yield Exit(lock)
+            yield lock.exit
 
     kernel.fork_root(consumer, args=("a",), name="consumer-a")
     kernel.fork_root(consumer, args=("b",), name="consumer-b")
@@ -113,26 +113,26 @@ def run_missing_notify(
 
     def producer():
         for _ in range(items):
-            yield Enter(lock)
+            yield lock.enter
             try:
                 state["available"] += 1
                 if notify_present:
                     yield Notify(nonempty)
                 # else: the bug — the waiter is never notified.
             finally:
-                yield Exit(lock)
+                yield lock.exit
             yield Compute(usec(100))
 
     def consumer():
         while state["consumed"] < items:
-            yield Enter(lock)
+            yield lock.enter
             try:
                 while state["available"] == 0:
                     yield Wait(nonempty)  # wakes by notify or by timeout
                 state["available"] -= 1
                 state["consumed"] += 1
             finally:
-                yield Exit(lock)
+                yield lock.exit
         finished["at"] = yield GetTime()
 
     kernel.fork_root(consumer, name="consumer")

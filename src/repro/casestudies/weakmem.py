@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from repro.kernel import Kernel, KernelConfig, SimVar
 from repro.kernel.primitives import (
     Compute,
-    Enter,
-    Exit,
     MemRead,
     MemWrite,
     Pause,
@@ -82,19 +80,19 @@ def run_publication(
         for round_number in range(1, rounds + 1):
             fields = SimVar(f"record-{round_number}", initial=None)
             if lock is not None:
-                yield Enter(lock)
+                yield lock.enter
             # Fill in the record, then publish the pointer.
             yield MemWrite(fields, ("seconds", round_number))
             yield MemWrite(pointer, fields)
             if lock is not None:
-                yield Exit(lock)
+                yield lock.exit
             yield Pause(msec(10))
 
     def reader():
         seen: set[int] = set()
         while len(seen) < rounds:
             if lock is not None:
-                yield Enter(lock)
+                yield lock.enter
             record = yield MemRead(pointer)
             # Keyed by uid: a freed record's id() can be reused by the next.
             if record is not None and record.uid not in seen:
@@ -105,7 +103,7 @@ def run_publication(
                 if contents is None:
                     torn[0] += 1  # followed the pointer into a hole
             if lock is not None:
-                yield Exit(lock)
+                yield lock.exit
             yield Compute(usec(7))
 
     kernel.fork_root(writer, name="writer")

@@ -727,13 +727,15 @@ def main(argv: list[str] | None = None) -> int:
             sub.add_argument("--output", default=None,
                              help="write the JSON report here")
         if name == "explore":
+            from repro.explore.strategies import STRATEGIES
+
             sub.add_argument("--scenario", default="directed",
                              help="comma list of catalogue names and tags "
                                   "(directed, clean, all = both, chaos, "
                                   "sweep, golden, litmus; default "
                                   "directed)")
             sub.add_argument("--strategy", default="random",
-                             choices=["random", "pct", "seeds", "exhaustive"],
+                             choices=list(STRATEGIES),
                              help="schedule-generation strategy "
                                   "(default random)")
             sub.add_argument("--budget", type=int, default=200,
@@ -746,6 +748,8 @@ def main(argv: list[str] | None = None) -> int:
                              help="write the JSON report here (minimal "
                                   "traces are saved alongside it)")
         if name == "litmus":
+            from repro.explore.strategies import STRATEGIES
+
             sub.add_argument("--test", default="all",
                              help="litmus test name or comma list: sb, mp, "
                                   "lb, iriw (default all)")
@@ -753,7 +757,7 @@ def main(argv: list[str] | None = None) -> int:
                              help="memory model or comma list: sc, tso, pso "
                                   "(default all)")
             sub.add_argument("--strategy", default=None,
-                             choices=["random", "pct", "seeds", "exhaustive"],
+                             choices=list(STRATEGIES),
                              help="override the per-pair default search "
                                   "(exhaustive; random for IRIW)")
             sub.add_argument("--budget", type=int, default=None,

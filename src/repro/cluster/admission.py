@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.kernel.primitives import Enter, Exit, Notify, Wait
+from repro.kernel.primitives import Notify, Wait
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
 
@@ -209,7 +209,7 @@ class WfqQueue:
     def try_put(self, item: Any):
         """Non-blocking put: True if enqueued, False if the tenant's
         sub-queue is full (generator)."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             tenant = self._tenant_of(item)
             if len(self.queues[tenant]) >= self.capacity:
@@ -219,12 +219,12 @@ class WfqQueue:
             yield Notify(self.nonempty)
             return True
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def get(self, timeout: int | None = None):
         """Dequeue the weighted-fair next item; None on timeout
         (generator)."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             while self._size == 0:
                 notified = yield Wait(self.nonempty, timeout)
@@ -236,12 +236,12 @@ class WfqQueue:
             yield Notify(self.nonfull)
             return item
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def prune(self, predicate: Any):
         """Remove and return every queued item matching ``predicate``
         (generator) — deadline sweeps and wedged-shard drains."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             removed: list[Any] = []
             for tenant, queue in self.queues.items():
@@ -257,7 +257,7 @@ class WfqQueue:
                 yield Notify(self.nonfull)
             return removed
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def __len__(self) -> int:
         return self._size

@@ -41,8 +41,6 @@ from zlib import crc32
 
 from repro.kernel.primitives import (
     Compute,
-    Enter,
-    Exit,
     Fork,
     GetTime,
     Notify,
@@ -324,11 +322,11 @@ class LoadBalancer(Frontend):
                 # until an outcome hook signals a freed credit.  The
                 # timeout is a backstop (health recovery does not signal
                 # this CV), not the cadence.
-                yield Enter(self.credit_mon)
+                yield self.credit_mon.enter
                 try:
                     yield Wait(self.credit_cv, self.poll)
                 finally:
-                    yield Exit(self.credit_mon)
+                    yield self.credit_mon.exit
             self.dispatched[sid] += 1
             self.outstanding[sid][req.rid] = req
             yield from self.shards[sid].ingress.put(req)
@@ -340,11 +338,11 @@ class LoadBalancer(Frontend):
 
         def hook(req: Request):
             self.outstanding[sid].pop(req.rid, None)
-            yield Enter(self.credit_mon)
+            yield self.credit_mon.enter
             try:
                 yield Notify(self.credit_cv)
             finally:
-                yield Exit(self.credit_mon)
+                yield self.credit_mon.exit
 
         return hook
 

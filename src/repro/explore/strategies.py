@@ -29,7 +29,7 @@ as a single schedule.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Callable
 
 from repro.kernel.rng import DeterministicRng
 from repro.explore.trace import (
@@ -161,23 +161,20 @@ class ExhaustivePrefixStrategy(Strategy):
         self.exhausted = True
 
 
-#: CLI registry.
-STRATEGIES: dict[str, Any] = {
+#: The one place a strategy is named (``make_strategy`` and both
+#: ``--strategy`` options read it): name -> factory taking the seed.
+STRATEGIES: dict[str, Callable[[int], Strategy]] = {
     "random": RandomWalkStrategy,
     "pct": PctStrategy,
-    "seeds": SeedSweepStrategy,
-    "exhaustive": ExhaustivePrefixStrategy,
+    "seeds": lambda seed: SeedSweepStrategy(),
+    "exhaustive": lambda seed: ExhaustivePrefixStrategy(),
 }
 
 
 def make_strategy(name: str, *, seed: int = 0) -> Strategy:
-    """Instantiate a strategy by CLI name (seed passed where taken)."""
-    if name == "random":
-        return RandomWalkStrategy(seed=seed)
-    if name == "pct":
-        return PctStrategy(seed=seed)
-    if name == "seeds":
-        return SeedSweepStrategy()
-    if name == "exhaustive":
-        return ExhaustivePrefixStrategy()
-    raise ValueError(f"unknown strategy: {name!r}")
+    """Instantiate a strategy by name (seed passed where taken)."""
+    try:
+        factory = STRATEGIES[name]
+    except KeyError:
+        raise ValueError(f"unknown strategy: {name!r}") from None
+    return factory(seed)

@@ -67,8 +67,5 @@ class Channel:
         self.posts += 1
         self._kernel._channel_post(self, item)
 
-    def __len__(self) -> int:
-        return len(self.items)
-
     def __repr__(self) -> str:
         return f"<Channel {self.name!r} depth={len(self.items)}>"

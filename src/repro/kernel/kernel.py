@@ -72,7 +72,6 @@ from repro.kernel.primitives import (
     Notify,
     Pause,
     SetPriority,
-    Trap,
     Wait,
     Yield,
     YieldButNotToMe,
@@ -650,6 +649,7 @@ class Kernel:
         """
         scheduler = self.scheduler
         events = self.events
+        handlers = self._handlers
         limit = None
         while True:
             if scheduler.best_ready > thread.priority and self._maybe_preempt(
@@ -673,11 +673,11 @@ class Kernel:
             except Exception as error:  # noqa: BLE001 - thread death boundary
                 self._finish_error(cpu, thread, error)
                 return
-            if not isinstance(trap, Trap):
+            handler = handlers.get(type(trap))
+            if handler is None:
                 raise KernelUsageError(
                     f"thread {thread.name!r} yielded {trap!r}, not a kernel trap"
                 )
-            handler = self._handlers[type(trap)]
             outcome = handler(cpu, thread, trap)
             if outcome is _Outcome.SUSPEND:
                 return

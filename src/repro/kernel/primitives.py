@@ -164,8 +164,9 @@ class SetPriority(Trap):
 class Enter(Trap):
     """Acquire a monitor's mutex; blocks (FIFO) if another thread holds it.
 
-    Normally used through :func:`repro.sync.monitor.entered` or the
-    ``@monitored`` decorator rather than yielded directly.
+    Thread code yields the monitor's shared instance, ``monitor.enter``,
+    usually through :func:`repro.sync.monitor.entered` or the
+    ``@monitored`` decorator.
     """
 
     monitor: "Monitor"
@@ -173,7 +174,10 @@ class Enter(Trap):
 
 @dataclass(frozen=True)
 class Exit(Trap):
-    """Release a monitor's mutex; hands it to the first queued waiter."""
+    """Release a monitor's mutex; hands it to the first queued waiter.
+
+    Thread code yields the monitor's shared instance, ``monitor.exit``.
+    """
 
     monitor: "Monitor"
 

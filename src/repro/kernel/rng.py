@@ -46,7 +46,7 @@ class DeterministicRng:
         """A uniformly chosen element of a non-empty sequence."""
         if not items:
             raise ValueError("choice from empty sequence")
-        return items[self._random.randrange(len(items))]
+        return self._random.choice(items)
 
     def expovariate(self, rate_per_usec: float) -> int:
         """An exponentially distributed interval, in microseconds (>= 1)."""

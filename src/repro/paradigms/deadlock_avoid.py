@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.kernel.primitives import Compute, Enter, Exit, Fork, ThreadProc
+from repro.kernel.primitives import Compute, Fork, ThreadProc
 from repro.kernel.simtime import usec
 from repro.sync.monitor import Monitor
 
@@ -74,18 +74,18 @@ class WindowManager:
     def paint(self, window: Window, *, cost: int = usec(200)):
         """A painter: window lock for the whole repaint, tree lock taken
         mid-paint to post damage — the canonical window-then-tree order."""
-        yield Enter(window.lock)
+        yield window.lock.enter
         try:
             yield Compute(cost)  # rasterise under the window lock
-            yield Enter(self.tree_lock)
+            yield self.tree_lock.enter
             try:
                 bounds = window.bounds  # post damage to the layout tree
             finally:
-                yield Exit(self.tree_lock)
+                yield self.tree_lock.exit
             window.repaints += 1
             return bounds
         finally:
-            yield Exit(window.lock)
+            yield window.lock.exit
 
     def adjust_boundary(
         self,
@@ -103,7 +103,7 @@ class WindowManager:
         lock — acquiring window locks *after* the tree lock, the
         order violation the paradigm exists to avoid.
         """
-        yield Enter(self.tree_lock)
+        yield self.tree_lock.enter
         try:
             upper.bounds = (upper.bounds[0], upper.bounds[1] + delta)
             lower.bounds = (lower.bounds[0] + delta, lower.bounds[1])
@@ -112,14 +112,14 @@ class WindowManager:
             if not fork_repaint:
                 # Inline repaint: tree lock held, taking window locks now.
                 for window in (upper, lower):
-                    yield Enter(window.lock)
+                    yield window.lock.enter
                     try:
                         yield Compute(usec(200))
                         window.repaints += 1
                     finally:
-                        yield Exit(window.lock)
+                        yield window.lock.exit
         finally:
-            yield Exit(self.tree_lock)
+            yield self.tree_lock.exit
         if fork_repaint:
             for window in (upper, lower):
                 self.forked_repaints += 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.kernel.primitives import Compute, Enter, Exit, Pause
+from repro.kernel.primitives import Compute, Pause
 from repro.kernel.simtime import msec, usec
 from repro.sync.monitor import Monitor
 
@@ -73,7 +73,7 @@ class GuardedButton:
 
     def press(self):
         """Handle one click; returns "invoked", "armed", or "ignored"."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             if self.label == ARMED:
                 self.invocations += 1
@@ -89,7 +89,7 @@ class GuardedButton:
             self._pending = True
             epoch = self._epoch
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
         # Outside the monitor: the one-shot must not hold the lock while
         # sleeping (a §4.4-style constraint), so press() forks it.
         from repro.kernel.primitives import Fork
@@ -106,16 +106,16 @@ class GuardedButton:
         """The one-shot: arm after the arming period, disarm after the
         invocation window expires unused."""
         yield Pause(self.arming_period)
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             if epoch != self._epoch:
                 return  # superseded
             self.label = ARMED
             self._pending = False
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
         yield Pause(self.invocation_window)
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             if epoch != self._epoch:
                 return  # a second click invoked the action meanwhile
@@ -123,4 +123,4 @@ class GuardedButton:
                 self.label = GUARDED
                 self.repaints += 1
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernel.primitives import Compute, Enter, Exit, Fork, GetTime, Pause
+from repro.kernel.primitives import Compute, Fork, GetTime, Pause
 from repro.kernel.simtime import usec
 from repro.paradigms.pump import Pump
 from repro.paradigms.slack import SlackProcess
@@ -340,12 +340,12 @@ class RpcServer(Frontend):
             yield from self.batch_queue.put(req)
             return
         req.started_at = now
-        yield Enter(self.table_mon)
+        yield self.table_mon.enter
         try:
             yield Compute(TOUCH_COST)
             self.table[req.tenant.name] = self.table.get(req.tenant.name, 0) + 1
         finally:
-            yield Exit(self.table_mon)
+            yield self.table_mon.exit
         yield Compute(req.cost)
         yield from self._finish(req, DONE)
 

@@ -13,8 +13,9 @@ We model both styles the paper mentions:
   with modules ... in order to obtain finer grain locking": just give each
   record its own :class:`Monitor` and wrap accesses in :func:`entered`.
 
-The Monitor object itself is passive data (owner, entry queue, counters);
-the kernel's Enter/Exit/Wait trap handlers implement the semantics,
+The Monitor object itself is passive data (owner, entry queue, counters)
+plus its two shared traps, ``monitor.enter`` and ``monitor.exit``; the
+kernel's Enter/Exit/Wait trap handlers implement the semantics,
 including preemption while holding locks and FIFO handoff on exit.
 """
 
@@ -44,6 +45,8 @@ class Monitor:
         "enters",
         "blocks",
         "boost_restore",
+        "_enter",
+        "_exit",
     )
 
     def __init__(self, name: str) -> None:
@@ -59,17 +62,29 @@ class Monitor:
         #: Pre-boost priority of the owner, when priority inheritance
         #: (the beyond-paper ablation) has boosted it.
         self.boost_restore: int | None = None
+        self._enter: Enter | None = None
+        self._exit: Exit | None = None
 
     @property
-    def held(self) -> bool:
-        return self.owner is not None
+    def enter(self) -> Enter:
+        """The trap that enters this monitor, built on first use.
+
+        Traps are immutable, so every entry can yield the same one.  It
+        is built lazily because most monitors a world creates are never
+        entered.
+        """
+        trap = self._enter
+        if trap is None:
+            trap = self._enter = Enter(self)
+        return trap
 
     @property
-    def contention(self) -> float:
-        """Fraction of entries that blocked."""
-        if self.enters == 0:
-            return 0.0
-        return self.blocks / self.enters
+    def exit(self) -> Exit:
+        """The trap that exits this monitor, built on first use."""
+        trap = self._exit
+        if trap is None:
+            trap = self._exit = Exit(self)
+        return trap
 
     def __repr__(self) -> str:
         owner = self.owner.name if self.owner else None
@@ -86,11 +101,11 @@ def entered(monitor: Monitor, body: Generator[Any, Any, Any]):
     The mutex is released on normal return *and* when an exception unwinds
     through the body — Mesa's compiler-generated epilogue did the same.
     """
-    yield Enter(monitor)
+    yield monitor.enter
     try:
         result = yield from body
     finally:
-        yield Exit(monitor)
+        yield monitor.exit
     return result
 
 
@@ -103,11 +118,11 @@ def monitored(method: Callable[..., Generator[Any, Any, Any]]):
 
     @functools.wraps(method)
     def wrapper(self, *args: Any, **kwargs: Any):
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             result = yield from method(self, *args, **kwargs)
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
         return result
 
     wrapper.__monitored__ = True

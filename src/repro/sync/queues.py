@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from repro.kernel.primitives import Enter, Exit, Notify, Wait
+from repro.kernel.primitives import Notify, Wait
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
 
@@ -51,13 +51,13 @@ class UnboundedQueue:
 
     def put(self, item: Any):
         """Enqueue and wake one consumer.  (Generator; use ``yield from``.)"""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             self.items.append(item)
             self.puts += 1
             yield Notify(self.nonempty)
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def get(self, timeout: int | None = None):
         """Dequeue the oldest item; blocks while empty.
@@ -65,7 +65,7 @@ class UnboundedQueue:
         Returns the item, or ``None`` if ``timeout`` (or the queue's
         default get timeout) elapsed with the queue still empty.
         """
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             while not self.items:
                 notified = yield Wait(self.nonempty, timeout)
@@ -77,23 +77,23 @@ class UnboundedQueue:
                 self.carry[item.rid] = item
             return item
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def get_all(self):
         """Drain every queued item without blocking (may return [])."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             drained = list(self.items)
             self.items.clear()
             self.gets += len(drained)
             return drained
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def prune(self, predicate: Any):
         """Remove and return every queued item matching ``predicate``
         (generator) — the balancer's wedged-shard drain."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             kept: deque[Any] = deque()
             removed: list[Any] = []
@@ -102,7 +102,7 @@ class UnboundedQueue:
             self.items = kept
             return removed
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def __len__(self) -> int:
         return len(self.items)
@@ -153,7 +153,7 @@ class BoundedQueue:
 
     def try_put(self, item: Any):
         """Non-blocking put: True if enqueued, False if full (generator)."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             if len(self.items) >= self.capacity:
                 self.rejects += 1
@@ -162,23 +162,23 @@ class BoundedQueue:
             yield Notify(self.nonempty)
             return True
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def put(self, item: Any):
         """Enqueue, blocking while full (generator)."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             while len(self.items) >= self.capacity:
                 yield Wait(self.nonfull)
             self._append(item)
             yield Notify(self.nonempty)
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def get(self, timeout: int | None = None):
         """Dequeue the oldest item; None if still empty after ``timeout``
         (or the queue's default get timeout).  (Generator.)"""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             while not self.items:
                 notified = yield Wait(self.nonempty, timeout)
@@ -191,13 +191,13 @@ class BoundedQueue:
             yield Notify(self.nonfull)
             return item
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def prune(self, predicate: Any):
         """Remove and return every queued item matching ``predicate``
         (generator) — the deadline sleeper's expiry sweep.  Wakes one
         blocked putter per freed slot."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             kept: deque[Any] = deque()
             removed: list[Any] = []
@@ -208,7 +208,7 @@ class BoundedQueue:
                 yield Notify(self.nonfull)
             return removed
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def _append(self, item: Any) -> None:
         self.items.append(item)

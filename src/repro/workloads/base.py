@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.kernel.config import KernelConfig
-from repro.kernel.primitives import Compute, Enter, Exit, Notify, Wait
+from repro.kernel.primitives import Compute, Notify, Wait
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.simtime import sec, usec
 from repro.runtime.pcr import World
@@ -32,6 +32,7 @@ from repro.sync.monitor import Monitor
 
 #: Work under the lock for each monitor a ``LibraryPool.touch`` visits.
 TOUCH_WORK = usec(2)
+TOUCH_COMPUTE = Compute(TOUCH_WORK)
 
 
 class LibraryPool:
@@ -52,11 +53,11 @@ class LibraryPool:
         """
         for _ in range(count):
             monitor = self._rng.choice(self.monitors)
-            yield Enter(monitor)
+            yield monitor.enter
             try:
-                yield Compute(TOUCH_WORK)
+                yield TOUCH_COMPUTE
             finally:
-                yield Exit(monitor)
+                yield monitor.exit
 
 
 class CvSleeper:
@@ -94,19 +95,21 @@ class CvSleeper:
         self.peers = peers if peers is not None else []
         self.stimulate_peer_prob = stimulate_peer_prob
         self._rng = rng
+        self._notify = Notify(self.cv)
 
     def proc(self):
+        monitor, wait, work = self.monitor, Wait(self.cv), Compute(self.work)
         while True:
-            yield Enter(self.monitor)
+            yield monitor.enter
             try:
-                yield Wait(self.cv)  # timeout or stimulation, either wakes
+                yield wait  # timeout or stimulation, either wakes
                 if self.pending_stimuli > 0:
                     self.pending_stimuli -= 1
             finally:
-                yield Exit(self.monitor)
+                yield monitor.exit
             self.activations += 1
             if self.work:
-                yield Compute(self.work)
+                yield work
             if self.touches:
                 yield from self.pool.touch(self.touches)
             if (
@@ -120,12 +123,12 @@ class CvSleeper:
 
     def stimulate(self):
         """Wake the sleeper early (generator, run on the waking thread)."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             self.pending_stimuli += 1
-            yield Notify(self.cv)
+            yield self._notify
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
 
 class StageSet:
@@ -147,18 +150,18 @@ class StageSet:
             cv = ConditionVariable(
                 monitor, f"{name}.stage{index}.cv", timeout=wait_timeout
             )
-            self.stages.append((monitor, cv))
+            self.stages.append((monitor, Wait(cv)))
         self._next = 0
 
     def visit_next(self):
         """Wait once on the next stage round-robin (generator)."""
-        monitor, cv = self.stages[self._next % len(self.stages)]
+        monitor, wait = self.stages[self._next % len(self.stages)]
         self._next += 1
-        yield Enter(monitor)
+        yield monitor.enter
         try:
-            yield Wait(cv)
+            yield wait
         finally:
-            yield Exit(monitor)
+            yield monitor.exit
 
 
 @dataclass

@@ -30,8 +30,6 @@ from repro.kernel.config import KernelConfig
 from repro.kernel.primitives import (
     Channelreceive,
     Compute,
-    Enter,
-    Exit,
     Notify,
     Pause,
     Wait,
@@ -55,6 +53,7 @@ DISPLAY_POOL_SIZE = 170
 INPUT_POLL_PERIOD = msec(250)
 #: A pool worker's work per item it processes outside the display lock.
 ITEM_WORK = usec(300)
+ITEM_COMPUTE = Compute(ITEM_WORK)
 
 
 class WorkerPool:
@@ -93,26 +92,28 @@ class WorkerPool:
         self.hold_time = hold_time
         self.items: list[Any] = []
         self.processed = 0
+        self._notify = Notify(self.cv)
 
     def post(self, item: Any):
         """Queue one work item and wake a worker (generator)."""
-        yield Enter(self.monitor)
+        yield self.monitor.enter
         try:
             self.items.append(item)
-            yield Notify(self.cv)
+            yield self._notify
         finally:
-            yield Exit(self.monitor)
+            yield self.monitor.exit
 
     def worker_proc(self):
+        monitor, wait = self.monitor, Wait(self.cv)
         while True:
             item = None
-            yield Enter(self.monitor)
+            yield monitor.enter
             try:
-                yield Wait(self.cv)  # timeout or a posted item
+                yield wait  # timeout or a posted item
                 if self.items:
                     item = self.items.pop(0)
             finally:
-                yield Exit(self.monitor)
+                yield monitor.exit
             if item is None:
                 # Idle housekeeping: age caches, poll state.  Every other
                 # activation does a longer sweep — GVX's 0-5 ms interval
@@ -123,14 +124,14 @@ class WorkerPool:
             else:
                 kind = item[0] if isinstance(item, tuple) else item
                 if self.hold_lock is not None and kind in ("key", "echo", "repair"):
-                    yield Enter(self.hold_lock)
+                    yield self.hold_lock.enter
                     try:
                         yield Compute(self.hold_time)
                         yield from self.pool.touch(self.work_touches)
                     finally:
-                        yield Exit(self.hold_lock)
+                        yield self.hold_lock.exit
                 else:
-                    yield Compute(ITEM_WORK)
+                    yield ITEM_COMPUTE
                     yield from self.pool.touch(self.work_touches)
                 self.processed += 1
 
@@ -275,12 +276,12 @@ def install_keyboard(world: World, context: GvxContext) -> None:
         yield Compute(usec(150))
         # Echo path: hold the display lock while updating the glyph —
         # the critical section behind GVX's higher contention numbers.
-        yield Enter(context.display_lock)
+        yield context.display_lock.enter
         try:
             yield Compute(msec(2))
             yield from context.pools["text"].touch(35)
         finally:
-            yield Exit(context.display_lock)
+            yield context.display_lock.exit
         # Fan work out to the pools (notified wakes: Table 2's timeout
         # fraction drops from 99% to ~42% while typing).
         yield from context.worker_pools["paint"].post(("key", event))
@@ -331,12 +332,12 @@ def install_scrolling(world: World, context: GvxContext) -> None:
         if scrolls[0] % 2 == 0:
             yield from stages.visit_next()
         yield Compute(usec(200))
-        yield Enter(context.display_lock)
+        yield context.display_lock.enter
         try:
             yield Compute(msec(4))  # bitblt under the lock
             yield from context.pools["display"].touch(130)
         finally:
-            yield Exit(context.display_lock)
+            yield context.display_lock.exit
         for _ in range(2):
             yield from context.worker_pools["paint"].post(("repair", event))
         for _ in range(3):

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Any
 
 from repro.kernel.channel import Channel
-from repro.kernel.primitives import Channelreceive, Enter, Exit
+from repro.kernel.primitives import Channelreceive
 from repro.kernel.simtime import msec
 from repro.sync.monitor import Monitor
 from repro.xwindows.server import XServer
@@ -64,20 +64,20 @@ class ModifiedXlib:
     def queue_request(self, request: Any):
         """Queue an output request (generator).  Batching happens "on a
         higher level"; the library just accumulates."""
-        yield Enter(self.lock)
+        yield self.lock.enter
         try:
             self.out_queue.append(request)
         finally:
-            yield Exit(self.lock)
+            yield self.lock.exit
 
     def flush(self):
         """Explicit flush, triggered by "external knowledge of when the
         painting is finished" (generator)."""
-        yield Enter(self.lock)
+        yield self.lock.enter
         try:
             yield from self._flush_locked()
         finally:
-            yield Exit(self.lock)
+            yield self.lock.exit
 
     def _flush_locked(self):
         if self.out_queue:
@@ -99,7 +99,7 @@ class ModifiedXlib:
         """
         waited = 0
         while True:
-            yield Enter(self.lock)
+            yield self.lock.enter
             try:
                 if self.event_queue:
                     return self.event_queue.popleft()
@@ -117,7 +117,7 @@ class ModifiedXlib:
                     return event
                 self.read_retries += 1
             finally:
-                yield Exit(self.lock)
+                yield self.lock.exit
             # Releasing the mutex is the point of the short timeout —
             # "allowing other threads to continue" — so the retry loop
             # must actually let them run before re-acquiring.

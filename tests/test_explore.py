@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis.scenarios import SCENARIOS, resolve
 from repro.explore import (
+    STRATEGIES,
     DecisionTrace,
     ExhaustivePrefixStrategy,
     ScheduleController,
@@ -437,6 +438,12 @@ class TestStrategies:
         strategy = make_strategy("seeds")
         assert strategy.kernel_seed(0, 7) == 7
         assert strategy.kernel_seed(3, 7) == 10
+
+    def test_registry_builds_each_strategy_by_its_name(self):
+        for name in STRATEGIES:
+            assert make_strategy(name, seed=1).name == name
+        with pytest.raises(ValueError, match="unknown strategy"):
+            make_strategy("dpor")
 
     def test_random_walk_is_deterministic_per_index(self):
         from repro.explore.trace import DecisionPoint

@@ -49,7 +49,7 @@ class TestCrashContainment:
         with pytest.raises(UncaughtThreadError):
             kernel.run_for(sec(1))
         assert completed == ["survivor"]
-        assert not lock.held
+        assert lock.owner is None
         assert kernel.pending_thread_errors == []
         kernel.shutdown()
 

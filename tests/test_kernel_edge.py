@@ -225,6 +225,10 @@ class TestForkWaitOrdering:
         kernel.shutdown()
 
 
+class _StrayCompute(p.Compute):
+    """A subclass of a real trap: the kernel has no handler for it."""
+
+
 class TestTrapMisuse:
     def test_yielding_non_trap_is_usage_error(self):
         kernel = make_kernel()
@@ -234,6 +238,21 @@ class TestTrapMisuse:
 
         kernel.fork_root(bad)
         with pytest.raises(KernelUsageError):
+            kernel.run_for(msec(1))
+
+    @pytest.mark.parametrize(
+        "trap", [p.Trap(), _StrayCompute(1)], ids=["base", "subclass"]
+    )
+    def test_yielding_unhandled_trap_type_is_usage_error(self, trap):
+        # Handlers are looked up by exact type: the bare base and a
+        # subclass of a real trap have none.
+        kernel = make_kernel()
+
+        def bad():
+            yield trap
+
+        kernel.fork_root(bad)
+        with pytest.raises(KernelUsageError, match="not a kernel trap"):
             kernel.run_for(msec(1))
 
     def test_negative_compute_rejected_at_construction(self):

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the kernel's core invariants."""
 
+import random
+
 from hypothesis import Phase, given, settings, strategies as st
 
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
@@ -271,6 +273,19 @@ class TestRngProperties:
         assert [a.randint(0, 10**9) for _ in range(4)] != [
             b.randint(0, 10**9) for _ in range(4)
         ]
+
+    @FAST
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        length=st.integers(min_value=1, max_value=5_000),
+    )
+    def test_choice_draws_what_randrange_indexing_draws(self, seed, length):
+        # The reference expression: every pinned schedule was recorded
+        # with ``choice`` drawing exactly this.
+        items = list(range(length))
+        rng, reference = DeterministicRng(seed), random.Random(seed)
+        for _ in range(5):
+            assert rng.choice(items) == items[reference.randrange(len(items))]
 
     @FAST
     @given(probability=st.floats(min_value=0.0, max_value=1.0))

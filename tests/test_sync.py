@@ -1,6 +1,8 @@
 """Monitors and condition variables: Mesa semantics (paper Section 2),
 spurious lock conflicts (Section 6.1), timeout granularity (Section 6.3)."""
 
+import dataclasses
+
 import pytest
 
 from repro.kernel import (
@@ -96,7 +98,7 @@ class TestMonitorMutualExclusion:
         kernel.run_for(sec(1))
         assert lock.blocks == 1
         assert kernel.stats.ml_contended == 1
-        assert lock.contention == pytest.approx(0.5)
+        assert lock.enters == 2
 
     def test_no_contention_for_uncontended_short_sections(self):
         # The common case in the paper: contention on 0.01%-0.1% of
@@ -176,7 +178,7 @@ class TestMonitorMutualExclusion:
         with pytest.raises(UncaughtThreadError):
             kernel.run_for(msec(10))
         assert order == ["survivor-acquired"]
-        assert not lock.held
+        assert lock.owner is None
 
     def test_monitored_module_decorator(self):
         kernel = make_kernel()
@@ -207,6 +209,23 @@ class TestMonitorMutualExclusion:
         # increments land despite the compute window inside.
         assert counter.value == 20
         assert sorted(results) == list(range(1, 21))
+
+
+class TestSharedTraps:
+    def test_monitor_hands_out_one_enter_and_one_exit(self):
+        lock = Monitor("m")
+        assert lock.enter is lock.enter
+        assert lock.exit is lock.exit
+        assert lock.enter == Enter(lock)
+        assert lock.exit == Exit(lock)
+
+    def test_shared_traps_stay_frozen(self):
+        lock = Monitor("m")
+        for trap in (lock.enter, lock.exit):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                trap.monitor = Monitor("other")
+        assert lock.enter.monitor is lock
+        assert lock.exit.monitor is lock
 
 
 class TestConditionVariables:

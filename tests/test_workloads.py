@@ -5,6 +5,7 @@ import pytest
 from repro.kernel.config import KernelConfig
 from repro.kernel.simtime import msec, sec
 from repro.workloads.base import (
+    TOUCH_COMPUTE,
     CvSleeper,
     LibraryPool,
     StageSet,
@@ -168,6 +169,15 @@ class TestBuildingBlocks:
         # 120 draws over 50 monitors: high but not full coverage required.
         assert 40 <= len(kernel.stats.monitors_used) <= 50
         kernel.shutdown()
+
+    def test_touches_of_one_monitor_share_its_traps(self):
+        pool = LibraryPool("lib", 1, DeterministicRng(1))
+        monitor = pool.monitors[0]
+        traps = list(pool.touch(3))  # enter, compute, exit per visit
+        assert len(traps) == 9
+        assert all(trap is monitor.enter for trap in traps[0::3])
+        assert all(trap is TOUCH_COMPUTE for trap in traps[1::3])
+        assert all(trap is monitor.exit for trap in traps[2::3])
 
     def test_library_pool_requires_size(self):
         with pytest.raises(ValueError):
