@@ -25,10 +25,13 @@ import sys
 import time
 from pathlib import Path
 
+from repro.explore.driver import run_schedule
+from repro.explore.strategies import make_strategy
 from repro.kernel import Kernel, KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.kernel.primitives import Enter, Exit, Notify, Wait
 from repro.kernel.rng import DeterministicRng
+from repro.memmodel.litmus import LITMUS_TESTS, MODELS, litmus_scenario
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
 from repro.workloads.base import LibraryPool
@@ -121,6 +124,33 @@ def scenario_pool_touch() -> int:
     kernel.shutdown()
     assert enters == 20_000
     return enters
+
+
+#: Random-walk schedules per (litmus test, memory model) pair.
+CHURN_SCHEDULES_PER_PAIR = 25
+
+
+def scenario_schedule_churn() -> int:
+    """Litmus schedules through ``run_schedule``, as exploration runs
+    them, with the cyclic collector on: 25 seeded random-walk schedules
+    of each of SB, MP, LB and IRIW under sc, tso and pso (300 in all).
+    Each schedule builds, runs, judges and shuts down a fresh kernel of
+    two to four short threads, so the rate prices a kernel's fixed cost,
+    including the collector's share of reclaiming it."""
+    runs = 0
+    for test in LITMUS_TESTS:
+        for model in MODELS:
+            scenario, _state = litmus_scenario(test, model)
+            search = make_strategy("random", seed=0)
+            for index in range(CHURN_SCHEDULES_PER_PAIR):
+                outcome = run_schedule(
+                    scenario, search.controller(index),
+                    seed=search.kernel_seed(index, 0), index=index,
+                )
+                search.observe(outcome.trace)
+                assert not outcome.failed
+                runs += 1
+    return runs
 
 
 def scenario_monitor_traffic_traced() -> int:
@@ -303,6 +333,7 @@ SCENARIOS = {
     "fork_join_churn": scenario_fork_join_churn,
     "timer_wheel": scenario_timer_wheel,
     "multiprocessor_traffic": scenario_multiprocessor_traffic,
+    "schedule_churn": scenario_schedule_churn,
 }
 
 
@@ -348,6 +379,10 @@ def test_perf_timer_wheel(benchmark):
 
 def test_perf_multiprocessor_traffic(benchmark):
     assert benchmark(scenario_multiprocessor_traffic) == 2_000
+
+
+def test_perf_schedule_churn(benchmark):
+    assert benchmark(scenario_schedule_churn) == 300
 
 
 # ---------------------------------------------------------------------------

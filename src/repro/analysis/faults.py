@@ -125,6 +125,8 @@ class FaultInjector:
     """
 
     def __init__(self, kernel: "Kernel", plan: FaultPlan, rng: "DeterministicRng") -> None:
+        #: The kernel it injects into; ``Kernel.shutdown`` drops it, so
+        #: a shut-down kernel is in no reference cycle.
         self.kernel = kernel
         self.plan = plan
         self._rng = rng

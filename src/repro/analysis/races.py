@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 from repro.kernel.instrumentation import CAT_RACE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
-    from repro.kernel.kernel import Kernel
+    from repro.kernel.instrumentation import Tracer
     from repro.kernel.thread import SimThread
 
 # Eraser variable states.
@@ -214,8 +214,10 @@ class RaceDetector:
     private to the detector — it observes, never steers.
     """
 
-    def __init__(self, kernel: "Kernel | None" = None) -> None:
-        self._kernel = kernel
+    def __init__(self, tracer: "Tracer | None" = None) -> None:
+        #: The kernel's tracer (reports are traced), or None.  Only the
+        #: tracer: holding the kernel would make every kernel a cycle.
+        self._tracer = tracer
         self._threads: dict[int, _ThreadClocks] = {}
         self._vars: dict[int, _VarState] = {}
         self._monitor_clocks: dict[int, _PairClock] = {}
@@ -478,8 +480,8 @@ class RaceDetector:
         )
         vs.reported = True
         self.reports.append(report)
-        if self._kernel is not None:
-            self._kernel.tracer.record(
+        if self._tracer is not None:
+            self._tracer.record(
                 now, CAT_RACE,
                 "race" if report.hb_race else "lockset",
                 access.thread,

@@ -191,7 +191,11 @@ class Watchdog:
     quantum."""
 
     def __init__(self, kernel: "Kernel") -> None:
-        self.kernel = kernel
+        #: The kernel's thread table and its tracer (None when tracing
+        #: is off), not the kernel: holding it would make every kernel
+        #: a reference cycle.
+        self._threads = kernel.threads
+        self._tracer = kernel.tracer if kernel._tracing else None
         self.interval = kernel.config.quantum
         #: Sim time of the next sweep: ``maybe_check`` sweeps at the first
         #: instant the kernel loop visits at or after it.
@@ -281,18 +285,17 @@ class Watchdog:
             rows=tuple(block_row(t) for t in ordered),
         )
         self.deadlocks.append(report)
-        kernel = self.kernel
-        if kernel._tracing:
+        if self._tracer is not None:
             from repro.kernel.instrumentation import CAT_WATCHDOG
 
-            kernel.tracer.record(
+            self._tracer.record(
                 now, CAT_WATCHDOG, "deadlock", ordered[0].name,
                 "->".join(report.cycle),
             )
 
     def _scan_starvation(self, now: int) -> None:
         ready_now: set[int] = set()
-        for thread in self.kernel.threads.values():
+        for thread in self._threads.values():
             if thread.state is not ThreadState.READY:
                 continue
             tid = thread.tid
@@ -318,10 +321,10 @@ class Watchdog:
                 ready_since=ready_since,
             )
             self.starvation.append(report)
-            if self.kernel._tracing:
+            if self._tracer is not None:
                 from repro.kernel.instrumentation import CAT_WATCHDOG
 
-                self.kernel.tracer.record(
+                self._tracer.record(
                     now, CAT_WATCHDOG, "starvation", thread.name,
                     report.starved_for,
                 )

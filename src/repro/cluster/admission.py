@@ -142,6 +142,10 @@ class WfqQueue:
         #: :class:`~repro.sync.queues.BoundedQueue` does, because those
         #: traps are part of every pinned cluster and workload schedule.
         self.nonfull = ConditionVariable(self.monitor, f"{name}.nonfull")
+        #: The fixed traps, built once (traps are immutable).
+        self._notify_nonempty = Notify(self.nonempty)
+        self._notify_nonfull = Notify(self.nonfull)
+        self._wait_nonempty = Wait(self.nonempty)
         #: tenant -> deque of (finish_tag, seq, item).
         self.queues: dict[str, deque[tuple[int, int, Any]]] = {
             tenant: deque() for tenant in weights
@@ -216,7 +220,7 @@ class WfqQueue:
                 self.rejects += 1
                 return False
             self._enqueue(tenant, item)
-            yield Notify(self.nonempty)
+            yield self._notify_nonempty
             return True
         finally:
             yield self.monitor.exit
@@ -227,13 +231,17 @@ class WfqQueue:
         yield self.monitor.enter
         try:
             while self._size == 0:
-                notified = yield Wait(self.nonempty, timeout)
+                notified = yield (
+                    self._wait_nonempty
+                    if timeout is None
+                    else Wait(self.nonempty, timeout)
+                )
                 if not notified and self._size == 0:
                     return None
             item = self._dequeue()
             if self.carry is not None:
                 self.carry[item.rid] = item
-            yield Notify(self.nonfull)
+            yield self._notify_nonfull
             return item
         finally:
             yield self.monitor.exit
@@ -254,7 +262,7 @@ class WfqQueue:
                 self.queues[tenant] = kept
             self._size -= len(removed)
             for _ in removed:
-                yield Notify(self.nonfull)
+                yield self._notify_nonfull
             return removed
         finally:
             yield self.monitor.exit

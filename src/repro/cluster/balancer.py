@@ -42,7 +42,6 @@ from zlib import crc32
 from repro.kernel.primitives import (
     Compute,
     Fork,
-    GetTime,
     Notify,
     Pause,
     Wait,
@@ -52,7 +51,7 @@ from repro.kernel.simtime import msec, usec
 from repro.paradigms.pump import Pump
 from repro.paradigms.sleeper import Sleeper
 from repro.server.model import FAILED, PENDING, SHED, Request, TenantSpec
-from repro.server.server import PRIO_SLEEPER, Frontend, RpcServer
+from repro.server.server import GET_TIME, PRIO_SLEEPER, Frontend, RpcServer
 from repro.cluster.admission import TokenBucket, WfqQueue
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
@@ -61,6 +60,9 @@ from repro.sync.queues import BoundedQueue, UnboundedQueue
 #: Balancer bookkeeping costs — small next to request service costs.
 ADMIT_COST = usec(15)
 DISPATCH_COST = usec(20)
+#: The fixed-cost traps every request yields, built once.
+ADMIT_COMPUTE = Compute(ADMIT_COST)
+DISPATCH_COMPUTE = Compute(DISPATCH_COST)
 
 #: Outstanding-request credit per shard worker: the dispatcher keeps at
 #: most ``window = CREDITS_PER_WORKER * workers`` requests in flight per
@@ -220,6 +222,7 @@ class LoadBalancer(Frontend):
         #: granularity) and cap throughput at one window per quantum.
         self.credit_mon = Monitor(f"{name}.credit")
         self.credit_cv = ConditionVariable(self.credit_mon, f"{name}.credit.cv")
+        self._notify_credit = Notify(self.credit_cv)
         for sid, shard in enumerate(self.shards):
             shard.on_outcome = self._make_credit_hook(sid)
         for link in links or ():
@@ -293,11 +296,11 @@ class LoadBalancer(Frontend):
             req = yield from self.ingress.get(timeout=self.poll)
             if req is None:
                 continue
-            yield Compute(ADMIT_COST)
+            yield ADMIT_COMPUTE
             tenant = req.tenant
             bucket = self.buckets.get(tenant.name)
             if bucket is not None:
-                now = yield GetTime()
+                now = yield GET_TIME
                 if not bucket.take(now):
                     yield from self._finish(req, SHED)
                     continue
@@ -313,7 +316,7 @@ class LoadBalancer(Frontend):
             req = yield from self.admission.get(timeout=self.poll)
             if req is None:
                 continue
-            yield Compute(DISPATCH_COST)
+            yield DISPATCH_COMPUTE
             while True:
                 sid = self._pick_shard(req)
                 if sid is not None:
@@ -340,7 +343,7 @@ class LoadBalancer(Frontend):
             self.outstanding[sid].pop(req.rid, None)
             yield self.credit_mon.enter
             try:
-                yield Notify(self.credit_cv)
+                yield self._notify_credit
             finally:
                 yield self.credit_mon.exit
 
@@ -382,7 +385,7 @@ class LoadBalancer(Frontend):
         expired while waiting for credit (mirroring the shard deadline
         sleeper), so cluster-level queueing honours the same deadlines.
         """
-        now = yield GetTime()
+        now = yield GET_TIME
         if self.lease is not None:
             self.lease.renew(now)
         self.stats.depth_samples.append(
@@ -444,7 +447,7 @@ class LoadBalancer(Frontend):
         old.on_oplog = None  # fence: the demoted primary stops shipping
         self.retired.append(old)
         self.shards[sid] = link.replica
-        now = yield GetTime()
+        now = yield GET_TIME
         self.promotions += 1
         self.promoted_at.append(now)
         replay = [
@@ -538,7 +541,7 @@ class LoadBalancer(Frontend):
         had never actually timed out).
         """
         yield Pause(delay)
-        now = yield GetTime()
+        now = yield GET_TIME
         req.renew(now)
         yield from self.ingress.put(req)
         self.held.pop(req.rid, None)

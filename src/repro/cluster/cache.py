@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernel.primitives import Channelreceive, Compute, GetTime, Pause
+from repro.kernel.primitives import Channelreceive, Compute, Pause
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.simtime import usec
 from repro.server.model import DONE, Request, TenantSpec
-from repro.server.server import Frontend
+from repro.server.server import GET_TIME, Frontend
 from repro.sync.queues import UnboundedQueue
 
 #: Map probe paid by every request through the cache.
@@ -51,6 +51,15 @@ FILL_COST = usec(30)
 WAITER_COST = usec(10)
 #: Processing one invalidation message.
 INVALIDATE_COST = usec(10)
+#: Moving one request from the network to the ingress queue.
+LISTEN_COST = usec(10)
+#: The fixed-cost traps, built once (traps are immutable).
+LOOKUP_COMPUTE = Compute(LOOKUP_COST)
+HIT_COMPUTE = Compute(HIT_COST)
+FILL_COMPUTE = Compute(FILL_COST)
+WAITER_COMPUTE = Compute(WAITER_COST)
+INVALIDATE_COMPUTE = Compute(INVALIDATE_COST)
+LISTEN_COMPUTE = Compute(LISTEN_COST)
 
 #: Wildcard invalidation message: drop every entry.
 INVALIDATE_ALL = "*"
@@ -190,11 +199,12 @@ class CacheTier(Frontend):
     def _listener_proc(self):
         """Channel -> ingress.  Hand-written rather than a Pump: a Pump's
         untimed receive would change the schedule."""
+        receive = Channelreceive(self.net, timeout=self.poll)
         while True:
-            req = yield Channelreceive(self.net, timeout=self.poll)
+            req = yield receive
             if req is None:
                 continue
-            yield Compute(usec(10))
+            yield LISTEN_COMPUTE
             yield from self.ingress.put(req)
 
     def _worker_proc(self, wid: int):
@@ -202,7 +212,7 @@ class CacheTier(Frontend):
             req = yield from self.ingress.get()
             if req is None:
                 continue
-            yield Compute(LOOKUP_COST)
+            yield LOOKUP_COMPUTE
             tenant = req.tenant
             if not tenant.cached or req.key is None:
                 # Not a cacheable read: hand straight to the backend,
@@ -211,14 +221,14 @@ class CacheTier(Frontend):
                 self.backend.stats.bump(tenant.name, "offered")
                 yield from self.backend.ingress.put(req)
                 continue
-            now = yield GetTime()
+            now = yield GET_TIME
             expiry = self.entries.get(req.key)
             if expiry is not None and now < expiry:
                 self.hits += 1
                 if self.capacity is not None:
                     # LRU touch: reinsert at the back of the dict order.
                     self.entries[req.key] = self.entries.pop(req.key)
-                yield Compute(HIT_COST)
+                yield HIT_COMPUTE
                 yield from self._finish(req, DONE)
                 continue
             if expiry is not None:
@@ -256,7 +266,7 @@ class CacheTier(Frontend):
             if msg is None:
                 continue
             verdict, fetch = msg
-            yield Compute(FILL_COST)
+            yield FILL_COMPUTE
             key = fetch.key
             parked = self.waiters.pop(fetch.rid, [])
             if self.single_flight and self.inflight.get(key) == fetch.rid:
@@ -268,7 +278,7 @@ class CacheTier(Frontend):
                 self.inflight_by_key[key] = depth - 1
             if verdict == DONE:
                 self.fills += 1
-                now = yield GetTime()
+                now = yield GET_TIME
                 # Freshness dates from when the fetch was *initiated*,
                 # not when the fill landed: the backend read the value
                 # then.  A fill that took longer than the TTL is dead on
@@ -291,7 +301,7 @@ class CacheTier(Frontend):
                 else:
                     self.stale_fills += 1
                 for waiter in parked:
-                    yield Compute(WAITER_COST)
+                    yield WAITER_COMPUTE
                     yield from self._finish(waiter, DONE)
             else:
                 # The fetch was shed or failed by the backend: every
@@ -299,7 +309,7 @@ class CacheTier(Frontend):
                 # sink may storm them right back — that is the point).
                 self.failed_fills += 1
                 for waiter in parked:
-                    yield Compute(WAITER_COST)
+                    yield WAITER_COMPUTE
                     yield from self._finish(waiter, verdict)
 
     def _invalidation_proc(self):
@@ -307,7 +317,7 @@ class CacheTier(Frontend):
             key = yield Channelreceive(self.invalidations, timeout=self.poll)
             if key is None:
                 continue
-            yield Compute(INVALIDATE_COST)
+            yield INVALIDATE_COMPUTE
             if key == INVALIDATE_ALL:
                 self.invalidated += len(self.entries)
                 self.entries.clear()
@@ -321,7 +331,7 @@ class CacheTier(Frontend):
         map and keeps ``entries`` an honest freshness witness)."""
         while True:
             yield Pause(self.poll)
-            now = yield GetTime()
+            now = yield GET_TIME
             stale = [
                 key for key, expiry in self.entries.items() if expiry <= now
             ]

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 #: Unforced, unchosen sites take the site's default (what
 #: ``Kernel.decide`` returns with no controller attached).
@@ -51,9 +51,12 @@ TAIL_DEFAULT = "default"
 TAIL_BASELINE = "baseline"
 
 
-@dataclass(frozen=True)
-class DecisionPoint:
-    """What a chooser sees: a site about to decide, without the answer."""
+class DecisionPoint(NamedTuple):
+    """What a chooser sees: a site about to decide, without the answer.
+
+    Immutable, like :class:`Decision`; both are named tuples because a
+    run builds one of each per decision and a tuple is the cheapest
+    record to build."""
 
     site: str
     #: Per-site sequence number (the seq-th time this site fired).
@@ -69,8 +72,7 @@ class DecisionPoint:
     labels: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One resolved choice point."""
 
     site: str

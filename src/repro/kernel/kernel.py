@@ -175,29 +175,6 @@ class Kernel:
         #: instant the loop revisits ticks only once.
         self._last_tick = 0
 
-        self._handlers: dict[type, Callable[[Cpu, SimThread, Any], _Outcome]] = {
-            Compute: self._h_compute,
-            Fork: self._h_fork,
-            Join: self._h_join,
-            Detach: self._h_detach,
-            Yield: self._h_yield,
-            YieldButNotToMe: self._h_yield_but_not_to_me,
-            DirectedYield: self._h_directed_yield,
-            Pause: self._h_pause,
-            GetSelf: self._h_get_self,
-            GetTime: self._h_get_time,
-            SetPriority: self._h_set_priority,
-            Enter: self._h_enter,
-            Exit: self._h_exit,
-            Wait: self._h_wait,
-            Notify: self._h_notify,
-            Broadcast: self._h_broadcast,
-            Channelreceive: self._h_channel_receive,
-            Annotate: self._h_annotate,
-            MemWrite: self._h_mem_write,
-            MemRead: self._h_mem_read,
-            Fence: self._h_fence,
-        }
         self.memory = create_memory_model(self.config, self.rng.fork("memory"))
         #: Fixed per kernel: only store-buffer memories have fences to
         #: make and drains to offer, so under ``sc`` the traps skip both.
@@ -209,7 +186,7 @@ class Kernel:
         if self.config.race_detection:
             from repro.analysis.races import RaceDetector
 
-            self.race_detector = RaceDetector(self)
+            self.race_detector = RaceDetector(self.tracer)
         #: Seeded fault injector (repro.analysis.faults), or None.  Draws
         #: from a forked RNG stream, so a plan with all rates at zero is
         #: schedule-identical to no plan at all.
@@ -393,6 +370,12 @@ class Kernel:
         self.pending_thread_errors.clear()
         self._finalizer.detach()  # explicit shutdown supersedes GC cleanup
         _LIVE_KERNELS.discard(self)
+        # The scheduler and the fault injector call back into the kernel.
+        # Dropping those references leaves no reference cycle through a
+        # shut-down kernel, so refcounting frees it, not the collector.
+        self.scheduler.decide = None
+        if self.faults is not None:
+            self.faults.kernel = None
 
     # ------------------------------------------------------------------
     # Decisions
@@ -628,7 +611,7 @@ class Kernel:
                     thread.name, monitor.name,
                 )
         self._block_current(cpu, thread, ThreadState.BLOCKED_MONITOR, monitor)
-        monitor.entry_queue.append(thread)
+        monitor.enqueue(thread)
         return False
 
     def _resume(self, cpu: Cpu, thread: SimThread, horizon: int | None) -> None:
@@ -649,7 +632,7 @@ class Kernel:
         """
         scheduler = self.scheduler
         events = self.events
-        handlers = self._handlers
+        handlers = _HANDLERS
         limit = None
         while True:
             if scheduler.best_ready > thread.priority and self._maybe_preempt(
@@ -660,10 +643,13 @@ class Kernel:
                 if thread.pending_throw is not None:
                     error = thread.pending_throw
                     thread.pending_throw = None
+                    if thread.pending_channel is not None:
+                        self._return_channel_item(thread)
                     trap = thread.body.throw(error)
                 else:
                     value = thread.pending_send
                     thread.pending_send = None
+                    thread.pending_channel = None
                     trap = thread.body.send(value)
             except StopIteration as stop:
                 self._finish(cpu, thread, stop.value)
@@ -678,7 +664,7 @@ class Kernel:
                 raise KernelUsageError(
                     f"thread {thread.name!r} yielded {trap!r}, not a kernel trap"
                 )
-            outcome = handler(cpu, thread, trap)
+            outcome = handler(self, cpu, thread, trap)
             if outcome is _Outcome.SUSPEND:
                 return
             if outcome is _Outcome.BURN:
@@ -1016,25 +1002,53 @@ class Kernel:
             )
         if self.race_detector is not None:
             self.race_detector.on_channel_post(channel)
-        # A waiter with a pending kill will unwind at resume, not
-        # receive: handing it the item would drop the item on the floor.
-        # Skip doomed waiters — resumed empty-handed to die, while the
-        # item goes to a live receiver (or the buffer).
-        while channel.waiters and channel.waiters[0].pending_throw is not None:
-            doomed = channel.waiters.popleft()
+        if not self._hand_to_receiver(channel, item):
+            channel.items.append(item)
+
+    def _hand_to_receiver(self, channel: Channel, item: Any) -> bool:
+        """Hand ``item`` to the channel's first live waiter and ready it;
+        False if no live receiver waits.
+
+        A waiter with a pending kill will unwind at resume, not receive:
+        handing it the item would drop the item on the floor.  Doomed
+        waiters are skipped, resumed empty-handed to die.
+        """
+        waiters = channel.waiters
+        while waiters and waiters[0].pending_throw is not None:
+            doomed = waiters.popleft()
             doomed.wait_epoch += 1
             self.scheduler.make_ready(doomed)
-        if channel.waiters:
-            waiter = channel.waiters.popleft()
-            waiter.wait_epoch += 1  # invalidate any receive timeout
-            waiter.pending_send = item
-            channel.receives += 1
-            self.stats.channel_receives += 1
-            if self.race_detector is not None:
-                self.race_detector.on_channel_receive(waiter, channel)
-            self.scheduler.make_ready(waiter)
-        else:
-            channel.items.append(item)
+        if not waiters:
+            return False
+        waiter = waiters.popleft()
+        waiter.wait_epoch += 1  # invalidate any receive timeout
+        waiter.pending_send = item
+        waiter.pending_channel = channel
+        channel.receives += 1
+        self.stats.channel_receives += 1
+        if self.race_detector is not None:
+            self.race_detector.on_channel_receive(waiter, channel)
+        self.scheduler.make_ready(waiter)
+        return True
+
+    def _return_channel_item(self, thread: SimThread) -> None:
+        """``thread`` took a channel item but unwinds before its body
+        sees it: a kill landed between the hand-off (or the buffered
+        receive) and the resume.  The item goes to the channel's next
+        live receiver, or back to the head of its buffer, so the
+        receive is undone rather than lost."""
+        channel = thread.pending_channel
+        item = thread.pending_send
+        thread.pending_channel = None
+        thread.pending_send = None
+        channel.receives -= 1
+        self.stats.channel_receives -= 1
+        if self._tracing:
+            self.tracer.record(
+                self.now, instr.CAT_CHANNEL, "return", thread.name, channel.name
+            )
+        if not self._hand_to_receiver(channel, item):
+            channel.items.appendleft(item)
 
     # ------------------------------------------------------------------
     # Trap handlers
@@ -1285,7 +1299,7 @@ class Kernel:
         thread.stats.monitor_blocks += 1
         thread.pending_send = None
         self._block_current(cpu, thread, ThreadState.BLOCKED_MONITOR, monitor)
-        monitor.entry_queue.append(thread)
+        monitor.enqueue(thread)
         if self.config.monitor_priority_inheritance:
             self._donate_priority(monitor, thread)
         if self._tracing:
@@ -1502,7 +1516,7 @@ class Kernel:
             waiter.state = ThreadState.BLOCKED_MONITOR
             waiter.blocked_on = cv.monitor
             waiter.pending_send = True
-            cv.monitor.entry_queue.append(waiter)
+            cv.monitor.enqueue(waiter)
         else:
             # Original behaviour: made runnable immediately; it will run,
             # find the mutex held, and block — a spurious lock conflict.
@@ -1515,7 +1529,11 @@ class Kernel:
     ) -> _Outcome:
         channel = trap.channel
         if channel.items:
+            # Marked like a hand-off: the body sees the item only at the
+            # next send, after a preemption check, and a thread killed
+            # before that gives it back.
             thread.pending_send = channel.items.popleft()
+            thread.pending_channel = channel
             channel.receives += 1
             self.stats.channel_receives += 1
             if self.race_detector is not None:
@@ -1541,3 +1559,31 @@ class Kernel:
             self._timed,
             (deadline, next(self._timed_seq), thread, thread.wait_epoch, kind),
         )
+
+
+#: Trap type -> handler, shared by every kernel (``_resume`` passes the
+#: kernel in).  A per-kernel table of bound methods would cost a dict
+#: and 21 method objects per kernel, each pointing back at it.
+_HANDLERS: dict[type, Callable[[Kernel, Cpu, SimThread, Any], _Outcome]] = {
+    Compute: Kernel._h_compute,
+    Fork: Kernel._h_fork,
+    Join: Kernel._h_join,
+    Detach: Kernel._h_detach,
+    Yield: Kernel._h_yield,
+    YieldButNotToMe: Kernel._h_yield_but_not_to_me,
+    DirectedYield: Kernel._h_directed_yield,
+    Pause: Kernel._h_pause,
+    GetSelf: Kernel._h_get_self,
+    GetTime: Kernel._h_get_time,
+    SetPriority: Kernel._h_set_priority,
+    Enter: Kernel._h_enter,
+    Exit: Kernel._h_exit,
+    Wait: Kernel._h_wait,
+    Notify: Kernel._h_notify,
+    Broadcast: Kernel._h_broadcast,
+    Channelreceive: Kernel._h_channel_receive,
+    Annotate: Kernel._h_annotate,
+    MemWrite: Kernel._h_mem_write,
+    MemRead: Kernel._h_mem_read,
+    Fence: Kernel._h_fence,
+}

@@ -12,6 +12,7 @@ CPython versions for a fixed seed).
 
 from __future__ import annotations
 
+import functools
 import random
 import zlib
 from typing import Sequence, TypeVar
@@ -24,7 +25,14 @@ class DeterministicRng:
 
     def __init__(self, seed: int) -> None:
         self._seed = seed
-        self._random = random.Random(seed)
+
+    @functools.cached_property
+    def _random(self) -> random.Random:
+        """The generator, seeded on the first draw.  Seeding costs more
+        than most streams ever draw: a kernel forks streams that many
+        runs never touch.  A stream's draws do not depend on when it was
+        seeded, and :meth:`fork` reads only the seed."""
+        return random.Random(self._seed)
 
     def uniform(self) -> float:
         """A float in [0, 1)."""

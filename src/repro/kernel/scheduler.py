@@ -105,7 +105,8 @@ class Scheduler:
         self.rng = rng
         #: ``Kernel.decide``: the pick among equal-best ready threads,
         #: the lottery draw and donation-target ties are its decisions.
-        self._decide = decide
+        #: ``Kernel.shutdown`` drops it, the kernel's last back-reference.
+        self.decide = decide
 
     # -- ready-queue bookkeeping -------------------------------------------
     #
@@ -220,7 +221,7 @@ class Scheduler:
             # The paper's round-robin is one of many priority-respecting
             # orders; exploration enumerates the rest.  Choice 0 is the
             # queue head, so the default is exactly popleft().
-            index = self._decide("sched.pick", len(queue), first_choice, queue)
+            index = self.decide("sched.pick", len(queue), first_choice, queue)
             thread = queue[index]
             del queue[index]
         else:
@@ -242,7 +243,7 @@ class Scheduler:
         """The fair-share ticket draw over ``ready`` (no queue mutation)."""
         if not ready:
             return None
-        index = self._decide(
+        index = self.decide(
             "sched.lottery",
             len(ready),
             lambda _seq: self._lottery_draw(ready),
@@ -280,7 +281,7 @@ class Scheduler:
             prio = mask.bit_length() - 1
             candidates = [t for t in self._queues[prio] if t is not exclude]
             if candidates:
-                index = self._decide(
+                index = self.decide(
                     "sched.donee", len(candidates), first_choice, candidates
                 )
                 return candidates[index]

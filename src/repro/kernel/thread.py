@@ -21,6 +21,7 @@ import enum
 from typing import TYPE_CHECKING, Any, Generator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.channel import Channel
     from repro.sync.monitor import Monitor
 
 
@@ -116,6 +117,9 @@ class SimThread:
         self.pending_compute = 0
         #: Value to send into the generator at next resume.
         self.pending_send: Any = None
+        #: The channel ``pending_send`` was taken from, until the value
+        #: is delivered: a thread that unwinds first gives it back.
+        self.pending_channel: "Channel | None" = None
         #: Exception to throw into the generator at next resume.
         self.pending_throw: BaseException | None = None
         #: Sim time of the last dispatch (start of current run interval).

@@ -63,7 +63,8 @@ class Pump:
         self.source = source
         self.sink = sink
         self.transform = transform
-        self.cost_per_item = cost_per_item
+        #: The per-item burn, built once (None: the stage is free).
+        self._compute = Compute(cost_per_item) if cost_per_item else None
         self.items_pumped = 0
         #: Optional custody ledger, keyed by ``item.rid``: records each
         #: item the instant it leaves the source, cleared once the sink
@@ -77,8 +78,8 @@ class Pump:
             item = yield from read_endpoint(self.source)
             if self.carry is not None:
                 self.carry[item.rid] = item
-            if self.cost_per_item:
-                yield Compute(self.cost_per_item)
+            if self._compute is not None:
+                yield self._compute
             output = item if self.transform is None else self.transform(item)
             self.items_pumped += 1
             if output is None:

@@ -59,6 +59,11 @@ TOUCH_COST = usec(15)
 BATCH_BASE_COST = usec(120)
 BATCH_ITEM_COST = usec(60)
 SERIAL_QUEUE_CAPACITY = 16
+#: Traps every request yields with the same fields, built once (traps
+#: are immutable): ``GetTime`` has no fields at all.
+GET_TIME = GetTime()
+ROUTE_COMPUTE = Compute(ROUTE_COST)
+TOUCH_COMPUTE = Compute(TOUCH_COST)
 
 #: Thread priorities: ingress above the pool so arrivals keep flowing
 #: under load, everything >= 4 so round-robin keeps the watchdog's
@@ -149,7 +154,7 @@ class Frontend:
         ``GetTime`` for ``DONE`` only, the reply's put, then the hooks.
         """
         if verdict == DONE:
-            now = yield GetTime()
+            now = yield GET_TIME
             req.completed_at = now
             # Latency runs from the *intended* send time (== submitted
             # unless a client carried an earlier intent through
@@ -191,7 +196,7 @@ class Frontend:
         """One-shot: back off, rearm (a real retry — budget charged),
         rejoin at the front; the ingress queue has custody from there."""
         yield Pause(delay)
-        now = yield GetTime()
+        now = yield GET_TIME
         req.rearm(now)
         yield from self.ingress.put(req)
         self.held.pop(req.rid, None)
@@ -300,7 +305,7 @@ class RpcServer(Frontend):
             req = yield from self.ingress.get(timeout=self.poll)
             if req is None:
                 continue
-            yield Compute(ROUTE_COST)
+            yield ROUTE_COMPUTE
             tenant = req.tenant
             queue = (
                 self.serial_queues[tenant.name]
@@ -328,7 +333,7 @@ class RpcServer(Frontend):
     def _dispatch(self, req: Request):
         """Run one admitted request on the calling thread."""
         self.held[req.rid] = req
-        now = yield GetTime()
+        now = yield GET_TIME
         if now >= req.expires_at:
             yield from self._expire(req)
             return
@@ -342,7 +347,7 @@ class RpcServer(Frontend):
         req.started_at = now
         yield self.table_mon.enter
         try:
-            yield Compute(TOUCH_COST)
+            yield TOUCH_COMPUTE
             self.table[req.tenant.name] = self.table.get(req.tenant.name, 0) + 1
         finally:
             yield self.table_mon.exit
@@ -367,7 +372,7 @@ class RpcServer(Frontend):
         superseded, self._superseded = self._superseded, []
         yield Compute(BATCH_BASE_COST + BATCH_ITEM_COST * len(batch))
         self.stats.batches += 1
-        now = yield GetTime()
+        now = yield GET_TIME
         for req in batch:
             if now >= req.expires_at:
                 yield from self._expire(req)
@@ -381,7 +386,7 @@ class RpcServer(Frontend):
 
     def _sweep(self):
         """Per-tick sweep: sample queue depth, prune expired requests."""
-        now = yield GetTime()
+        now = yield GET_TIME
         self.stats.depth_samples.append(
             (now, len(self.admission), self.stats.total("shed"))
         )

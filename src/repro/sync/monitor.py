@@ -54,8 +54,9 @@ class Monitor:
         self.name = name
         self.owner: "SimThread | None" = None
         #: Threads waiting for the mutex, FIFO ("Other threads wanting to
-        #: enter the monitor are enqueued on the mutex").
-        self.entry_queue: deque["SimThread"] = deque()
+        #: enter the monitor are enqueued on the mutex"); None until the
+        #: first contended entry (see :meth:`enqueue`).
+        self.entry_queue: deque["SimThread"] | None = None
         self.enters = 0
         #: Entries that found the mutex held (contention, Table 2 text).
         self.blocks = 0
@@ -86,9 +87,19 @@ class Monitor:
             trap = self._exit = Exit(self)
         return trap
 
+    def enqueue(self, thread: "SimThread") -> None:
+        """Queue ``thread`` for the mutex.  The queue is made here, on
+        the first contended entry: most monitors a world creates never
+        see one."""
+        queue = self.entry_queue
+        if queue is None:
+            queue = self.entry_queue = deque()
+        queue.append(thread)
+
     def __repr__(self) -> str:
         owner = self.owner.name if self.owner else None
-        return f"<Monitor {self.name!r} owner={owner} queue={len(self.entry_queue)}>"
+        queued = len(self.entry_queue or ())
+        return f"<Monitor {self.name!r} owner={owner} queue={queued}>"
 
 
 def entered(monitor: Monitor, body: Generator[Any, Any, Any]):

@@ -38,6 +38,11 @@ class UnboundedQueue:
         self.nonempty = ConditionVariable(
             self.monitor, f"{name}.nonempty", timeout=get_timeout
         )
+        #: The fixed traps, built once (traps are immutable): the
+        #: NOTIFY a put makes and the WAIT a get with the default
+        #: timeout makes.
+        self._notify_nonempty = Notify(self.nonempty)
+        self._wait_nonempty = Wait(self.nonempty)
         self.items: deque[Any] = deque()
         self.puts = 0
         self.gets = 0
@@ -55,7 +60,7 @@ class UnboundedQueue:
         try:
             self.items.append(item)
             self.puts += 1
-            yield Notify(self.nonempty)
+            yield self._notify_nonempty
         finally:
             yield self.monitor.exit
 
@@ -68,7 +73,11 @@ class UnboundedQueue:
         yield self.monitor.enter
         try:
             while not self.items:
-                notified = yield Wait(self.nonempty, timeout)
+                notified = yield (
+                    self._wait_nonempty
+                    if timeout is None
+                    else Wait(self.nonempty, timeout)
+                )
                 if not notified and not self.items:
                     return None
             self.gets += 1
@@ -140,6 +149,11 @@ class BoundedQueue:
             self.monitor, f"{name}.nonempty", timeout=get_timeout
         )
         self.nonfull = ConditionVariable(self.monitor, f"{name}.nonfull")
+        #: The fixed traps, built once (see :class:`UnboundedQueue`).
+        self._notify_nonempty = Notify(self.nonempty)
+        self._notify_nonfull = Notify(self.nonfull)
+        self._wait_nonempty = Wait(self.nonempty)
+        self._wait_nonfull = Wait(self.nonfull)
         self.items: deque[Any] = deque()
         self.puts = 0
         self.gets = 0
@@ -159,7 +173,7 @@ class BoundedQueue:
                 self.rejects += 1
                 return False
             self._append(item)
-            yield Notify(self.nonempty)
+            yield self._notify_nonempty
             return True
         finally:
             yield self.monitor.exit
@@ -169,9 +183,9 @@ class BoundedQueue:
         yield self.monitor.enter
         try:
             while len(self.items) >= self.capacity:
-                yield Wait(self.nonfull)
+                yield self._wait_nonfull
             self._append(item)
-            yield Notify(self.nonempty)
+            yield self._notify_nonempty
         finally:
             yield self.monitor.exit
 
@@ -181,14 +195,18 @@ class BoundedQueue:
         yield self.monitor.enter
         try:
             while not self.items:
-                notified = yield Wait(self.nonempty, timeout)
+                notified = yield (
+                    self._wait_nonempty
+                    if timeout is None
+                    else Wait(self.nonempty, timeout)
+                )
                 if not notified and not self.items:
                     return None
             item = self.items.popleft()
             self.gets += 1
             if self.carry is not None:
                 self.carry[item.rid] = item
-            yield Notify(self.nonfull)
+            yield self._notify_nonfull
             return item
         finally:
             yield self.monitor.exit
@@ -205,7 +223,7 @@ class BoundedQueue:
                 (removed if predicate(item) else kept).append(item)
             self.items = kept
             for _ in removed:
-                yield Notify(self.nonfull)
+                yield self._notify_nonfull
             return removed
         finally:
             yield self.monitor.exit

@@ -5,7 +5,15 @@ locks never leaked."""
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from repro.kernel import Kernel, KernelConfig, UncaughtThreadError, msec, sec, usec
+from repro.kernel import (
+    Kernel,
+    KernelConfig,
+    ThreadKilled,
+    UncaughtThreadError,
+    msec,
+    sec,
+    usec,
+)
 from repro.kernel import primitives as p
 from repro.kernel.primitives import Enter, Exit
 from repro.paradigms.rejuvenate import RejuvenatingDispatcher, rejuvenating
@@ -190,3 +198,77 @@ class TestPipelineFaults:
         assert list(sink.items) == [0, 1, 2, 4, 5]
         assert log.restarts == 1
         kernel.shutdown()
+
+
+class TestKilledReceiver:
+    """A kill that lands between a channel receive and the receiver's
+    resume gives the item back instead of dropping it."""
+
+    def test_item_handed_to_a_killed_receiver_reaches_the_next(self):
+        kernel = make_kernel()
+        net = kernel.channel("net")
+        got = []
+
+        def receiver(tag):
+            got.append((tag, (yield p.Channelreceive(net))))
+
+        first = kernel.fork_root(receiver, ("first",))
+        kernel.fork_root(receiver, ("second",))
+        kernel.run_for(msec(1))  # both block, first at the head
+
+        def strike(k):
+            net.post("req-1")  # handed to first, which is readied...
+            k._inject_kill(first, note=False)  # ...and killed unresumed
+
+        kernel.post_at(kernel.now + usec(10), strike)
+        kernel.run_for(msec(1))
+        assert got == [("second", "req-1")]
+        assert isinstance(first.error, ThreadKilled)
+        assert (net.posts, net.receives, list(net.items)) == (1, 1, [])
+        assert kernel.stats.channel_receives == 1
+
+    def test_item_goes_back_to_the_head_when_no_receiver_waits(self):
+        kernel = make_kernel()
+        net = kernel.channel("net")
+
+        def receiver():
+            yield p.Channelreceive(net)
+
+        victim = kernel.fork_root(receiver)
+        kernel.run_for(msec(1))
+
+        def strike(k):
+            net.post("first")
+            net.post("second")  # buffered behind the hand-off
+            k._inject_kill(victim, note=False)
+
+        kernel.post_at(kernel.now + usec(10), strike)
+        kernel.run_for(msec(1))
+        assert not victim.alive
+        assert list(net.items) == ["first", "second"]
+        assert net.receives == 0
+
+    def test_buffered_receive_preempted_before_delivery_is_undone(self):
+        kernel = make_kernel()
+        net = kernel.channel("net")
+        net.post("first")
+        net.post("second")
+        victim = []
+
+        def killer():
+            kernel._inject_kill(victim[0], note=False)
+            return
+            yield  # a thread body is a generator
+
+        def receiver():
+            # Host code run by the body readies a higher-priority thread,
+            # so the receive below is preempted between its pop and the
+            # value's delivery, and the kill lands in that gap.
+            kernel.fork_root(killer, priority=6)
+            yield p.Channelreceive(net)
+
+        victim.append(kernel.fork_root(receiver, priority=4))
+        kernel.run_for(msec(1))
+        assert isinstance(victim[0].error, ThreadKilled)
+        assert list(net.items) == ["first", "second"]
+        assert net.receives == 0

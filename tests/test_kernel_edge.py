@@ -1,5 +1,11 @@
 """Kernel edge cases: multiprocessor scheduling, donation corners,
-fork-wait ordering, trap misuse, run-boundary behaviour."""
+fork-wait ordering, trap misuse, run-boundary behaviour, and a
+shut-down kernel's lifetime."""
+
+import contextlib
+import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -11,7 +17,12 @@ from repro.kernel import (
     sec,
     usec,
 )
+from repro.analysis.faults import FaultPlan
+from repro.explore.driver import run_schedule
+from repro.explore.trace import ScheduleController
 from repro.kernel import primitives as p
+from repro.kernel.memory import SimVar
+from repro.memmodel.litmus import litmus_scenario
 from repro.sync import ConditionVariable, Monitor
 from repro.kernel.primitives import Enter, Exit, Notify, Wait
 
@@ -385,3 +396,79 @@ class TestRunBoundaries:
         kernel.shutdown()
         kernel.shutdown()  # second call is a no-op
         assert all(not t.alive for t in kernel.threads.values())
+
+
+@contextlib.contextmanager
+def collector_off():
+    """Only refcounting frees objects inside the block."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestFreedByRefcount:
+    """A shut-down kernel is in no reference cycle: dropping the last
+    reference frees it at once, with the cyclic collector switched off,
+    and leaves the collector nothing to find."""
+
+    def test_litmus_schedule_kernel(self):
+        scenario, _state = litmus_scenario("iriw", "pso")
+        built = []
+
+        def build(config):
+            kernel, shutdown = scenario.build(config)
+            built.append(weakref.ref(kernel))
+            return kernel, shutdown
+
+        with collector_off():
+            outcome = run_schedule(
+                dataclasses.replace(scenario, build=build), ScheduleController()
+            )
+            assert not outcome.failed
+            assert len(outcome.trace) > 0
+            del outcome
+            assert built[0]() is None
+            assert gc.collect() == 0
+
+    def test_kernel_with_every_observer(self):
+        lock = Monitor("m")
+        ready = ConditionVariable(lock, "ready")
+        shared = SimVar("x", 0)
+        seen = []
+
+        def child():
+            yield Enter(lock)
+            try:
+                yield p.MemWrite(shared, 1)
+                yield Notify(ready)
+            finally:
+                yield Exit(lock)
+            return "done"
+
+        def parent():
+            kid = yield p.Fork(child)
+            yield Enter(lock)
+            try:
+                yield Wait(ready, msec(5))
+                seen.append((yield p.MemRead(shared)))
+            finally:
+                yield Exit(lock)
+            seen.append((yield p.Join(kid)))
+
+        with collector_off():
+            kernel = Kernel(KernelConfig(
+                watchdog=True, race_detection=True, fault_plan=FaultPlan(),
+            ))
+            kernel.fork_root(parent)
+            kernel.run_for(msec(50))
+            assert seen == [1, "done"]
+            assert not any(t.alive for t in kernel.threads.values())
+            assert kernel.race_detector.races == []
+            kernel.shutdown()
+            ref = weakref.ref(kernel)
+            del kernel
+            assert ref() is None
+            assert gc.collect() == 0

@@ -288,6 +288,54 @@ class TestRngProperties:
             assert rng.choice(items) == items[reference.randrange(len(items))]
 
     @FAST
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        fork_first=st.booleans(),
+    )
+    def test_draws_equal_random_seeded_alike(self, seed, fork_first):
+        # A stream seeds its generator on the first draw; no draw moves,
+        # whether or not a fork came before it.
+        rng, reference = DeterministicRng(seed), random.Random(seed)
+        if fork_first:
+            rng.fork("scheduler")
+        assert [rng.uniform() for _ in range(3)] == [
+            reference.random() for _ in range(3)
+        ]
+        assert rng.randint(0, 10**6) == reference.randint(0, 10**6)
+        assert rng.chance(0.5) == (reference.random() < 0.5)
+        assert rng.expovariate(0.001) == max(
+            1, round(reference.expovariate(0.001))
+        )
+
+    @FAST
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        label=st.text(max_size=12),
+    )
+    def test_fork_before_any_draw_derives_the_same_child(self, seed, label):
+        early = DeterministicRng(seed).fork(label)
+        drawn = DeterministicRng(seed)
+        drawn.uniform()
+        late = drawn.fork(label)
+        assert [early.uniform() for _ in range(3)] == [
+            late.uniform() for _ in range(3)
+        ]
+
+    def test_a_kernel_seeds_no_stream_before_it_draws(self, monkeypatch):
+        seeded = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                seeded.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        kernel = Kernel(KernelConfig(seed=7))
+        assert seeded == []
+        kernel.rng.uniform()
+        assert seeded == [7]
+
+    @FAST
     @given(probability=st.floats(min_value=0.0, max_value=1.0))
     def test_chance_extremes(self, probability):
         rng = DeterministicRng(0)

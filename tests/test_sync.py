@@ -228,6 +228,47 @@ class TestSharedTraps:
         assert lock.exit.monitor is lock
 
 
+class TestEntryQueue:
+    def test_uncontended_monitor_has_no_entry_queue(self):
+        kernel = make_kernel()
+        lock = Monitor("m")
+
+        def user():
+            for _ in range(3):
+                yield lock.enter
+                yield p.Compute(usec(10))
+                yield lock.exit
+
+        kernel.fork_root(user)
+        kernel.fork_root(user)
+        kernel.run_for(msec(1))
+        assert (lock.enters, lock.blocks) == (6, 0)
+        assert lock.entry_queue is None
+
+    def test_contended_entries_still_hand_off_in_fifo_order(self):
+        kernel = make_kernel()
+        lock = Monitor("m")
+        order = []
+
+        def holder():
+            yield lock.enter
+            yield p.Pause(msec(100))  # the others queue meanwhile
+            yield lock.exit
+
+        def contender(name):
+            yield lock.enter
+            order.append(name)
+            yield lock.exit
+
+        kernel.fork_root(holder)
+        for name in ("a", "b", "c"):
+            kernel.fork_root(contender, (name,), name=name)
+        kernel.run_for(sec(1))
+        assert order == ["a", "b", "c"]
+        assert lock.blocks == 3
+        assert lock.entry_queue is not None and not lock.entry_queue
+
+
 class TestConditionVariables:
     def test_notify_wakes_exactly_one(self):
         kernel = make_kernel()
