@@ -126,7 +126,7 @@ class FaultInjector:
 
     def __init__(self, kernel: "Kernel", plan: FaultPlan, rng: "DeterministicRng") -> None:
         #: The kernel it injects into; ``Kernel.shutdown`` drops it, so
-        #: a shut-down kernel is in no reference cycle.
+        #: the two form no reference cycle once the kernel is shut down.
         self.kernel = kernel
         self.plan = plan
         self._rng = rng

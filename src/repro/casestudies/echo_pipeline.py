@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Channelreceive, Compute, GetTime
+from repro.kernel.primitives import GET_TIME, Channelreceive, Compute
 from repro.kernel.simtime import msec, usec
 from repro.sync.queues import UnboundedQueue
 from repro.xwindows.buffer_thread import PaintRequest
@@ -86,7 +86,7 @@ def run_echo_pipeline(
 
     def deliver(batch):
         yield from server.submit(batch)
-        now = yield GetTime()
+        now = yield GET_TIME
         flush_times.append(now)
 
     slack = SlackProcess("buffer", paint_queue, deliver, strategy=strategy)
@@ -104,7 +104,7 @@ def run_echo_pipeline(
             yield Compute(usec(300))  # render the glyph
             for region in range(4):
                 if key_id not in first_request:
-                    first_request[key_id] = yield GetTime()
+                    first_request[key_id] = yield GET_TIME
                 yield from paint_queue.put(
                     PaintRequest(region=f"region-{region}", payload=key_id)
                 )

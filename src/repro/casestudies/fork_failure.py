@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kernel import ForkFailed, Kernel, KernelConfig
-from repro.kernel.primitives import Compute, Fork, GetTime
+from repro.kernel.primitives import GET_TIME, Compute, Fork
 from repro.kernel.simtime import msec, sec, usec
 
 
@@ -58,12 +58,12 @@ def run_fork_storm(
 
     def job(issued_at: int):
         yield Compute(msec(20))
-        now = yield GetTime()
+        now = yield GET_TIME
         done.append(now - issued_at)
 
     def dispatcher():
         for _ in range(requests):
-            issued_at = yield GetTime()
+            issued_at = yield GET_TIME
             try:
                 yield Fork(job, args=(issued_at,), detached=True)
             except ForkFailed:

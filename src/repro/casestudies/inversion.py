@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Compute, GetTime, Pause
+from repro.kernel.primitives import GET_TIME, Compute, Pause
 from repro.kernel.simtime import msec, sec
 from repro.runtime.daemon import install_system_daemon
 from repro.sync.monitor import Monitor
@@ -80,10 +80,10 @@ def run_inversion(
             yield Compute(msec(10))
 
     def high():
-        marks["wanted"] = yield GetTime()
+        marks["wanted"] = yield GET_TIME
         yield lock.enter
         try:
-            marks["acquired"] = yield GetTime()
+            marks["acquired"] = yield GET_TIME
         finally:
             yield lock.exit
 

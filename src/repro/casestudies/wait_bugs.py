@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Broadcast, Compute, GetTime, Notify, Pause, Wait
+from repro.kernel.primitives import GET_TIME, Broadcast, Compute, Notify, Pause, Wait
 from repro.kernel.simtime import msec, sec, usec
 from repro.sync.condition import (
     ConditionVariable,
@@ -133,7 +133,7 @@ def run_missing_notify(
                 state["consumed"] += 1
             finally:
                 yield lock.exit
-        finished["at"] = yield GetTime()
+        finished["at"] = yield GET_TIME
 
     kernel.fork_root(consumer, name="consumer")
     kernel.fork_root(producer, name="producer")

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Compute, GetTime, Pause
+from repro.kernel.primitives import GET_TIME, Compute, Pause
 from repro.kernel.simtime import msec, sec
 from repro.xwindows.buffer_thread import PaintRequest
 from repro.xwindows.server import XServer
@@ -71,7 +71,7 @@ def _drive(kernel, server, paint, get_event, lock_blocks, *, events,
             # "external knowledge of when the painting is finished to
             # trigger a flush of the batched requests" (modified Xlib).
             yield from finish()
-        done["painting"] = yield GetTime()
+        done["painting"] = yield GET_TIME
 
     def event_reader():
         while received[0] < events:

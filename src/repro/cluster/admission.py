@@ -142,10 +142,9 @@ class WfqQueue:
         #: :class:`~repro.sync.queues.BoundedQueue` does, because those
         #: traps are part of every pinned cluster and workload schedule.
         self.nonfull = ConditionVariable(self.monitor, f"{name}.nonfull")
-        #: The fixed traps, built once (traps are immutable).
+        #: The NOTIFY traps, built once (traps are immutable).
         self._notify_nonempty = Notify(self.nonempty)
         self._notify_nonfull = Notify(self.nonfull)
-        self._wait_nonempty = Wait(self.nonempty)
         #: tenant -> deque of (finish_tag, seq, item).
         self.queues: dict[str, deque[tuple[int, int, Any]]] = {
             tenant: deque() for tenant in weights
@@ -231,11 +230,7 @@ class WfqQueue:
         yield self.monitor.enter
         try:
             while self._size == 0:
-                notified = yield (
-                    self._wait_nonempty
-                    if timeout is None
-                    else Wait(self.nonempty, timeout)
-                )
+                notified = yield Wait(self.nonempty, timeout)
                 if not notified and self._size == 0:
                     return None
             item = self._dequeue()

@@ -40,6 +40,7 @@ from typing import Any
 from zlib import crc32
 
 from repro.kernel.primitives import (
+    GET_TIME,
     Compute,
     Fork,
     Notify,
@@ -51,7 +52,7 @@ from repro.kernel.simtime import msec, usec
 from repro.paradigms.pump import Pump
 from repro.paradigms.sleeper import Sleeper
 from repro.server.model import FAILED, PENDING, SHED, Request, TenantSpec
-from repro.server.server import GET_TIME, PRIO_SLEEPER, Frontend, RpcServer
+from repro.server.server import PRIO_SLEEPER, Frontend, RpcServer
 from repro.cluster.admission import TokenBucket, WfqQueue
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor

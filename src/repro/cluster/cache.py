@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernel.primitives import Channelreceive, Compute, Pause
+from repro.kernel.primitives import GET_TIME, Channelreceive, Compute, Pause
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.simtime import usec
 from repro.server.model import DONE, Request, TenantSpec
-from repro.server.server import GET_TIME, Frontend
+from repro.server.server import LISTEN_COST, Frontend
 from repro.sync.queues import UnboundedQueue
 
 #: Map probe paid by every request through the cache.
@@ -51,8 +51,6 @@ FILL_COST = usec(30)
 WAITER_COST = usec(10)
 #: Processing one invalidation message.
 INVALIDATE_COST = usec(10)
-#: Moving one request from the network to the ingress queue.
-LISTEN_COST = usec(10)
 #: The fixed-cost traps, built once (traps are immutable).
 LOOKUP_COMPUTE = Compute(LOOKUP_COST)
 HIT_COMPUTE = Compute(HIT_COST)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernel.primitives import Channelreceive, Compute, Fork, GetTime
+from repro.kernel.primitives import GET_TIME, Channelreceive, Compute, Fork
 from repro.kernel.simtime import usec
 from repro.server.model import PENDING, Request
 
@@ -207,7 +207,7 @@ class StandbyBalancer:
         """One watch tick: seize the lease if the primary let it lapse."""
         if self.active:
             return
-        now = yield GetTime()
+        now = yield GET_TIME
         if not self.lease.expired(now):
             return
         b = self.balancer

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Channelreceive, Compute, GetTime
+from repro.kernel.primitives import GET_TIME, Channelreceive, Compute
 from repro.kernel.simtime import msec, sec
 
 #: RFC 6298's gains: ALPHA smooths SRTT, BETA smooths RTTVAR, and K
@@ -124,7 +124,7 @@ def run_rpc_experiment(
             reply_channel.post(("reply", request))
             served += 1
         # Served its quota: the server "crashes" (stops answering).
-        crashed["at"] = yield GetTime()
+        crashed["at"] = yield GET_TIME
         while True:
             yield Channelreceive(request_channel)  # reads, never replies
 
@@ -136,10 +136,10 @@ def run_rpc_experiment(
             )
             result.timeouts_used.append(timeout)
             sequence += 1
-            sent_at = yield GetTime()
+            sent_at = yield GET_TIME
             request_channel.post(("request", sequence))
             reply = yield Channelreceive(reply_channel, timeout=timeout)
-            now = yield GetTime()
+            now = yield GET_TIME
             if reply is not None:
                 result.completed += 1
                 if policy == "adaptive":

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.casestudies.inversion import run_inversion
 from repro.kernel import Kernel, KernelConfig
-from repro.kernel.primitives import Channelreceive, Compute, GetTime
+from repro.kernel.primitives import GET_TIME, Channelreceive, Compute
 from repro.kernel.simtime import msec, usec
 
 
@@ -70,7 +70,7 @@ def run_reactivity(
         while True:
             pressed_at = yield Channelreceive(keyboard)
             yield Compute(usec(200))  # echo the glyph
-            now = yield GetTime()
+            now = yield GET_TIME
             result.echo_latencies.append(now - pressed_at)
 
     def background():

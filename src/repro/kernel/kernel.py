@@ -360,6 +360,13 @@ class Kernel:
                 _drain_close(thread.body)
                 thread.state = ThreadState.DONE
                 thread.ended_at = self.now
+                # A closed thread waits for nothing and receives nothing:
+                # dropping what it was blocked on and any undelivered
+                # value leaves no link from it through a channel back to
+                # this kernel.
+                thread.blocked_on = None
+                thread.pending_send = None
+                thread.pending_channel = None
                 # Reconcile the live-thread accounting so post-shutdown
                 # snapshots balance (created == finished + live, stacks
                 # returned), but keep force-killed threads out of
@@ -371,8 +378,10 @@ class Kernel:
         self._finalizer.detach()  # explicit shutdown supersedes GC cleanup
         _LIVE_KERNELS.discard(self)
         # The scheduler and the fault injector call back into the kernel.
-        # Dropping those references leaves no reference cycle through a
-        # shut-down kernel, so refcounting frees it, not the collector.
+        # Dropping those references, with the closed threads' links
+        # cleared above, leaves no reference cycle among the kernel's
+        # own parts: unless a world's objects hold it in one,
+        # refcounting frees it, not the collector.
         self.scheduler.decide = None
         if self.faults is not None:
             self.faults.kernel = None

@@ -152,6 +152,11 @@ class GetTime(Trap):
     """Return the current simulated time in microseconds."""
 
 
+#: The one ``GetTime`` trap every thread body yields: it has no fields,
+#: so there is nothing to build per call.
+GET_TIME = GetTime()
+
+
 @dataclass(frozen=True)
 class SetPriority(Trap):
     """Change the caller's priority (a thread "can change its own

@@ -23,7 +23,7 @@ import heapq
 import itertools
 from typing import Any, Callable
 
-from repro.kernel.primitives import Compute, GetTime, Pause
+from repro.kernel.primitives import GET_TIME, Compute, Pause
 from repro.kernel.simtime import usec
 
 
@@ -105,10 +105,10 @@ class PeriodicalProcess:
         """Service thread body: sleep until the nearest due closure."""
         while self._schedule:
             due, _seq, entry = self._schedule[0]
-            now = yield GetTime()
+            now = yield GET_TIME
             if due > now:
                 yield Pause(due - now)
-                now = yield GetTime()
+                now = yield GET_TIME
             heapq.heappop(self._schedule)
             self.activations += 1
             entry["runs"] += 1

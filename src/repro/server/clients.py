@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernel.primitives import GetTime, Pause
+from repro.kernel.primitives import GET_TIME, Pause
 from repro.kernel.rng import DeterministicRng
 from repro.kernel.simtime import msec
 from repro.server.model import SHED, TenantSpec
@@ -95,7 +95,7 @@ def client_proc(
     patience = tenant.deadline * (tenant.max_retries + 2) + msec(500)
     while True:
         yield Pause(rng.expovariate(think_rate))
-        now = yield GetTime()
+        now = yield GET_TIME
         req = server.make_request(tenant, now, reply_to=reply_q)
         #: The operation's intended send time.  Resubmits carry it
         #: forward so the stall the server caused stays on the books.
@@ -110,7 +110,7 @@ def client_proc(
                 server.stats.bump(tenant.name, "client_retries")
                 backoff = tenant.backoff * (2 ** shed_count)
                 yield Pause(backoff + rng.randint(0, tenant.backoff))
-                now = yield GetTime()
+                now = yield GET_TIME
                 req = server.make_request(
                     tenant,
                     now,
@@ -128,7 +128,7 @@ def client_proc(
 def _await_reply(queue: UnboundedQueue, req: Any, patience: int):
     """Timed-get until this request's verdict arrives or patience runs
     out; stale verdicts for abandoned requests are discarded."""
-    start = yield GetTime()
+    start = yield GET_TIME
     while True:
         msg = yield from queue.get()
         if msg is not None:
@@ -136,6 +136,6 @@ def _await_reply(queue: UnboundedQueue, req: Any, patience: int):
             if reply.rid == req.rid:
                 return verdict
             continue  # a stale reply for a request we gave up on
-        now = yield GetTime()
+        now = yield GET_TIME
         if now - start >= patience:
             return None

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.kernel.primitives import Compute, Fork, GetTime, Pause
+from repro.kernel.primitives import GET_TIME, Compute, Fork, Pause
 from repro.kernel.simtime import usec
 from repro.paradigms.pump import Pump
 from repro.paradigms.slack import SlackProcess
@@ -59,9 +59,8 @@ TOUCH_COST = usec(15)
 BATCH_BASE_COST = usec(120)
 BATCH_ITEM_COST = usec(60)
 SERIAL_QUEUE_CAPACITY = 16
-#: Traps every request yields with the same fields, built once (traps
-#: are immutable): ``GetTime`` has no fields at all.
-GET_TIME = GetTime()
+#: The fixed-cost traps every request yields, built once (traps are
+#: immutable).
 ROUTE_COMPUTE = Compute(ROUTE_COST)
 TOUCH_COMPUTE = Compute(TOUCH_COST)
 

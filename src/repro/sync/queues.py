@@ -149,11 +149,9 @@ class BoundedQueue:
             self.monitor, f"{name}.nonempty", timeout=get_timeout
         )
         self.nonfull = ConditionVariable(self.monitor, f"{name}.nonfull")
-        #: The fixed traps, built once (see :class:`UnboundedQueue`).
+        #: The NOTIFY traps, built once (traps are immutable).
         self._notify_nonempty = Notify(self.nonempty)
         self._notify_nonfull = Notify(self.nonfull)
-        self._wait_nonempty = Wait(self.nonempty)
-        self._wait_nonfull = Wait(self.nonfull)
         self.items: deque[Any] = deque()
         self.puts = 0
         self.gets = 0
@@ -183,7 +181,7 @@ class BoundedQueue:
         yield self.monitor.enter
         try:
             while len(self.items) >= self.capacity:
-                yield self._wait_nonfull
+                yield Wait(self.nonfull)
             self._append(item)
             yield self._notify_nonempty
         finally:
@@ -195,11 +193,7 @@ class BoundedQueue:
         yield self.monitor.enter
         try:
             while not self.items:
-                notified = yield (
-                    self._wait_nonempty
-                    if timeout is None
-                    else Wait(self.nonempty, timeout)
-                )
+                notified = yield Wait(self.nonempty, timeout)
                 if not notified and not self.items:
                     return None
             item = self.items.popleft()

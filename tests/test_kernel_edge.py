@@ -410,9 +410,10 @@ def collector_off():
 
 
 class TestFreedByRefcount:
-    """A shut-down kernel is in no reference cycle: dropping the last
-    reference frees it at once, with the cyclic collector switched off,
-    and leaves the collector nothing to find."""
+    """Shutdown leaves no reference cycle among a kernel's own parts: a
+    kernel that no outside cycle holds is freed the moment its last
+    reference goes, with the cyclic collector switched off, and leaves
+    the collector nothing to find."""
 
     def test_litmus_schedule_kernel(self):
         scenario, _state = litmus_scenario("iriw", "pso")
@@ -470,5 +471,33 @@ class TestFreedByRefcount:
             kernel.shutdown()
             ref = weakref.ref(kernel)
             del kernel
+            assert ref() is None
+            assert gc.collect() == 0
+
+    @pytest.mark.parametrize("handed_an_item", [False, True])
+    def test_kernel_with_a_channel_receiver(self, handed_an_item):
+        """Shutdown closes a thread blocked in a channel receive, or one
+        handed an item it has not resumed to see; neither leaves a link
+        through the channel back to the kernel."""
+        received = []
+        with collector_off():
+            kernel = make_kernel()
+            net = kernel.channel("net")
+
+            def listener():
+                while True:
+                    received.append((yield p.Channelreceive(net)))
+
+            thread = kernel.fork_root(listener)
+            kernel.run_for(msec(5))
+            if handed_an_item:
+                net.post("request")
+                assert thread.pending_channel is net
+            else:
+                assert net.waiters[0] is thread
+            kernel.shutdown()
+            assert received == []
+            ref = weakref.ref(kernel)
+            del kernel, net, thread
             assert ref() is None
             assert gc.collect() == 0
