@@ -45,6 +45,7 @@ from typing import Any
 from repro.kernel.primitives import Notify, Wait
 from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
+from repro.sync.queues import reuse_wait
 
 #: Virtual-time units charged per request at weight 1.  Tags are
 #: ``SCALE // weight``, so any weight up to SCALE gets a distinct rate.
@@ -142,9 +143,12 @@ class WfqQueue:
         #: :class:`~repro.sync.queues.BoundedQueue` does, because those
         #: traps are part of every pinned cluster and workload schedule.
         self.nonfull = ConditionVariable(self.monitor, f"{name}.nonfull")
-        #: The NOTIFY traps, built once (traps are immutable).
+        #: The NOTIFY traps, built once (traps are immutable), and the
+        #: WAIT the last blocking get made (see
+        #: :func:`~repro.sync.queues.reuse_wait`).
         self._notify_nonempty = Notify(self.nonempty)
         self._notify_nonfull = Notify(self.nonfull)
+        self._wait_nonempty = Wait(self.nonempty)
         #: tenant -> deque of (finish_tag, seq, item).
         self.queues: dict[str, deque[tuple[int, int, Any]]] = {
             tenant: deque() for tenant in weights
@@ -230,7 +234,8 @@ class WfqQueue:
         yield self.monitor.enter
         try:
             while self._size == 0:
-                notified = yield Wait(self.nonempty, timeout)
+                wait = self._wait_nonempty = reuse_wait(self._wait_nonempty, timeout)
+                notified = yield wait
                 if not notified and self._size == 0:
                     return None
             item = self._dequeue()

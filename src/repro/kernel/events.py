@@ -41,6 +41,10 @@ class EventHeap:
         heapq.heappush(self._heap, (when, self.pushes, action))
         self.pushes += 1
 
+    def clear(self) -> None:
+        """Drop every pending event (the kernel shuts down)."""
+        self._heap.clear()
+
     def next_time(self) -> int | None:
         """The time of the earliest pending event, or None if empty."""
         heap = self._heap

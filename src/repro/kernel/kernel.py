@@ -27,6 +27,7 @@ import enum
 import heapq
 import inspect
 import itertools
+import traceback
 import weakref
 from typing import Any, Callable
 
@@ -111,6 +112,40 @@ def _close_all_bodies(threads: dict) -> None:
     for thread in threads.values():
         if thread.state is not ThreadState.DONE:
             _drain_close(thread.body)
+
+
+def _unlink_closed(thread: SimThread) -> None:
+    """Cut a closed thread out of every monitor, CV and channel it was
+    tied to, and drop any value it never received.  A monitor left
+    naming a dead owner, or a queue left holding it, would tie the
+    thread into a reference cycle with the world around it."""
+    state = thread.state
+    if state is ThreadState.WAITING_CV:
+        thread.blocked_on.waiters.remove(thread)
+    elif state is ThreadState.BLOCKED_MONITOR:
+        thread.blocked_on.entry_queue.remove(thread)
+    for monitor in thread.held_monitors:
+        monitor.owner = None
+    thread.held_monitors.clear()
+    thread.blocked_on = None
+    thread.pending_send = None
+    thread.pending_channel = None
+
+
+class _Every:
+    """A :meth:`Kernel.post_every` event: run the action, then push
+    itself one period on.  A closure that named itself would be a
+    reference cycle holding whatever the action refers to."""
+
+    __slots__ = ("period", "action")
+
+    def __init__(self, period: int, action: Callable[["Kernel"], None]) -> None:
+        self.period = period
+        self.action = action
+
+    def __call__(self, kernel: "Kernel") -> None:
+        self.action(kernel)
+        kernel.events.push(kernel.now + self.period, self)
 
 
 def _drain_close(body: Any) -> None:
@@ -260,12 +295,7 @@ class Kernel:
         if period <= 0:
             raise ValueError("period must be positive")
         first = start if start is not None else self.now + period
-
-        def recur(kernel: "Kernel") -> None:
-            action(kernel)
-            kernel.events.push(kernel.now + period, recur)
-
-        self.post_at(first, recur)  # a ``start`` in the past raises
+        self.post_at(first, _Every(period, action))  # a past ``start`` raises
 
     def run_for(self, duration: int, **kwargs: Any) -> int:
         """Advance the simulation by ``duration`` µs."""
@@ -354,19 +384,18 @@ class Kernel:
         Called automatically by test harnesses via
         :func:`shutdown_all_kernels` so abandoned generators do not emit
         "ignored GeneratorExit" noise at garbage collection.
+
+        Stats, threads (errors included) and observer reports stay
+        readable.  What would tie the kernel into a reference cycle
+        goes: pending events, parked FORKs, the closed threads' monitor,
+        CV and channel links, and the locals of crashed threads' frames.
         """
         for thread in self.threads.values():
             if thread.alive:
                 _drain_close(thread.body)
+                _unlink_closed(thread)
                 thread.state = ThreadState.DONE
                 thread.ended_at = self.now
-                # A closed thread waits for nothing and receives nothing:
-                # dropping what it was blocked on and any undelivered
-                # value leaves no link from it through a channel back to
-                # this kernel.
-                thread.blocked_on = None
-                thread.pending_send = None
-                thread.pending_channel = None
                 # Reconcile the live-thread accounting so post-shutdown
                 # snapshots balance (created == finished + live, stacks
                 # returned), but keep force-killed threads out of
@@ -374,7 +403,16 @@ class Kernel:
                 self.stats.threads_finished += 1
                 self.stats.live_threads -= 1
                 self.stats.stack_bytes -= self.config.stack_reservation
+            if thread.error is not None:
+                # The error and its traceback stay readable, but the
+                # body's frames let go of their locals, which may reach
+                # this kernel (a world's device channel, say).
+                traceback.clear_frames(thread.error.__traceback__)
         self.pending_thread_errors.clear()
+        # Pending events and parked FORKs hold workload callables, which
+        # may reach this kernel again (a device channel, say).
+        self.events.clear()
+        self._fork_waiters.clear()
         self._finalizer.detach()  # explicit shutdown supersedes GC cleanup
         _LIVE_KERNELS.discard(self)
         # The scheduler and the fault injector call back into the kernel.
@@ -902,7 +940,11 @@ class Kernel:
             ) from error
         self._off_cpu(cpu, thread)
         thread.state = ThreadState.DONE
-        thread.error = error
+        # Kept without the frame of ``_resume`` that caught it, so the
+        # traceback starts in the thread's body.  Held by the traceback,
+        # that frame (and, once it returns, its callers' frames) would
+        # tie this kernel into a cycle through its thread table.
+        thread.error = error.with_traceback(error.__traceback__.tb_next)
         thread.ended_at = self.now
         self._account_thread_end(thread)
         wrapped = UncaughtThreadError(thread.name, error)

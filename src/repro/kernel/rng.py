@@ -56,6 +56,12 @@ class DeterministicRng:
             raise ValueError("choice from empty sequence")
         return self._random.choice(items)
 
+    def index(self, n: int) -> int:
+        """A uniform index in ``range(n)``, ``n >= 1``: the draw
+        :meth:`choice` makes for a sequence of length ``n``, so either
+        call leaves the stream in the same state."""
+        return self._random.randrange(n)
+
     def expovariate(self, rate_per_usec: float) -> int:
         """An exponentially distributed interval, in microseconds (>= 1)."""
         if rate_per_usec <= 0.0:

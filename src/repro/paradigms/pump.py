@@ -21,10 +21,11 @@ from repro.kernel.simtime import usec
 
 
 def read_endpoint(endpoint: Any):
-    """Blocking-get from any supported pipeline endpoint (generator)."""
-    if isinstance(endpoint, Channel):
-        item = yield Channelreceive(endpoint)
-        return item
+    """Blocking-get from a queue-like pipeline endpoint (generator).
+
+    A channel source is not read here: its :class:`Pump` binds the
+    channel's receive trap once.
+    """
     getter = getattr(endpoint, "get", None)
     if getter is not None:
         item = yield from getter()
@@ -65,6 +66,11 @@ class Pump:
         self.transform = transform
         #: The per-item burn, built once (None: the stage is free).
         self._compute = Compute(cost_per_item) if cost_per_item else None
+        #: A channel source's receive, built once (None: the source is
+        #: read through :func:`read_endpoint`).
+        self._receive = (
+            Channelreceive(source) if isinstance(source, Channel) else None
+        )
         self.items_pumped = 0
         #: Optional custody ledger, keyed by ``item.rid``: records each
         #: item the instant it leaves the source, cleared once the sink
@@ -74,8 +80,12 @@ class Pump:
 
     def proc(self):
         """The pump's thread body."""
+        receive = self._receive
         while True:
-            item = yield from read_endpoint(self.source)
+            if receive is not None:
+                item = yield receive
+            else:
+                item = yield from read_endpoint(self.source)
             if self.carry is not None:
                 self.carry[item.rid] = item
             if self._compute is not None:

@@ -19,6 +19,16 @@ from repro.sync.condition import ConditionVariable
 from repro.sync.monitor import Monitor
 
 
+def reuse_wait(wait: Wait, timeout: int | None) -> Wait:
+    """``wait`` if it already waits ``timeout``, else a WAIT on the same
+    CV that does.  A queue keeps the WAIT its gets last yielded: every
+    caller passes the same timeout (a frontend's poll, or none), so it
+    is built once rather than once per blocking pass."""
+    if wait.timeout == timeout:
+        return wait
+    return Wait(wait.condition, timeout)
+
+
 class UnboundedQueue:
     """FIFO with blocking get; put never blocks.
 
@@ -38,9 +48,8 @@ class UnboundedQueue:
         self.nonempty = ConditionVariable(
             self.monitor, f"{name}.nonempty", timeout=get_timeout
         )
-        #: The fixed traps, built once (traps are immutable): the
-        #: NOTIFY a put makes and the WAIT a get with the default
-        #: timeout makes.
+        #: The NOTIFY a put makes, built once (traps are immutable), and
+        #: the WAIT the last blocking get made (see :func:`reuse_wait`).
         self._notify_nonempty = Notify(self.nonempty)
         self._wait_nonempty = Wait(self.nonempty)
         self.items: deque[Any] = deque()
@@ -73,11 +82,8 @@ class UnboundedQueue:
         yield self.monitor.enter
         try:
             while not self.items:
-                notified = yield (
-                    self._wait_nonempty
-                    if timeout is None
-                    else Wait(self.nonempty, timeout)
-                )
+                wait = self._wait_nonempty = reuse_wait(self._wait_nonempty, timeout)
+                notified = yield wait
                 if not notified and not self.items:
                     return None
             self.gets += 1
@@ -149,9 +155,11 @@ class BoundedQueue:
             self.monitor, f"{name}.nonempty", timeout=get_timeout
         )
         self.nonfull = ConditionVariable(self.monitor, f"{name}.nonfull")
-        #: The NOTIFY traps, built once (traps are immutable).
+        #: The NOTIFY traps, built once (traps are immutable), and the
+        #: WAIT the last blocking get made (see :func:`reuse_wait`).
         self._notify_nonempty = Notify(self.nonempty)
         self._notify_nonfull = Notify(self.nonfull)
+        self._wait_nonempty = Wait(self.nonempty)
         self.items: deque[Any] = deque()
         self.puts = 0
         self.gets = 0
@@ -193,7 +201,8 @@ class BoundedQueue:
         yield self.monitor.enter
         try:
             while not self.items:
-                notified = yield Wait(self.nonempty, timeout)
+                wait = self._wait_nonempty = reuse_wait(self._wait_nonempty, timeout)
+                notified = yield wait
                 if not notified and not self.items:
                     return None
             item = self.items.popleft()

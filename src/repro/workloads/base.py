@@ -20,7 +20,7 @@ The synthetic worlds are assembled from three reusable pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.kernel.config import KernelConfig
 from repro.kernel.primitives import Compute, Notify, Wait
@@ -36,13 +36,18 @@ TOUCH_COMPUTE = Compute(TOUCH_WORK)
 
 
 class LibraryPool:
-    """A population of monitors modelling one subsystem's modules."""
+    """A population of monitors modelling one subsystem's modules.
+
+    Monitor ``i`` is built on the first draw of index ``i``: a Cedar
+    world's pools name about 5,000 monitors, and most of them are never
+    touched in a run.
+    """
 
     def __init__(self, name: str, size: int, rng: DeterministicRng) -> None:
         if size < 1:
             raise ValueError("pool needs at least one monitor")
         self.name = name
-        self.monitors = [Monitor(f"{name}.m{i}") for i in range(size)]
+        self.monitors: list[Monitor | None] = [None] * size
         self._rng = rng
 
     def touch(self, count: int):
@@ -51,8 +56,15 @@ class LibraryPool:
         Each visit does ``TOUCH_WORK`` under the lock, like the short
         monitored procedures the paper saw everywhere.
         """
+        monitors, draw = self.monitors, self._rng.index
+        size = len(monitors)
         for _ in range(count):
-            monitor = self._rng.choice(self.monitors)
+            # The index drawn is the one choosing from a list of built
+            # monitors drew, so every schedule stays the same.
+            index = draw(size)
+            monitor = monitors[index]
+            if monitor is None:
+                monitor = monitors[index] = Monitor(f"{self.name}.m{index}")
             yield monitor.enter
             try:
                 yield TOUCH_COMPUTE
@@ -77,7 +89,6 @@ class CvSleeper:
         pool: LibraryPool,
         touches: int = 3,
         work: int = usec(200),
-        peers: "list[CvSleeper] | None" = None,
         stimulate_peer_prob: float = 0.0,
         rng: DeterministicRng | None = None,
     ) -> None:
@@ -89,15 +100,21 @@ class CvSleeper:
         self.work = work
         self.activations = 0
         self.pending_stimuli = 0
-        #: Idle worlds still notify: finalization callbacks, cache pokes,
-        #: pipeline nudges between eternal threads (the reason only ~82%
-        #: of idle Cedar waits time out, not 100%).
-        self.peers = peers if peers is not None else []
         self.stimulate_peer_prob = stimulate_peer_prob
         self._rng = rng
         self._notify = Notify(self.cv)
 
-    def proc(self):
+    def proc(self, peers: "Sequence[CvSleeper]" = ()):
+        """The sleeper's thread body.
+
+        Idle worlds still notify: finalization callbacks, cache pokes,
+        pipeline nudges between eternal threads (the reason only ~82% of
+        idle Cedar waits time out, not 100%).  Each activation stimulates
+        a random one of ``peers`` with probability
+        ``stimulate_peer_prob``.  The list, which holds this sleeper too,
+        is a thread argument rather than an attribute, so it goes with
+        the thread's body instead of tying the sleeper into a cycle.
+        """
         monitor, wait, work = self.monitor, Wait(self.cv), Compute(self.work)
         while True:
             yield monitor.enter
@@ -113,11 +130,11 @@ class CvSleeper:
             if self.touches:
                 yield from self.pool.touch(self.touches)
             if (
-                self.peers
+                peers
                 and self._rng is not None
                 and self._rng.chance(self.stimulate_peer_prob)
             ):
-                peer = self._rng.choice(self.peers)
+                peer = self._rng.choice(peers)
                 if peer is not self:
                     yield from peer.stimulate()
 

@@ -46,7 +46,10 @@ class CedarContext:
     keyboard: Any = None
     mouse: Any = None
     command_queue: UnboundedQueue | None = None
-    #: Handlers activities register for device events: event -> generator.
+    #: Handlers activities register for device events, called as
+    #: ``handler(context, event)`` for a generator.  They take the
+    #: context as an argument: closing over it would tie the context
+    #: into a cycle through its own handler lists.
     key_handlers: list[Any] = field(default_factory=list)
     mouse_handlers: list[Any] = field(default_factory=list)
     #: Activity-specific CV populations (Table 3's distinct-CV deltas).
@@ -119,13 +122,13 @@ def build_cedar_world(config: KernelConfig) -> tuple[World, CedarContext]:
             # runs ~7 ms — the 5-45 ms middle of the interval histogram
             # (paper: ~75% of Cedar intervals are 0-5 ms, not ~100%).
             work=msec(6) if index % 4 == 3 else usec(150 + 50 * (index % 4)),
-            peers=context.sleepers,
             stimulate_peer_prob=PEER_STIMULATION_PROB,
             rng=rng.fork(f"sleeper-{index}"),
         )
         context.sleepers.append(sleeper)
         world.add_eternal(
-            sleeper.proc, name=sleeper.name, priority=1 + index % 4
+            sleeper.proc, (context.sleepers,), name=sleeper.name,
+            priority=1 + index % 4,
         )
 
     # -- Pause-based helpers: eternal but CV-less (Table 3 caps CVs) -----
@@ -176,9 +179,9 @@ def build_cedar_world(config: KernelConfig) -> tuple[World, CedarContext]:
     # thread."  Activities that keep the user busy suppress it — that is
     # how "thread-forking activity [decreases] by more than a factor of
     # 3" under compute-intensive load.
-    context.idle_forker = IdleForker(context)
+    context.idle_forker = IdleForker()
     world.add_eternal(
-        context.idle_forker.proc, name="IdleForker", priority=1
+        context.idle_forker.proc, (context,), name="IdleForker", priority=1
     )
 
     # -- the scavenger ------------------------------------------------------
@@ -202,17 +205,18 @@ def _scavenger_proc(context: "CedarContext"):
 
 class IdleForker:
     """The background transient-forking loop; period is adjustable so an
-    activity can model the user not being idle at the shell."""
+    activity can model the user not being idle at the shell.  The
+    context, which lists the forker, is a thread argument, so the two
+    do not point at each other."""
 
-    def __init__(self, context: "CedarContext", period: int = sec(2)) -> None:
-        self.context = context
+    def __init__(self, period: int = sec(2)) -> None:
         self.period = period
 
-    def proc(self):
+    def proc(self, context: "CedarContext"):
         while True:
             yield Pause(self.period)
             yield Fork(
-                _idle_transient, (self.context,), name="idle-transient",
+                _idle_transient, (context,), name="idle-transient",
                 priority=2, detached=True,
             )
 
@@ -239,7 +243,7 @@ def _notifier_proc(context: CedarContext):
             context.key_handlers if source == "key" else context.mouse_handlers
         )
         for handler in handlers:
-            yield from handler(event)
+            yield from handler(context, event)
         if source == "key":
             # Cooked keystrokes go to the command shell's serializer.
             yield from context.command_queue.put(event)
@@ -311,7 +315,7 @@ def install_keyboard(world: World, context: CedarContext) -> None:
     stages = StageSet("echo", 10, wait_timeout=msec(25))
     context.stage_sets["echo"] = stages
 
-    def handler(event):
+    def handler(context, event):
         yield Compute(usec(100))
         yield from context.pools["text"].touch(30)
         yield from _stimulate_some(context, 24)
@@ -334,7 +338,7 @@ def install_mouse(world: World, context: CedarContext) -> None:
     context.stage_sets["cursor"] = stages
     moves = [0]
 
-    def handler(event):
+    def handler(context, event):
         moves[0] += 1
         yield Compute(usec(60))
         yield from context.pools["cursor"].touch(12)
@@ -363,7 +367,7 @@ def install_scrolling(world: World, context: CedarContext) -> None:
     context.stage_sets["scroll"] = stages
     scroll_count = [0]
 
-    def handler(event):
+    def handler(context, event):
         scroll_count[0] += 1
         yield Compute(msec(2))  # repaint work
         yield from context.pools["scroll"].touch(700)

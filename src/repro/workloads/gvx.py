@@ -143,7 +143,9 @@ class GvxContext:
     worker_pools: dict[str, WorkerPool] = field(default_factory=dict)
     input_channel: Channel | None = None
     display_lock: Monitor | None = None
-    #: event -> generator handlers, keyed by event kind.
+    #: Handlers keyed by event kind, called as ``handler(context,
+    #: event)`` for a generator (an argument, not a closure over the
+    #: context that holds them).
     handlers: dict[str, Any] = field(default_factory=dict)
 
 
@@ -252,7 +254,7 @@ def _input_watcher_proc(context: GvxContext):
         for kind, event in batch:
             handler = context.handlers.get(kind)
             if handler is not None:
-                yield from handler(event)
+                yield from handler(context, event)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +271,7 @@ def install_keyboard(world: World, context: GvxContext) -> None:
     stages = StageSet("gvx-echo", 2, wait_timeout=msec(25))
     keys = [0]
 
-    def handle_key(event):
+    def handle_key(context, event):
         keys[0] += 1
         if keys[0] % 2 == 0:
             yield from stages.visit_next()
@@ -304,7 +306,7 @@ def install_mouse(world: World, context: GvxContext) -> None:
     inline."""
     moves = [0]
 
-    def handle_motion(event):
+    def handle_motion(context, event):
         moves[0] += 1
         yield Compute(usec(40))
         yield from context.pools["core"].touch(1)
@@ -327,7 +329,7 @@ def install_scrolling(world: World, context: GvxContext) -> None:
     stages = StageSet("gvx-scroll", 1, wait_timeout=msec(25))
     scrolls = [0]
 
-    def handle_scroll(event):
+    def handle_scroll(context, event):
         scrolls[0] += 1
         if scrolls[0] % 2 == 0:
             yield from stages.visit_next()

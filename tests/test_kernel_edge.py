@@ -5,6 +5,7 @@ shut-down kernel's lifetime."""
 import contextlib
 import dataclasses
 import gc
+import traceback
 import weakref
 
 import pytest
@@ -13,6 +14,7 @@ from repro.kernel import (
     Kernel,
     KernelConfig,
     KernelUsageError,
+    UncaughtThreadError,
     msec,
     sec,
     usec,
@@ -25,6 +27,12 @@ from repro.kernel.memory import SimVar
 from repro.memmodel.litmus import litmus_scenario
 from repro.sync import ConditionVariable, Monitor
 from repro.kernel.primitives import Enter, Exit, Notify, Wait
+from repro.workloads import (
+    CEDAR_ACTIVITIES,
+    GVX_ACTIVITIES,
+    build_cedar_world,
+    build_gvx_world,
+)
 
 
 def make_kernel(**overrides):
@@ -409,6 +417,29 @@ def collector_off():
         gc.enable()
 
 
+def cyclic_garbage() -> list:
+    """Every object the collector finds unreachable now."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        found = list(gc.garbage)
+        gc.garbage.clear()
+    finally:
+        gc.set_debug(0)
+    return found
+
+
+#: (system, activity, build, install) for the 12 Tables 1-3 rows.
+PAPER_WORLDS = [
+    (system, activity, build, install)
+    for system, build, activities in (
+        ("cedar", build_cedar_world, CEDAR_ACTIVITIES),
+        ("gvx", build_gvx_world, GVX_ACTIVITIES),
+    )
+    for activity, install in activities.items()
+]
+
+
 class TestFreedByRefcount:
     """Shutdown leaves no reference cycle among a kernel's own parts: a
     kernel that no outside cycle holds is freed the moment its last
@@ -499,5 +530,151 @@ class TestFreedByRefcount:
             assert received == []
             ref = weakref.ref(kernel)
             del kernel, net, thread
+            assert ref() is None
+            assert gc.collect() == 0
+
+    @pytest.mark.parametrize(
+        "build,install",
+        [(build, install) for _, _, build, install in PAPER_WORLDS],
+        ids=[f"{system}-{activity}" for system, activity, _, _ in PAPER_WORLDS],
+    )
+    def test_paper_table_world(self, build, install):
+        """A finished Cedar or GVX world, its context included, is freed
+        by refcount.  What the collector may still find is each entered
+        monitor's cycle with its two shared traps (and the monitor's
+        entry queue), which holds no thread, world or kernel."""
+        with collector_off():
+            world, context = build(KernelConfig(seed=0))
+            if install is not None:
+                install(world, context)
+            world.run_for(sec(1))
+            world.shutdown()
+            refs = [weakref.ref(world.kernel), weakref.ref(context)]
+            del world, context
+            assert [ref() for ref in refs] == [None, None]
+            garbage = cyclic_garbage()
+        queues = {id(o.entry_queue) for o in garbage if type(o) is Monitor}
+        strays = [
+            o for o in garbage
+            if type(o) not in (Monitor, Enter, Exit) and id(o) not in queues
+        ]
+        assert strays == []
+
+    def test_kernel_with_monitor_and_cv_waiters(self):
+        """Shutdown takes each thread it closes out of the monitor it
+        holds, the entry queue it waits in and the CV it waits on, so an
+        entered monitor's cycle with its traps holds no thread."""
+        lock = Monitor("m")
+        ready = ConditionVariable(lock, "ready")
+
+        def holder():
+            yield lock.enter
+            try:
+                yield p.Pause(sec(1))
+            finally:
+                yield lock.exit
+
+        def waiter():
+            yield lock.enter
+            try:
+                yield Wait(ready)
+            finally:
+                yield lock.exit
+
+        with collector_off():
+            kernel = make_kernel()
+            for body in (waiter, holder, holder):
+                kernel.fork_root(body)
+            kernel.run_for(msec(10))
+            assert [t.state.value for t in kernel.threads.values()] == [
+                "waiting-cv", "sleeping", "blocked-monitor",
+            ]
+            kernel.shutdown()
+            assert lock.owner is None
+            assert not lock.entry_queue and not ready.waiters
+            assert not any(t.held_monitors for t in kernel.threads.values())
+            ref = weakref.ref(kernel)
+            del kernel
+            assert ref() is None
+            del lock, ready
+            garbage = cyclic_garbage()
+        assert sorted(type(o).__name__ for o in garbage) == [
+            "Enter", "Exit", "Monitor", "deque",
+        ]
+
+    @pytest.mark.parametrize("pending", ["periodic-event", "parked-fork"])
+    def test_kernel_with_pending_work(self, pending):
+        """Shutdown drops pending events, ``post_every``'s included, and
+        parked FORKs: what they would run may reach back into the kernel
+        (a device channel here)."""
+        received = []
+        with collector_off():
+            kernel = make_kernel(max_threads=2)
+            net = kernel.channel("net")
+
+            def listener(channel):
+                while True:
+                    received.append((yield p.Channelreceive(channel)))
+
+            def forker():
+                yield p.Fork(listener, (net,))  # parks: no thread left
+
+            kernel.fork_root(listener, (net,))
+            if pending == "periodic-event":
+                kernel.post_every(msec(10), lambda k: net.post("tick"))
+            else:
+                kernel.fork_root(forker)
+            kernel.run_for(msec(35))
+            if pending == "periodic-event":
+                assert received == ["tick"] * 3
+            else:
+                assert kernel.stats.fork_waits == 1
+            kernel.shutdown()
+            ref = weakref.ref(kernel)
+            del kernel, net
+            assert ref() is None
+            assert gc.collect() == 0
+
+    @pytest.mark.parametrize("death", ["killed", "raised"])
+    def test_kernel_with_a_crashed_thread(self, death):
+        """A thread that died of an exception keeps its error and the
+        error's traceback, but neither holds the kernel: the kernel's
+        own frame that caught the error is not in the traceback, and
+        shutdown clears the locals of the body's frames, which here
+        reach the kernel through a device channel."""
+        with collector_off():
+            kernel = make_kernel()
+            net = kernel.channel("net")
+
+            def looper(channel):
+                while True:
+                    yield p.Compute(msec(1))
+
+            def crasher(channel):
+                yield p.Compute(msec(1))
+                raise ValueError("crashed")
+
+            def joiner(child):
+                try:
+                    yield p.Join((yield p.Fork(child, (net,))))
+                except UncaughtThreadError:
+                    pass
+
+            if death == "killed":
+                victim = kernel.fork_root(looper, (net,))
+                kernel.post_at(msec(3), lambda k: k._inject_kill(victim))
+            else:
+                kernel.fork_root(joiner, (crasher,))
+            kernel.run_for(msec(10))
+            [dead] = [t for t in kernel.threads.values() if t.error is not None]
+            kernel.shutdown()
+            frames = traceback.extract_tb(dead.error.__traceback__)
+            assert [frame.name for frame in frames][:1] == [
+                "looper" if death == "killed" else "crasher"
+            ]
+            ref = weakref.ref(kernel)
+            del kernel, net, dead
+            if death == "killed":
+                del victim
             assert ref() is None
             assert gc.collect() == 0

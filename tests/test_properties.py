@@ -281,11 +281,13 @@ class TestRngProperties:
     )
     def test_choice_draws_what_randrange_indexing_draws(self, seed, length):
         # The reference expression: every pinned schedule was recorded
-        # with ``choice`` drawing exactly this.
+        # with ``choice`` drawing exactly this.  ``index``, which the
+        # paper worlds' monitor pools draw with, must draw it too.
         items = list(range(length))
         rng, reference = DeterministicRng(seed), random.Random(seed)
         for _ in range(5):
             assert rng.choice(items) == items[reference.randrange(len(items))]
+            assert rng.index(length) == reference.randrange(length)
 
     @FAST
     @given(

@@ -172,12 +172,23 @@ class TestBuildingBlocks:
 
     def test_touches_of_one_monitor_share_its_traps(self):
         pool = LibraryPool("lib", 1, DeterministicRng(1))
-        monitor = pool.monitors[0]
         traps = list(pool.touch(3))  # enter, compute, exit per visit
+        monitor = traps[0].monitor  # built on its first touch
         assert len(traps) == 9
         assert all(trap is monitor.enter for trap in traps[0::3])
         assert all(trap is TOUCH_COMPUTE for trap in traps[1::3])
         assert all(trap is monitor.exit for trap in traps[2::3])
+
+    def test_pool_builds_a_monitor_on_its_first_touch(self):
+        pool = LibraryPool("lib", 1000, DeterministicRng(1))
+        entered = [trap.monitor for trap in list(pool.touch(5))[0::3]]
+        # The draws are the ones a list of 1000 built monitors gave.
+        names = [f"lib.m{i}" for i in range(1000)]
+        rng = DeterministicRng(1)
+        assert [m.name for m in entered] == [rng.choice(names) for _ in range(5)]
+        built = {i: m for i, m in enumerate(pool.monitors) if m is not None}
+        assert set(built.values()) == set(entered)
+        assert all(m.name == f"lib.m{i}" for i, m in built.items())
 
     def test_library_pool_requires_size(self):
         with pytest.raises(ValueError):
