@@ -10,12 +10,10 @@ not exact matches (see EXPERIMENTS.md for the per-cell comparison).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.kernel.simtime import sec
+from repro.workloads import SYSTEMS
 from repro.workloads.base import ActivityResult, run_activity
-from repro.workloads.cedar import CEDAR_ACTIVITIES, build_cedar_world
-from repro.workloads.gvx import GVX_ACTIVITIES, build_gvx_world
 
 
 @dataclass(frozen=True)
@@ -52,13 +50,6 @@ PAPER_ROWS: dict[tuple[str, str], PaperRow] = {
     ]
 }
 
-_BUILDERS: dict[str, Callable] = {
-    "Cedar": build_cedar_world,
-    "GVX": build_gvx_world,
-}
-_ACTIVITIES = {"Cedar": CEDAR_ACTIVITIES, "GVX": GVX_ACTIVITIES}
-
-
 def measure(
     system: str,
     activity: str,
@@ -68,15 +59,15 @@ def measure(
     seed: int = 0,
 ) -> ActivityResult:
     """Run one benchmark activity and return its measured row."""
-    if system not in _BUILDERS:
+    if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    activities = _ACTIVITIES[system]
+    build_world, activities = SYSTEMS[system]
     if activity not in activities:
         raise ValueError(f"unknown {system} activity {activity!r}")
     return run_activity(
         system=system,
         activity=activity,
-        build_world=_BUILDERS[system],
+        build_world=build_world,
         install=activities[activity],
         warmup=warmup,
         window=window,
@@ -86,7 +77,7 @@ def measure(
 
 def measure_all(system: str, **kwargs) -> list[ActivityResult]:
     """Measure every benchmark activity for a system, in table order."""
-    return [measure(system, name, **kwargs) for name in _ACTIVITIES[system]]
+    return [measure(system, name, **kwargs) for name in SYSTEMS[system][1]]
 
 
 def paper_row(system: str, activity: str) -> PaperRow:

@@ -57,13 +57,8 @@ def fingerprint(kernel: Kernel) -> dict:
     trace_hash = hashlib.sha256(trace_lines.encode()).hexdigest()
 
     stats = kernel.stats
-    scalars = {
-        name: value
-        for name, value in vars(stats).items()
-        if isinstance(value, int)
-    }
     canonical = {
-        "scalars": dict(sorted(scalars.items())),
+        "scalars": dict(sorted(stats.counters().items())),
         "monitors_used": len(stats.monitors_used),
         "cvs_used": len(stats.cvs_used),
         "exec_intervals": stats.exec_intervals,

@@ -21,13 +21,14 @@ Two classic analyses run side by side on the same event stream:
 
 * **Happens-before (vector clocks)** — per-thread clocks joined on every
   synchronisation edge the kernel exposes: Fork/Join, monitor
-  acquire/release, CV notify/wake, channel post/receive, and Fence
-  (modelled as publishing the writer's pre-fence clock with each
-  subsequent store, acquired by readers of those stores).  When a lockset
-  violation fires, the clocks say whether the two accesses were genuinely
-  concurrent (``hb_race=True``) or ordered by some non-lock edge such as
-  Fork (``hb_race=False`` — an Eraser false positive, e.g. parent-init
-  data handed to a child).
+  acquire/release, CV notify/wake, and Fence (modelled as publishing the
+  writer's pre-fence clock with each subsequent store, acquired by
+  readers of those stores).  When a lockset violation fires, the clocks
+  say whether the two accesses were genuinely concurrent
+  (``hb_race=True``) or ordered by some non-lock edge such as Fork
+  (``hb_race=False`` — an Eraser false positive, e.g. parent-init data
+  handed to a child).  Channel posts come from the external world
+  (workload events, not threads), so a channel receive orders nothing.
 
 A report is therefore triggered by the lockset machine and *confirmed* by
 happens-before; :attr:`RaceDetector.races` lists only confirmed races,
@@ -112,7 +113,7 @@ class RaceReport:
     (at least one is a write, by construction of the trigger).  ``hb_race``
     records whether vector clocks also found the pair concurrent: True
     means a confirmed data race; False means some non-lock edge (fork,
-    join, channel, fence publication) ordered the accesses and the lockset
+    join, fence publication) ordered the accesses and the lockset
     violation is advisory.
 
     ``sc_race`` classifies a confirmed race against the *SC
@@ -167,7 +168,7 @@ class _ThreadClocks:
 
 
 class _PairClock:
-    """HB + SC clocks for one synchronisation object (monitor/CV/channel)."""
+    """HB + SC clocks for one synchronisation object (monitor or CV)."""
 
     __slots__ = ("hb", "sc")
 
@@ -222,11 +223,9 @@ class RaceDetector:
         self._vars: dict[int, _VarState] = {}
         self._monitor_clocks: dict[int, _PairClock] = {}
         self._cv_clocks: dict[int, _PairClock] = {}
-        self._channel_clocks: dict[int, _PairClock] = {}
         self.reports: list[RaceReport] = []
         self.reads = 0
         self.writes = 0
-        self.sync_events = 0
 
     # -- results -----------------------------------------------------------
 
@@ -249,7 +248,6 @@ class RaceDetector:
 
     def on_fork(self, parent: "SimThread | None", child: "SimThread") -> None:
         """FORK: everything the parent did happens-before the child."""
-        self.sync_events += 1
         child_state = self._thread(child.tid)
         if parent is not None:
             parent_state = self._thread(parent.tid)
@@ -260,7 +258,6 @@ class RaceDetector:
 
     def on_join(self, joiner: "SimThread", target: "SimThread") -> None:
         """JOIN: everything the target did happens-before the joiner."""
-        self.sync_events += 1
         joiner_state = self._thread(joiner.tid)
         target_state = self._thread(target.tid)
         joiner_state.clock.join(target_state.clock)
@@ -268,7 +265,6 @@ class RaceDetector:
 
     def on_acquire(self, thread: "SimThread", monitor: Any) -> None:
         """Monitor acquired: inherit every previous holder's history."""
-        self.sync_events += 1
         state = self._thread(thread.tid)
         self._monitor(monitor).acquire_into(state)
         # Monitor entry fences ("The monitor implementation for weak
@@ -277,7 +273,6 @@ class RaceDetector:
 
     def on_release(self, thread: "SimThread", monitor: Any) -> None:
         """Monitor released (Exit or the release half of WAIT)."""
-        self.sync_events += 1
         state = self._thread(thread.tid)
         state.fence = state.clock.copy()
         self._monitor(monitor).release_from(state)
@@ -286,7 +281,6 @@ class RaceDetector:
 
     def on_notify(self, thread: "SimThread", cv: Any) -> None:
         """NOTIFY/BROADCAST: the notifier's history flows to the wakers."""
-        self.sync_events += 1
         state = self._thread(thread.tid)
         self._cv(cv).release_from(state)
         state.clock.tick(thread.tid)
@@ -294,28 +288,10 @@ class RaceDetector:
 
     def on_cv_wake(self, waiter: "SimThread", cv: Any) -> None:
         """A WAIT ended by notification: acquire the CV's clock."""
-        self.sync_events += 1
         self._cv(cv).acquire_into(self._thread(waiter.tid))
-
-    def on_channel_post(self, channel: Any, thread: "SimThread | None" = None) -> None:
-        """Channel post.  Posts come from the external world (workload
-        events), which creates no inter-thread edge; a thread-context post,
-        if one ever appears, releases into the channel clock."""
-        self.sync_events += 1
-        if thread is not None:
-            state = self._thread(thread.tid)
-            self._channel(channel).release_from(state)
-            state.clock.tick(thread.tid)
-            state.sc.tick(thread.tid)
-
-    def on_channel_receive(self, thread: "SimThread", channel: Any) -> None:
-        """Channel receive: acquire whatever history the channel carries."""
-        self.sync_events += 1
-        self._channel(channel).acquire_into(self._thread(thread.tid))
 
     def on_fence(self, thread: "SimThread") -> None:
         """Explicit Fence: subsequent stores publish the pre-fence clock."""
-        self.sync_events += 1
         state = self._thread(thread.tid)
         state.fence = state.clock.copy()
         state.clock.tick(thread.tid)
@@ -417,12 +393,6 @@ class RaceDetector:
         clock = self._cv_clocks.get(cv.uid)
         if clock is None:
             clock = self._cv_clocks[cv.uid] = _PairClock()
-        return clock
-
-    def _channel(self, channel: Any) -> _PairClock:
-        clock = self._channel_clocks.get(channel.uid)
-        if clock is None:
-            clock = self._channel_clocks[channel.uid] = _PairClock()
         return clock
 
     @staticmethod

@@ -43,15 +43,11 @@ def _fmt(cell: Any) -> str:
     return str(cell)
 
 
-def format_latency_histogram(
-    title: str,
-    latency: dict,
-    *,
-    width: int = 40,
-) -> str:
+def format_latency_histogram(title: str, latency: dict) -> str:
     """ASCII rendering of a :class:`~repro.server.latency.LatencyHistogram`
-    in its ``to_dict()`` form: one bar per non-empty log2 bucket, plus
-    the quantile footer every SLO discussion starts from."""
+    in its ``to_dict()`` form: one bar (at most 40 characters) per
+    non-empty log2 bucket, plus the quantile footer every SLO discussion
+    starts from."""
     from repro.server.latency import QUANTILES, bucket_label
 
     buckets = {int(k): v for k, v in latency.get("buckets", {}).items()}
@@ -63,7 +59,7 @@ def format_latency_histogram(
     label_width = max(len(bucket_label(i)) for i in buckets)
     for index in sorted(buckets):
         count = buckets[index]
-        bar = "#" * max(1, round(width * count / peak))
+        bar = "#" * max(1, round(40 * count / peak))
         lines.append(
             f"  {bucket_label(index):>{label_width}}  {count:>7}  {bar}"
         )

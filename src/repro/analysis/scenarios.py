@@ -51,9 +51,7 @@ from repro.sync.condition import (
     await_condition_if_broken,
 )
 from repro.sync.monitor import Monitor
-from repro.workloads import build_cedar_world, build_gvx_world
-from repro.workloads.cedar import CEDAR_ACTIVITIES
-from repro.workloads.gvx import GVX_ACTIVITIES
+from repro.workloads import SYSTEMS
 
 #: ``expect`` values.  A deadlock entry is engineered to wedge: its
 #: ``check`` reports a watchdog cycle beside a live bystander, which
@@ -165,14 +163,8 @@ def _watchdog_quiet(tag: str, what: str, kernel: Kernel) -> list[str]:
 # The paper's worlds and the layers above them
 # ---------------------------------------------------------------------------
 
-_SYSTEMS = {
-    "cedar": (build_cedar_world, CEDAR_ACTIVITIES),
-    "gvx": (build_gvx_world, GVX_ACTIVITIES),
-}
-
-
 def _paper_world(system: str, activity: str):
-    builder, activities = _SYSTEMS[system]
+    builder, activities = SYSTEMS[system]
 
     def build(config: KernelConfig):
         world, context = builder(config)
@@ -986,17 +978,17 @@ _GOLDEN_SWEEP = ("golden", "sweep")
 
 SCENARIOS: dict[str, Scenario] = {s.name: s for s in (
     # The sweep tag's order is part of every seeded chaos report.
-    Scenario("cedar-idle", _paper_world("cedar", "idle"),
+    Scenario("cedar-idle", _paper_world("Cedar", "idle"),
              tags=("golden", "sweep", "clean"),
              description="the Cedar world's background activity; under "
                          "forced scheduler picks invariants must hold on "
                          "every order"),
-    Scenario("cedar-keyboard", _paper_world("cedar", "keyboard"),
+    Scenario("cedar-keyboard", _paper_world("Cedar", "keyboard"),
              tags=_GOLDEN_SWEEP),
-    Scenario("cedar-formatting", _paper_world("cedar", "formatting"),
+    Scenario("cedar-formatting", _paper_world("Cedar", "formatting"),
              tags=_GOLDEN_SWEEP),
-    Scenario("gvx-idle", _paper_world("gvx", "idle"), tags=_GOLDEN_SWEEP),
-    Scenario("gvx-keyboard", _paper_world("gvx", "keyboard"),
+    Scenario("gvx-idle", _paper_world("GVX", "idle"), tags=_GOLDEN_SWEEP),
+    Scenario("gvx-keyboard", _paper_world("GVX", "keyboard"),
              tags=_GOLDEN_SWEEP),
     Scenario("producer-consumer", _producer_consumer, horizon=sec(1),
              plan=FaultPlan(drop_notify_prob=0.5, spurious_wakeup_prob=0.5),

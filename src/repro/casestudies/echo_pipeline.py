@@ -106,7 +106,7 @@ def run_echo_pipeline(
                 if key_id not in first_request:
                     first_request[key_id] = yield GET_TIME
                 yield from paint_queue.put(
-                    PaintRequest(region=f"region-{region}", payload=key_id)
+                    PaintRequest(region=f"region-{region}")
                 )
                 # Real painting work separates the requests — the reason
                 # a too-short donation window (1 ms quantum) cannot

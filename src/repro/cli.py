@@ -145,8 +145,7 @@ def _cmd_races(args: argparse.Namespace) -> None:
     from repro.casestudies.weakmem import run_init_once, run_publication
     from repro.kernel.config import KernelConfig
     from repro.kernel.simtime import sec
-    from repro.workloads.cedar import build_cedar_world
-    from repro.workloads.gvx import build_gvx_world
+    from repro.workloads import SYSTEMS
 
     rows = []
     detailed = []
@@ -176,8 +175,7 @@ def _cmd_races(args: argparse.Namespace) -> None:
     benign = [r for r in result.race_reports if not r.hb_race]
     add("producer/consumer (monitored)", races, benign)
 
-    for label, builder in (("Cedar", build_cedar_world),
-                           ("GVX", build_gvx_world)):
+    for label, (builder, _activities) in SYSTEMS.items():
         world, _context = builder(
             KernelConfig(seed=args.seed, race_detection=True)
         )

@@ -28,7 +28,7 @@ per tenant plus virtual-finish-time weighted fair queueing across them:
 Everything is integer arithmetic on a monitor-protected structure using
 the same Mesa pattern as :class:`~repro.sync.queues.BoundedQueue`, and
 the class speaks the admission half of its protocol (``try_put``/``get``/
-``prune``/``len``/``rejects``/``max_depth``), so the cluster balancer
+``prune``/``len``/``max_depth``), so the cluster balancer
 takes it and drop-tail interchangeably.  Admission never parks a putter,
 so there is no blocking ``put``.
 
@@ -92,14 +92,14 @@ class TokenBucket:
         if fresh:
             self.tokens = min(self.burst, self.tokens + fresh)
 
-    def take(self, now: int, amount: int = 1) -> bool:
-        """Spend ``amount`` tokens; False (and no spend) if short."""
+    def take(self, now: int) -> bool:
+        """Spend one token; False (and no spend) if none is left."""
         self._refill(now)
-        if self.tokens < amount:
+        if self.tokens < 1:
             self.throttled += 1
             return False
-        self.tokens -= amount
-        self.taken += amount
+        self.tokens -= 1
+        self.taken += 1
         return True
 
     def __repr__(self) -> str:
@@ -122,7 +122,6 @@ class WfqQueue:
         capacity: int,
         weights: dict[str, int],
         *,
-        get_timeout: int | None = None,
         carry: dict | None = None,
     ) -> None:
         if capacity < 1:
@@ -135,9 +134,7 @@ class WfqQueue:
         self.capacity = capacity
         self.weights = dict(weights)
         self.monitor = Monitor(f"{name}.lock")
-        self.nonempty = ConditionVariable(
-            self.monitor, f"{name}.nonempty", timeout=get_timeout
-        )
+        self.nonempty = ConditionVariable(self.monitor, f"{name}.nonempty")
         #: No thread waits here: admission only calls ``try_put``.  Yet
         #: ``get`` and ``prune`` still NOTIFY it once per freed slot, as
         #: :class:`~repro.sync.queues.BoundedQueue` does, because those
@@ -159,14 +156,9 @@ class WfqQueue:
         self.last_finish: dict[str, int] = dict.fromkeys(weights, 0)
         self._seq = 0
         self._size = 0
-        self.puts = 0
-        self.gets = 0
         #: Optional custody ledger (see
         #: :class:`repro.sync.queues.UnboundedQueue`).
         self.carry = carry
-        #: ``try_put`` calls refused because the tenant's sub-queue was
-        #: full.
-        self.rejects = 0
         #: Aggregate high-water mark, for SLO diagnostics.
         self.max_depth = 0
         #: tenant -> items served, for share assertions.
@@ -190,7 +182,6 @@ class WfqQueue:
         self._seq += 1
         self.queues[tenant].append((finish, self._seq, item))
         self._size += 1
-        self.puts += 1
         if self._size > self.max_depth:
             self.max_depth = self._size
 
@@ -207,7 +198,6 @@ class WfqQueue:
         finish, _seq, item = self.queues[best].popleft()
         self.vtime = max(self.vtime, finish)
         self._size -= 1
-        self.gets += 1
         self.served[best] += 1
         return item
 
@@ -220,7 +210,6 @@ class WfqQueue:
         try:
             tenant = self._tenant_of(item)
             if len(self.queues[tenant]) >= self.capacity:
-                self.rejects += 1
                 return False
             self._enqueue(tenant, item)
             yield self._notify_nonempty

@@ -53,9 +53,6 @@ class CodeFragment:
     text: str
     label: str
 
-    def lines(self) -> list[str]:
-        return self.text.splitlines()
-
 
 @dataclass
 class CensusCount:

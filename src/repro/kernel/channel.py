@@ -42,8 +42,6 @@ class Channel:
         self.items: deque[Any] = deque()
         #: Threads blocked in Channelreceive, FIFO.
         self.waiters: deque["SimThread"] = deque()
-        self.posts = 0
-        self.receives = 0
         #: Set by the kernel when the channel is registered, so ``post``
         #: can wake waiters through the kernel.
         self._kernel: Any = None
@@ -64,7 +62,6 @@ class Channel:
         """
         if self._kernel is None:
             raise ValueError(f"channel {self.name!r} not bound to a kernel")
-        self.posts += 1
         self._kernel._channel_post(self, item)
 
     def __repr__(self) -> str:

@@ -31,9 +31,6 @@ class EventHeap:
         #: earlier head (see ``Kernel._resume``).
         self.pushes = 0
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def push(self, when: int, action: EventAction) -> None:
         """Schedule ``action`` at absolute time ``when``."""
         if when < 0:

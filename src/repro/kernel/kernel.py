@@ -254,7 +254,6 @@ class Kernel:
         self,
         proc: Callable[..., Any],
         args: tuple = (),
-        kwargs: dict | None = None,
         *,
         name: str | None = None,
         priority: int = DEFAULT_PRIORITY,
@@ -267,7 +266,7 @@ class Kernel:
         (JOIN is a trap available only to simulated threads).
         """
         thread = self._create_thread(
-            proc, args, kwargs or {}, name=name, priority=priority,
+            proc, args, name=name, priority=priority,
             parent=None, role=role, detached=detached,
         )
         self.scheduler.make_ready(thread)
@@ -284,18 +283,13 @@ class Kernel:
         self.events.push(when, action)
 
     def post_every(
-        self,
-        period: int,
-        action: Callable[["Kernel"], None],
-        *,
-        start: int | None = None,
+        self, period: int, action: Callable[["Kernel"], None]
     ) -> None:
-        """Run ``action`` every ``period`` µs, forever, starting at
-        ``start`` (default: one period from now)."""
+        """Run ``action`` every ``period`` µs, forever, starting one
+        period from now."""
         if period <= 0:
             raise ValueError("period must be positive")
-        first = start if start is not None else self.now + period
-        self.post_at(first, _Every(period, action))  # a past ``start`` raises
+        self.events.push(self.now + period, _Every(period, action))
 
     def run_for(self, duration: int, **kwargs: Any) -> int:
         """Advance the simulation by ``duration`` µs."""
@@ -541,7 +535,6 @@ class Kernel:
         cv.timeouts += 1
         self.stats.cv_timeouts += 1
         thread.stats.cv_timeouts += 1
-        thread.wake_was_notify = False
         thread.pending_send = False  # WAIT returns False on timeout
         thread.resume_action = ("reacquire", cv.monitor, False)
         self.scheduler.make_ready(thread)
@@ -851,7 +844,6 @@ class Kernel:
         self,
         proc: Callable[..., Any],
         args: tuple,
-        kwargs: dict,
         *,
         name: str | None,
         priority: int,
@@ -861,7 +853,7 @@ class Kernel:
     ) -> SimThread:
         if not (MIN_PRIORITY <= priority <= MAX_PRIORITY):
             raise KernelUsageError(f"priority {priority} outside 1..7")
-        body = proc(*args, **kwargs)
+        body = proc(*args)
         if not inspect.isgenerator(body):
             raise KernelUsageError(
                 f"thread proc {proc!r} must be a generator function "
@@ -978,7 +970,7 @@ class Kernel:
             return
         waiter, trap = self._fork_waiters.pop(0)
         child = self._create_thread(
-            trap.proc, trap.args, trap.kwargs,
+            trap.proc, trap.args,
             name=trap.name,
             priority=trap.priority if trap.priority is not None else waiter.priority,
             parent=waiter, role=None, detached=trap.detached,
@@ -986,7 +978,6 @@ class Kernel:
         self.scheduler.make_ready(child)
         self.stats.forks += 1
         waiter.stats.forks_issued += 1
-        waiter.forked_children.append(child.tid)
         waiter.pending_send = child
         self.scheduler.make_ready(waiter)
 
@@ -1051,8 +1042,6 @@ class Kernel:
             self.tracer.record(
                 self.now, instr.CAT_CHANNEL, "post", "-", channel.name
             )
-        if self.race_detector is not None:
-            self.race_detector.on_channel_post(channel)
         if not self._hand_to_receiver(channel, item):
             channel.items.append(item)
 
@@ -1075,10 +1064,7 @@ class Kernel:
         waiter.wait_epoch += 1  # invalidate any receive timeout
         waiter.pending_send = item
         waiter.pending_channel = channel
-        channel.receives += 1
         self.stats.channel_receives += 1
-        if self.race_detector is not None:
-            self.race_detector.on_channel_receive(waiter, channel)
         self.scheduler.make_ready(waiter)
         return True
 
@@ -1092,7 +1078,6 @@ class Kernel:
         item = thread.pending_send
         thread.pending_channel = None
         thread.pending_send = None
-        channel.receives -= 1
         self.stats.channel_receives -= 1
         if self._tracing:
             self.tracer.record(
@@ -1134,7 +1119,7 @@ class Kernel:
             self._fork_waiters.append((thread, trap))
             return _Outcome.SUSPEND
         child = self._create_thread(
-            trap.proc, trap.args, trap.kwargs,
+            trap.proc, trap.args,
             name=trap.name,
             priority=trap.priority if trap.priority is not None else thread.priority,
             parent=thread, role=None, detached=trap.detached,
@@ -1142,7 +1127,6 @@ class Kernel:
         self.scheduler.make_ready(child)
         self.stats.forks += 1
         thread.stats.forks_issued += 1
-        thread.forked_children.append(child.tid)
         thread.pending_send = child
         return _Outcome.CONTINUE
 
@@ -1322,7 +1306,6 @@ class Kernel:
         # access is consistent."
         if self._buffered:
             self.memory.fence(thread)
-        monitor.enters += 1
         self.stats.ml_enters += 1
         thread.stats.monitor_enters += 1
         self.stats.monitors_used.add(monitor.uid)
@@ -1438,7 +1421,6 @@ class Kernel:
             self.race_detector.on_release(thread, monitor)
         self._hand_off_monitor(monitor)
         # ...and sleep on the condition.
-        thread.wake_was_notify = False
         thread.wait_epoch += 1
         self._block_current(cpu, thread, ThreadState.WAITING_CV, cv)
         cv.waiters.append(thread)
@@ -1488,7 +1470,6 @@ class Kernel:
     def _h_broadcast(self, cpu: Cpu, thread: SimThread, trap: Broadcast) -> _Outcome:
         cv = trap.condition
         self._require_monitor_for_cv(thread, cv, "BROADCAST")
-        cv.broadcasts += 1
         self.stats.cv_broadcasts += 1
         if self._tracing:
             self.tracer.record(
@@ -1529,7 +1510,6 @@ class Kernel:
         cv.waiters.remove(thread)
         self.faults.note("spurious_wakeup", thread.name, cv.name)
         thread.wait_epoch += 1  # cancels the pending timeout lazily
-        thread.wake_was_notify = True
         self.stats.cv_wakeups += 1
         thread.pending_send = True  # looks exactly like a notification
         thread.resume_action = ("reacquire", cv.monitor, False)
@@ -1556,7 +1536,6 @@ class Kernel:
     def _deliver_cv_wake(self, cv: Any, waiter: SimThread) -> None:
         """Wake a thread already removed from ``cv.waiters``."""
         waiter.wait_epoch += 1  # cancels the pending timeout lazily
-        waiter.wake_was_notify = True
         if self.race_detector is not None:
             self.race_detector.on_cv_wake(waiter, cv)
         waiter.stats.cv_notifies_received += 1
@@ -1585,10 +1564,7 @@ class Kernel:
             # before that gives it back.
             thread.pending_send = channel.items.popleft()
             thread.pending_channel = channel
-            channel.receives += 1
             self.stats.channel_receives += 1
-            if self.race_detector is not None:
-                self.race_detector.on_channel_receive(thread, channel)
             return _Outcome.CONTINUE
         thread.wait_epoch += 1
         self._block_current(cpu, thread, ThreadState.RECEIVING, channel)

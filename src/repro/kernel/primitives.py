@@ -22,7 +22,7 @@ The vocabulary mirrors the Mesa/PCR primitives in Section 2 of the paper
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
@@ -59,7 +59,7 @@ class Compute(Trap):
 
 @dataclass(frozen=True)
 class Fork(Trap):
-    """Create a new thread running ``proc(*args, **kwargs)``.
+    """Create a new thread running ``proc(*args)``.
 
     Returns the new :class:`SimThread`.  The child inherits the forker's
     priority unless ``priority`` is given.  Under the ``raise`` fork-failure
@@ -70,7 +70,6 @@ class Fork(Trap):
 
     proc: ThreadProc
     args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
     name: str | None = None
     priority: int | None = None
     detached: bool = False

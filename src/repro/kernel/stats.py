@@ -10,11 +10,11 @@ read by ``repro.analysis.dynamic`` to compute the paper's rates:
 * F1/F2: execution-interval histogram and execution-time-by-interval share
 * F4: CPU time by priority level
 
-Counters are monotonic; measurements over a window are taken by snapshot
-and subtraction (see :class:`Snapshot`).  The distinct-use sets are the one
-exception — Table 3 counts distinct objects *within* a benchmark, so
-windows capture set sizes before and after and the analysis layer clears
-them at window start.
+Counters are monotonic; measurements over a window subtract the
+:meth:`GlobalStats.counters` taken at its start from those taken at its
+end.  The distinct-use sets are the one exception — Table 3 counts
+distinct objects *within* a benchmark, so the window clears them at its
+start and reports their sizes at its end.
 """
 
 from __future__ import annotations
@@ -108,62 +108,13 @@ class GlobalStats:
         self.monitors_used.clear()
         self.cvs_used.clear()
 
-    def snapshot(self) -> "Snapshot":
-        return Snapshot(
-            forks=self.forks,
-            switches=self.switches,
-            dispatches=self.dispatches,
-            preemptions=self.preemptions,
-            yields=self.yields,
-            ml_enters=self.ml_enters,
-            ml_contended=self.ml_contended,
-            cv_waits=self.cv_waits,
-            cv_timeouts=self.cv_timeouts,
-            cv_notifies=self.cv_notifies,
-            cv_wakeups=self.cv_wakeups,
-            spurious_conflicts=self.spurious_conflicts,
-            channel_timeouts=self.channel_timeouts,
-            threads_created=self.threads_created,
-            threads_finished=self.threads_finished,
-            exec_interval_index=len(self.exec_intervals),
-            thread_log_index=len(self.thread_log),
-            lifetime_index=len(self.lifetimes),
-            monitors_used=len(self.monitors_used),
-            cvs_used=len(self.cvs_used),
-        )
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Counter values at an instant; subtract two to get window deltas."""
-
-    forks: int
-    switches: int
-    dispatches: int
-    preemptions: int
-    yields: int
-    ml_enters: int
-    ml_contended: int
-    cv_waits: int
-    cv_timeouts: int
-    cv_notifies: int
-    cv_wakeups: int
-    spurious_conflicts: int
-    channel_timeouts: int
-    threads_created: int
-    threads_finished: int
-    exec_interval_index: int
-    thread_log_index: int
-    lifetime_index: int
-    monitors_used: int
-    cvs_used: int
-
-    def delta(self, earlier: "Snapshot") -> dict[str, int]:
-        """Per-counter differences ``self - earlier``."""
-        result: dict[str, int] = {}
-        for name in self.__dataclass_fields__:
-            result[name] = getattr(self, name) - getattr(earlier, name)
-        return result
+    def counters(self) -> dict[str, int]:
+        """Every integer counter by name: what a measurement window
+        subtracts and the golden fingerprint hashes."""
+        return {
+            name: value for name, value in vars(self).items()
+            if isinstance(value, int)
+        }
 
 
 @dataclass

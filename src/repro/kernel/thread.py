@@ -4,10 +4,10 @@ A thread wraps a Python generator (the running body) plus everything the
 scheduler and the instrumentation need: state, priority, what it is blocked
 on, accumulated CPU, execution intervals, fork genealogy.
 
-The genealogy fields (``parent``, ``generation``, ``forked_children``)
-exist because Section 3 of the paper analyses forking patterns — "none of
-our benchmarks exhibited forking generations greater than 2" — and the F3
-figure bench reproduces that analysis.
+The genealogy fields (``parent``, ``generation``) exist because Section
+3 of the paper analyses forking patterns — "none of our benchmarks
+exhibited forking generations greater than 2" — and the F3 figure bench
+reproduces that analysis.
 
 Lifetime classes (eternal / worker / transient) are assigned by the
 analysis layer from observed lifetime and behaviour, mirroring the paper's
@@ -89,14 +89,12 @@ class SimThread:
         self.name = name
         self.body = body
         self.priority = priority
-        self.initial_priority = priority
         self.created_at = created_at
         self.ended_at: int | None = None
         self.parent = parent
         #: Fork generation: 0 for threads forked from outside the simulated
         #: world (eternal/worker roots), parent.generation + 1 otherwise.
         self.generation = 0 if parent is None else parent.generation + 1
-        self.forked_children: list[int] = []
         #: Declared role, e.g. "eternal", "worker" — used by workloads.
         self.role = role
 
@@ -124,8 +122,6 @@ class SimThread:
         self.pending_throw: BaseException | None = None
         #: Sim time of the last dispatch (start of current run interval).
         self.last_dispatched: int | None = None
-        #: Set when a CV wait ended by notification rather than timeout.
-        self.wake_was_notify = False
         #: Bumped on every blocking wait; lazily invalidates stale timeout
         #: entries in the kernel's timed-waiter heap.
         self.wait_epoch = 0

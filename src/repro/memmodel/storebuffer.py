@@ -82,13 +82,8 @@ class StoreBufferMemory:
         self._rng = rng
         #: Fences that actually drained a store buffer.
         self.fences = 0
-        #: Every ``fence`` call, effective or not.
-        self.fence_requests = 0
         self.stores = 0
         self.loads = 0
-        #: Loads that missed a newer value still buffered by another
-        #: thread — the §5.5 hazard counter.
-        self.stale_loads = 0
         #: Entries committed through ``mem.drain`` decisions.
         self.drain_decisions = 0
         self._buffers: dict[int, list[_Entry]] = {}
@@ -119,19 +114,11 @@ class StoreBufferMemory:
             for entry in reversed(buffer):
                 if entry.var is var:
                     return entry.value, entry.token
-        for tid, buffer in self._buffers.items():
-            if tid == thread.tid:
-                continue
-            if any(entry.var is var for entry in buffer):
-                # Another thread has a newer in-flight value we cannot see.
-                self.stale_loads += 1
-                break
         return var.committed, var.token
 
     def fence(self, thread: Any) -> None:
         """Drain the fencing thread's buffer completely, in program
         order.  Only fences that drain something count in ``fences``."""
-        self.fence_requests += 1
         buffer = self._buffers.get(thread.tid)
         if not buffer:
             return
@@ -221,7 +208,3 @@ class StoreBufferMemory:
                         self._commit(entry)
                 if len(kept) != len(buffer):
                     self._buffers[tid] = kept
-
-    def buffered_entries(self) -> int:
-        """Total in-flight stores across all threads (for reports)."""
-        return sum(len(buffer) for buffer in self._buffers.values())

@@ -10,7 +10,7 @@ its daemons, its devices.  This facade keeps workload code declarative:
     world.run_for(sec(30))
 
 It also carries the measurement-window helpers the Table 1-3 analyses
-use: ``begin_measurement`` snapshots the counters and clears the
+use: ``begin_measurement`` takes the kernel's counters and clears the
 distinct-use sets after warm-up; ``end_measurement`` returns a
 :class:`WindowStats`.
 """
@@ -22,7 +22,7 @@ from typing import Any, Callable
 from repro.kernel.channel import Channel
 from repro.kernel.config import DEFAULT_PRIORITY, KernelConfig
 from repro.kernel.kernel import Kernel
-from repro.kernel.stats import Snapshot, WindowStats
+from repro.kernel.stats import WindowStats
 from repro.kernel.thread import SimThread
 from repro.runtime.daemon import install_system_daemon
 
@@ -34,7 +34,7 @@ class World:
         self.kernel = Kernel(config)
         self.eternal_threads: list[SimThread] = []
         self.devices: dict[str, Channel] = {}
-        self._window_start: tuple[int, Snapshot] | None = None
+        self._window_start: tuple[int, dict[str, int]] | None = None
 
     # -- population -------------------------------------------------------
 
@@ -88,28 +88,23 @@ class World:
     def begin_measurement(self) -> None:
         """Start a stats window; clears the Table-3 distinct-use sets."""
         self.kernel.stats.clear_distinct()
-        self._window_start = (self.kernel.now, self.kernel.stats.snapshot())
+        self._window_start = (self.kernel.now, self.kernel.stats.counters())
 
     def end_measurement(self) -> WindowStats:
         """Close the window opened by :meth:`begin_measurement`."""
         if self._window_start is None:
             raise RuntimeError("begin_measurement was never called")
-        start_time, start_snap = self._window_start
+        start_time, start = self._window_start
         self._window_start = None
-        end_snap = self.kernel.stats.snapshot()
+        stats = self.kernel.stats
+        end = stats.counters()
         window = WindowStats(duration=self.kernel.now - start_time)
-        window.counts = end_snap.delta(start_snap)
+        window.counts = {name: end[name] - start[name] for name in end}
         # Distinct counts are within-window absolutes, not deltas, because
         # begin_measurement cleared the sets.
-        window.counts["monitors_used"] = len(self.kernel.stats.monitors_used)
-        window.counts["cvs_used"] = len(self.kernel.stats.cvs_used)
+        window.counts["monitors_used"] = len(stats.monitors_used)
+        window.counts["cvs_used"] = len(stats.cvs_used)
         return window
 
     def shutdown(self) -> None:
         self.kernel.shutdown()
-
-    def __enter__(self) -> "World":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.shutdown()

@@ -12,13 +12,10 @@ Percentile queries return the *upper bound* of the bucket containing the
 requested rank (clamped to the observed maximum), so reported p99s are
 conservative and — critically for the determinism guarantee — a pure
 function of the recorded counts.  Everything here is integer arithmetic:
-identical runs produce identical histograms, identical digests.
+identical runs produce identical histograms.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 #: Enough buckets for latencies up to ~2**39 µs (~6 days of sim time).
 BUCKET_COUNT = 40
@@ -134,12 +131,6 @@ class LatencyHistogram:
             "max": self.max,
             **self.quantiles(),
         }
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical form — the determinism check."""
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()
 
     def __repr__(self) -> str:
         qs = self.quantiles()

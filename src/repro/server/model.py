@@ -95,7 +95,7 @@ class Request:
 
     __slots__ = (
         "rid", "tenant", "submitted", "intended", "expires_at", "cost",
-        "attempt", "key", "reply_to", "started_at", "completed_at",
+        "attempt", "key", "reply_to", "completed_at",
         "status", "reroutes", "replays",
     )
 
@@ -125,7 +125,6 @@ class Request:
         self.attempt = 0
         self.key = key
         self.reply_to = reply_to
-        self.started_at: int | None = None
         self.completed_at: int | None = None
         self.status = PENDING
         #: Times a balancer pulled this request off a wedged shard and

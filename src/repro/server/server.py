@@ -343,7 +343,6 @@ class RpcServer(Frontend):
             # full per-request cost here.
             yield from self.batch_queue.put(req)
             return
-        req.started_at = now
         yield self.table_mon.enter
         try:
             yield TOUCH_COMPUTE

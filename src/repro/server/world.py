@@ -47,11 +47,6 @@ class ServerReport:
         return self.completed / seconds if seconds else 0.0
 
     @property
-    def quantiles(self) -> dict[str, int]:
-        latency = self.stats["latency"]
-        return {name: latency[name] for name in ("p50", "p95", "p99", "p999")}
-
-    @property
     def shed_fraction(self) -> float:
         offered = self.stats["totals"]["offered"]
         return self.stats["totals"]["shed"] / offered if offered else 0.0

@@ -45,7 +45,6 @@ class ConditionVariable:
         "waits",
         "timeouts",
         "notifies",
-        "broadcasts",
     )
 
     def __init__(
@@ -65,7 +64,6 @@ class ConditionVariable:
         self.waits = 0
         self.timeouts = 0
         self.notifies = 0
-        self.broadcasts = 0
 
     def __repr__(self) -> str:
         return f"<CV {self.name!r} waiters={len(self.waiters)}>"

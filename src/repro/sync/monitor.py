@@ -42,7 +42,6 @@ class Monitor:
         "name",
         "owner",
         "entry_queue",
-        "enters",
         "blocks",
         "boost_restore",
         "_enter",
@@ -57,7 +56,6 @@ class Monitor:
         #: enter the monitor are enqueued on the mutex"); None until the
         #: first contended entry (see :meth:`enqueue`).
         self.entry_queue: deque["SimThread"] | None = None
-        self.enters = 0
         #: Entries that found the mutex held (contention, Table 2 text).
         self.blocks = 0
         #: Pre-boost priority of the owner, when priority inheritance
@@ -136,7 +134,6 @@ def monitored(method: Callable[..., Generator[Any, Any, Any]]):
             yield self.monitor.exit
         return result
 
-    wrapper.__monitored__ = True
     return wrapper
 
 

@@ -53,8 +53,6 @@ class UnboundedQueue:
         self._notify_nonempty = Notify(self.nonempty)
         self._wait_nonempty = Wait(self.nonempty)
         self.items: deque[Any] = deque()
-        self.puts = 0
-        self.gets = 0
         #: Optional custody ledger: ``get`` records the popped item here
         #: (keyed by ``item.rid``) *before* releasing the monitor, so a
         #: consumer killed on the Exit trap — item popped, never
@@ -68,7 +66,6 @@ class UnboundedQueue:
         yield self.monitor.enter
         try:
             self.items.append(item)
-            self.puts += 1
             yield self._notify_nonempty
         finally:
             yield self.monitor.exit
@@ -86,7 +83,6 @@ class UnboundedQueue:
                 notified = yield wait
                 if not notified and not self.items:
                     return None
-            self.gets += 1
             item = self.items.popleft()
             if self.carry is not None:
                 self.carry[item.rid] = item
@@ -100,7 +96,6 @@ class UnboundedQueue:
         try:
             drained = list(self.items)
             self.items.clear()
-            self.gets += len(drained)
             return drained
         finally:
             yield self.monitor.exit
@@ -161,13 +156,8 @@ class BoundedQueue:
         self._notify_nonfull = Notify(self.nonfull)
         self._wait_nonempty = Wait(self.nonempty)
         self.items: deque[Any] = deque()
-        self.puts = 0
-        self.gets = 0
         #: Optional custody ledger (see :class:`UnboundedQueue`).
         self.carry = carry
-        #: ``try_put`` calls refused because the queue was full (load
-        #: shed upstream).
-        self.rejects = 0
         #: High-water mark, for SLO diagnostics.
         self.max_depth = 0
 
@@ -176,7 +166,6 @@ class BoundedQueue:
         yield self.monitor.enter
         try:
             if len(self.items) >= self.capacity:
-                self.rejects += 1
                 return False
             self._append(item)
             yield self._notify_nonempty
@@ -206,7 +195,6 @@ class BoundedQueue:
                 if not notified and not self.items:
                     return None
             item = self.items.popleft()
-            self.gets += 1
             if self.carry is not None:
                 self.carry[item.rid] = item
             yield self._notify_nonfull
@@ -233,7 +221,6 @@ class BoundedQueue:
 
     def _append(self, item: Any) -> None:
         self.items.append(item)
-        self.puts += 1
         if len(self.items) > self.max_depth:
             self.max_depth = len(self.items)
 

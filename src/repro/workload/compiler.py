@@ -82,7 +82,6 @@ def arrival_times(
     until: int,
     *,
     frontend_name: str = "lb",
-    origin: int = 0,
 ) -> list[int]:
     """The class's accepted arrival schedule, without a kernel.
 
@@ -101,7 +100,7 @@ def arrival_times(
         return []
     peak_usec = peak_sec / 1_000_000.0
     times: list[int] = []
-    t = origin + rng.expovariate(peak_usec)
+    t = rng.expovariate(peak_usec)
     while t < until:
         if rng.uniform() * peak_sec <= cls.rate_per_sec(t):
             times.append(t)

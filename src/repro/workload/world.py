@@ -81,10 +81,6 @@ class WorkloadReport:
         return self.totals["completed"]
 
     @property
-    def offered(self) -> int:
-        return self.totals["offered"]
-
-    @property
     def attainment(self) -> dict[str, float]:
         """Per-tenant headline SLO attainment."""
         return {
@@ -147,7 +143,11 @@ def build_workload_world(
         frontend = cache
     sinks = install_workload(frontend, spec.classes)
     if spec.invalidate_every and cache is not None:
-        _install_invalidations(world, cache, spec.invalidate_every)
+        # Periodic wildcard invalidation — the stampede trigger.
+        world.kernel.post_every(
+            spec.invalidate_every,
+            lambda k: cache.invalidations.post(INVALIDATE_ALL),
+        )
     return WorkloadWorld(
         world=world,
         spec=spec,
@@ -156,17 +156,6 @@ def build_workload_world(
         sinks=sinks,
         single_flight=single_flight if spec.cache else None,
     )
-
-
-def _install_invalidations(world: World, cache: CacheTier, every: int) -> None:
-    """Periodic wildcard invalidation — the stampede trigger."""
-    kernel = world.kernel
-
-    def flush(k: Any) -> None:
-        cache.invalidations.post(INVALIDATE_ALL)
-        k.post_at(k.now + every, flush)
-
-    kernel.post_at(kernel.now + every, flush)
 
 
 def _client_rows(ww: WorkloadWorld, cluster_merged: dict) -> dict:

@@ -13,11 +13,18 @@ from repro.workloads.base import ActivityResult, LibraryPool, run_activity
 from repro.workloads.cedar import CEDAR_ACTIVITIES, build_cedar_world
 from repro.workloads.gvx import GVX_ACTIVITIES, build_gvx_world
 
+#: Each paper system's world builder and its activities, in table order.
+SYSTEMS = {
+    "Cedar": (build_cedar_world, CEDAR_ACTIVITIES),
+    "GVX": (build_gvx_world, GVX_ACTIVITIES),
+}
+
 __all__ = [
     "ActivityResult",
     "CEDAR_ACTIVITIES",
     "GVX_ACTIVITIES",
     "LibraryPool",
+    "SYSTEMS",
     "build_cedar_world",
     "build_gvx_world",
     "run_activity",

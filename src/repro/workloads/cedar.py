@@ -43,8 +43,8 @@ class CedarContext:
     rng: DeterministicRng
     pools: dict[str, LibraryPool] = field(default_factory=dict)
     sleepers: list[CvSleeper] = field(default_factory=list)
-    keyboard: Any = None
-    mouse: Any = None
+    #: The one device channel keyboard and mouse events merge into.
+    input: Any = None
     command_queue: UnboundedQueue | None = None
     #: Handlers activities register for device events, called as
     #: ``handler(context, event)`` for a generator.  They take the
@@ -143,9 +143,7 @@ def build_cedar_world(config: KernelConfig) -> tuple[World, CedarContext]:
     # -- devices and their watchers --------------------------------------
     # "all user input is filtered through a pipeline thread that
     # preprocesses events" — keyboard and mouse merge into one stream.
-    context._merged_channel = world.add_device("input")
-    context.keyboard = context._merged_channel
-    context.mouse = context._merged_channel
+    context.input = world.add_device("input")
     context.command_queue = UnboundedQueue("command-shell", get_timeout=msec(250))
 
     world.add_eternal(
@@ -237,7 +235,7 @@ def _notifier_proc(context: CedarContext):
     the merged input device.
     """
     while True:
-        source, event = yield Channelreceive(context._merged_channel)
+        source, event = yield Channelreceive(context.input)
         yield Compute(usec(30))  # notice what work needs to be done
         handlers = (
             context.key_handlers if source == "key" else context.mouse_handlers
@@ -323,7 +321,7 @@ def install_keyboard(world: World, context: CedarContext) -> None:
     context.key_handlers.append(handler)
     context.keystroke_stages = stages
     world.kernel.post_every(
-        msec(250), lambda k: context._merged_channel.post(("key", "keystroke"))
+        msec(250), lambda k: context.input.post(("key", "keystroke"))
     )
 
 
@@ -348,7 +346,7 @@ def install_mouse(world: World, context: CedarContext) -> None:
 
     context.mouse_handlers.append(handler)
     world.kernel.post_every(
-        msec(25), lambda k: context._merged_channel.post(("mouse", "motion"))
+        msec(25), lambda k: context.input.post(("mouse", "motion"))
     )
 
 
@@ -385,7 +383,7 @@ def install_scrolling(world: World, context: CedarContext) -> None:
     context.mouse_handlers.append(handler)
     world.kernel.post_every(
         msec(500),
-        lambda k: context._merged_channel.post(("mouse", "scroll-click")),
+        lambda k: context.input.post(("mouse", "scroll-click")),
     )
 
 

@@ -27,12 +27,10 @@ class PaintRequest:
     earlier one, which is what lets the buffer thread merge.
     """
 
-    __slots__ = ("region", "payload", "issued_at")
+    __slots__ = ("region",)
 
-    def __init__(self, region: Any, payload: Any = None, issued_at: int = 0) -> None:
+    def __init__(self, region: Any) -> None:
         self.region = region
-        self.payload = payload
-        self.issued_at = issued_at
 
     @property
     def key(self) -> Any:
@@ -40,5 +38,5 @@ class PaintRequest:
         return self.region
 
     def __repr__(self) -> str:
-        return f"<Paint {self.region!r}@{self.issued_at}>"
+        return f"<Paint {self.region!r}>"
 

@@ -55,7 +55,6 @@ class ModifiedXlib:
         self.out_queue: deque[Any] = deque()
         self.event_queue: deque[Any] = deque()
         self.flushes = 0
-        self.read_attempts = 0
         #: Reads that timed out and had to release/retry the mutex.
         self.read_retries = 0
 
@@ -107,7 +106,6 @@ class ModifiedXlib:
                 # flushed whenever a read is done on the input stream."
                 if self.flush_before_read:
                     yield from self._flush_locked()
-                self.read_attempts += 1
                 # The inversion window: we block on the connection while
                 # holding the library mutex.
                 event = yield Channelreceive(

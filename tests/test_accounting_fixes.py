@@ -37,7 +37,7 @@ class TestChannelTimeoutAccounting:
         kernel.run_for(msec(100))
         assert results == [None]
         assert kernel.stats.channel_timeouts == 1
-        assert kernel.stats.snapshot().channel_timeouts == 1
+        assert kernel.stats.counters()["channel_timeouts"] == 1
         timeouts = [
             e
             for e in kernel.tracer.events

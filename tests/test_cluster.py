@@ -135,7 +135,6 @@ class TestWfqQueue:
         accepted, quiet_ok = drive(scenario)
         assert accepted == 4
         assert quiet_ok is True
-        assert q.rejects == 6
         assert len(q.queues["flood"]) == 4
         assert len(q.queues["quiet"]) == 1
 

@@ -104,7 +104,3 @@ class TestCensusModel:
         assert round(100 * PAPER_TABLE4["Cedar"][model.DEFER] / cedar_total) == 31
         gvx_total = PAPER_TOTALS["GVX"]
         assert round(100 * PAPER_TABLE4["GVX"][model.DEFER] / gvx_total) == 33
-
-    def test_fragment_lines_helper(self):
-        fragment = cedar_corpus()[0]
-        assert fragment.lines() == fragment.text.splitlines()

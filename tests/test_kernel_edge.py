@@ -348,14 +348,6 @@ class TestRunBoundaries:
             kernel.post_at(msec(50), lambda k: None)
         kernel.shutdown()
 
-    def test_post_every_start_in_past_rejected(self):
-        # A past start would fire with the clock running backwards.
-        kernel = make_kernel()
-        kernel.run_until(msec(100))
-        with pytest.raises(ValueError, match="past"):
-            kernel.post_every(msec(10), lambda k: None, start=msec(20))
-        kernel.shutdown()
-
     def test_revisited_boundary_instant_ticks_once(self):
         # An event that posts another event at its own instant makes the
         # loop visit 100 ms twice; only 4 boundaries pass in 200 ms.

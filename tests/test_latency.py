@@ -138,7 +138,6 @@ def test_merge_matches_recording_union():
     merged.merge(hist(*values_b))
     direct = hist(*values_a, *values_b)
     assert merged.to_dict() == direct.to_dict()
-    assert merged.digest() == direct.digest()
 
 
 def test_merge_does_not_mutate_source():

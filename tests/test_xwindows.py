@@ -66,7 +66,7 @@ class TestXServerCostModel:
 
 class TestBufferThread:
     def test_paint_request_key_is_region(self):
-        request = PaintRequest(region="titlebar", payload=1)
+        request = PaintRequest(region="titlebar")
         assert request.key == "titlebar"
 
 
